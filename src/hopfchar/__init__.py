@@ -8,6 +8,7 @@ from .characters import (
     InfinitesimalCharacter,
     butcher_compose,
     char_exp,
+    char_from_generator_values,
     char_from_tree_values,
     char_inv,
     char_log,

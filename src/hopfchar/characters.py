@@ -1,16 +1,16 @@
 """Characters and infinitesimal characters at a finite truncation.
 
 A character is a unital algebra homomorphism into the coefficient ring; an
-infinitesimal character is the corresponding derivation-like object.  At
-truncation N both predicates reduce (by bilinearity) to finite checks over
-basis pairs with degree sum <= N, so membership is exactly decidable.
-
-Characters form a group under convolution with inverse given by antipode
-precomposition; the convolution exponential restricts to a bijection from
-infinitesimal characters onto characters, with the commutator bracket as the
-Lie structure.  For the rooted-forest algebra the group is the Butcher group
-of tree maps, and ``butcher_compose`` evaluates its composition law directly
-from root-containing subtrees.
+infinitesimal character is the corresponding derivation-like object.  Both
+built-in algebras are free, so with b = first * rest from
+``HopfStructure.split``, membership is one pass over the basis in degree
+order: phi(b) = phi(first) phi(rest) (or 0) on every product b.  A character
+is fixed by its generator values, and ``_multiplicative`` builds every one
+here: the group product evaluates the convolution on generators, the
+inverse solves phi^-1 * phi = unit there, and the Butcher composition law on
+tree maps is the product restricted to trees.  The convolution exponential
+restricts to a bijection from infinitesimal characters onto characters, with
+the commutator bracket as the Lie structure.
 """
 
 from __future__ import annotations
@@ -18,55 +18,39 @@ from __future__ import annotations
 from typing import Mapping
 
 from . import series
-from .convolution import TruncatedFunctional, conv_unit, convolve
+from .convolution import TruncatedFunctional, conv_unit, convolve, convolve_at, parse_truncation
 from .errors import MembershipError
 from .hopf import HopfStructure, ck_hopf
-from .rings import RATIONAL
-from .trees import RootedTree, enumerate_trees, ordered_subtrees, single_tree_forest
+from .rings import RATIONAL, resolve_ring
+from .trees import RootedTree, enumerate_trees, parse_tree, single_tree_forest
 
 
 def character_violation(phi: TruncatedFunctional):
-    """None when phi is a character; otherwise the first violating basis pair.
-
-    The pair ``(unit, unit)`` reports a wrong value on the algebra unit.
-    """
-    ring = phi.ring
-    unit = phi.hopf.unit_basis
-    if phi.degree0 != ring.one:
-        return (unit, unit)
-    for b1, b2 in _basis_pairs(phi.hopf, phi.truncation):
-        lhs = phi.evaluate(phi.hopf.product(b1, b2))
-        rhs = ring.mul(phi.value(b1), phi.value(b2))
-        if lhs != rhs:
-            return (b1, b2)
-    return None
+    """None when phi is a character; otherwise ``(first, rest)`` for the first
+    product basis element, in degree order, on which phi is not
+    multiplicative.  ``(unit, unit)`` reports a wrong value on the unit."""
+    ring, value = phi.ring, phi.value
+    return _violation(phi, ring.one, lambda first, rest: ring.mul(value(first), value(rest)))
 
 
 def infinitesimal_violation(phi: TruncatedFunctional):
-    """None when phi is an infinitesimal character; otherwise the first
-    violating pair (``(unit, unit)`` for a nonzero value on the unit)."""
-    ring = phi.ring
+    """As ``character_violation``, for the rule that an infinitesimal
+    character vanishes on the unit and on every product."""
+    zero = phi.ring.zero
+    return _violation(phi, zero, lambda first, rest: zero)
+
+
+def _violation(phi: TruncatedFunctional, unit_value, expected):
+    # Below the returned pair phi obeys the rule on every product, hence on
+    # every pair (b1, b2): the pair has least degree among pairwise violations.
     hopf = phi.hopf
-    unit = hopf.unit_basis
-    if not ring.is_zero(phi.degree0):
-        return (unit, unit)
-    for b1, b2 in _basis_pairs(hopf, phi.truncation):
-        lhs = phi.evaluate(hopf.product(b1, b2))
-        rhs = ring.add(
-            ring.scale(phi.value(b1), hopf.counit(b2)),
-            ring.scale(phi.value(b2), hopf.counit(b1)),
-        )
-        if lhs != rhs:
-            return (b1, b2)
+    if phi.degree0 != unit_value:
+        return (hopf.unit_basis, hopf.unit_basis)
+    for basis in hopf.all_basis_upto(phi.truncation):
+        first, rest = hopf.split(basis)
+        if rest.degree and phi.value(basis) != expected(first, rest):
+            return (first, rest)
     return None
-
-
-def _basis_pairs(hopf: HopfStructure, truncation: int):
-    for i in range(truncation + 1):
-        for b1 in hopf.basis(i):
-            for j in range(truncation + 1 - i):
-                for b2 in hopf.basis(j):
-                    yield b1, b2
 
 
 def is_character(phi: TruncatedFunctional) -> bool:
@@ -137,14 +121,47 @@ def char_unit(hopf: HopfStructure, ring, truncation: int) -> Character:
     return Character(conv_unit(hopf, ring, truncation))
 
 
+def _multiplicative(hopf: HopfStructure, ring, truncation: int, on_generator) -> Character:
+    """The character with ``on_generator(b, out)`` on each generator b, where
+    out holds the nonzero values found so far, and out[first] * out[rest] on
+    each product."""
+    out = {hopf.unit_basis: ring.one}
+    for basis in hopf.all_basis_upto(truncation)[1:]:  # the unit comes first
+        first, rest = hopf.split(basis)
+        if rest.degree:
+            a, b = out.get(first), out.get(rest)
+            value = ring.zero if a is None or b is None else ring.mul(a, b)
+        else:
+            value = on_generator(basis, out)
+        if not ring.is_zero(value):
+            out[basis] = value
+    return Character._wrap(TruncatedFunctional(hopf, ring, truncation, out))
+
+
+def char_from_generator_values(
+    values: Mapping, hopf: HopfStructure, truncation: int, ring=RATIONAL
+) -> Character:
+    """The unique character with the given values on generators (single-tree
+    forests, one-letter words); missing generators count as zero."""
+    return _multiplicative(hopf, ring, truncation, lambda b, out: values.get(b, ring.zero))
+
+
 def char_mul(phi: Character, psi: Character) -> Character:
-    """Group product; characters are closed under convolution."""
-    return Character(convolve(phi.functional, psi.functional))
+    """Group product: the convolution on generators, extended multiplicatively."""
+    f, g = phi.functional, psi.functional
+    f._compatible(g)
+    hopf, ring = f.hopf, f.ring
+    return _multiplicative(hopf, ring, f.truncation,
+                           lambda b, out: convolve_at(hopf, ring, f.values, g.values, b))
 
 
 def char_inv(phi: Character) -> Character:
-    """Group inverse: precomposition with the antipode."""
-    return Character(phi.functional.precompose_antipode())
+    """Group inverse: phi^-1(g) = -convolve_at(phi^-1, phi, g) on a generator g,
+    where the term phi^-1(g) * phi(1) drops out because g is not yet known."""
+    f = phi.functional
+    hopf, ring = f.hopf, f.ring
+    return _multiplicative(hopf, ring, f.truncation,
+                           lambda b, out: ring.neg(convolve_at(hopf, ring, out, f.values, b)))
 
 
 def char_exp(phi: InfinitesimalCharacter) -> Character:
@@ -178,15 +195,8 @@ def char_from_tree_values(
 
     Missing trees count as zero; forests get the product of their tree values.
     """
-    hopf = hopf if hopf is not None else ck_hopf()
-    out = {}
-    for basis in hopf.all_basis_upto(truncation):
-        value = ring.one
-        for tree in basis.trees:
-            value = ring.mul(value, values.get(tree, ring.zero))
-        if not ring.is_zero(value):
-            out[basis] = value
-    return Character._wrap(TruncatedFunctional(hopf, ring, truncation, out))
+    generator_values = {single_tree_forest(t): v for t, v in values.items()}
+    return char_from_generator_values(generator_values, hopf or ck_hopf(), truncation, ring)
 
 
 def tree_values(phi: Character) -> dict[RootedTree, object]:
@@ -217,11 +227,8 @@ def tree_values_to_json_dict(
 
 def tree_values_from_json_dict(data: dict):
     """Inverse codec; returns (values, truncation, ring)."""
-    from .rings import resolve_ring
-    from .trees import parse_tree
-
     ring = resolve_ring(data.get("ring", "rational"))
-    truncation = int(data["truncation"])
+    truncation = parse_truncation(data["truncation"])
     values = {
         parse_tree(key): ring.parse_element(text)
         for key, text in data.get("trees", {}).items()
@@ -237,12 +244,8 @@ def infinitesimal_from_tree_values(
 ) -> InfinitesimalCharacter:
     """The infinitesimal character supported on single trees with the given
     values (zero on the unit and on every multi-tree forest)."""
-    hopf = hopf if hopf is not None else ck_hopf()
-    out = {}
-    for tree, value in values.items():
-        if tree.order <= truncation and not ring.is_zero(value):
-            out[single_tree_forest(tree)] = value
-    return InfinitesimalCharacter(TruncatedFunctional(hopf, ring, truncation, out))
+    out = {single_tree_forest(t): v for t, v in values.items() if t.order <= truncation}
+    return InfinitesimalCharacter(TruncatedFunctional(hopf or ck_hopf(), ring, truncation, out))
 
 
 def butcher_compose(
@@ -251,21 +254,12 @@ def butcher_compose(
     truncation: int,
     ring=RATIONAL,
 ) -> dict[RootedTree, object]:
-    """The Butcher composition law on tree maps, evaluated directly:
-    (a.b)(tree) sums b(kept subtree) * prod of a over the cut forest, over all
-    root-containing subtrees.  Matches the character-group product under the
-    tree-values correspondence."""
-    out: dict[RootedTree, object] = {}
-    for level in enumerate_trees(truncation):
-        for tree in level:
-            total = ring.zero
-            for cut, kept in ordered_subtrees(tree):
-                term = ring.one if not kept.trees else b.get(kept.trees[0], ring.zero)
-                for theta in cut.trees:
-                    term = ring.mul(term, a.get(theta, ring.zero))
-                total = ring.add(total, term)
-            out[tree] = total
-    return out
+    """The Butcher composition law on tree maps: the tree values of the
+    character product, with an entry (possibly zero) for every tree of order
+    <= N."""
+    product = tree_values(char_mul(char_from_tree_values(a, truncation, ring),
+                                   char_from_tree_values(b, truncation, ring)))
+    return {t: product.get(t, ring.zero) for level in enumerate_trees(truncation) for t in level}
 
 
 # -- the additive view on the tensor instance ---------------------------------
@@ -284,12 +278,4 @@ def tensor_char_from_vector(
     vector, hopf: HopfStructure, truncation: int, ring=RATIONAL
 ) -> Character:
     """Multiplicative extension of degree-1 values to a tensor-algebra character."""
-    vector = tuple(vector)
-    out = {}
-    for basis in hopf.all_basis_upto(truncation):
-        value = ring.one
-        for letter in basis.letters:
-            value = ring.mul(value, vector[letter])
-        if not ring.is_zero(value):
-            out[basis] = value
-    return Character._wrap(TruncatedFunctional(hopf, ring, truncation, out))
+    return char_from_generator_values(dict(zip(hopf.basis(1), vector)), hopf, truncation, ring)

@@ -23,7 +23,7 @@ from .characters import (
     tree_values_from_json_dict,
 )
 from .convolution import TruncatedFunctional
-from .errors import AlgebraError, ParseError
+from .errors import AlgebraError, DomainError, ParseError
 from .evolution import FunctionalCurve, evolve
 from .hopf import resolve_hopf
 from .ideals import is_symplectic, symplectic_generators
@@ -81,10 +81,15 @@ def _emit(args, text: str) -> None:
 
 def _load_json(path: str) -> dict:
     with open(path) as handle:
-        return json.load(handle)
+        data = json.load(handle)
+    if not isinstance(data, dict):
+        raise ParseError(f"{path}: expected a JSON object at the top level", 0)
+    return data
 
 
 def _cmd_trees(args) -> str:
+    if args.max_order < 1:
+        raise DomainError(f"--max-order must be >= 1, got {args.max_order}")
     levels = enumerate_trees(args.max_order)
     if args.format == "json":
         return json.dumps(

@@ -1,18 +1,17 @@
 """The truncated convolution algebra of linear functionals on a Hopf algebra.
 
 A ``TruncatedFunctional`` stores one coefficient-ring value per basis element
-of degree <= N (sparse storage, absent means zero).  The convolution of two
-functionals evaluates, on each basis element, the ring sum of products of the
-two factors over the coproduct table.  Because the coproduct respects the
+of degree <= N (sparse storage, absent means zero).  ``convolve_at`` is the
+one convolution kernel: on one basis element, the ring sum of products of two
+value maps over the coproduct table.  Because the coproduct respects the
 grading, every degree-n output value only involves inputs of degree <= n, so
 degree-wise truncation is exact: the degree-n part of any result agrees with
 the one computed at any larger truncation.
 
-Inversion follows the unit-group structure of graded algebras: a functional
-is invertible iff its degree-0 value is a ring unit, and then the inverse is
-the geometric series in the augmentation part (here summed directly; the
-functional-calculus route in :mod:`hopfchar.series` reproduces it and is
-cross-checked in the tests).
+A functional is invertible iff its degree-0 value is a ring unit.  The
+inverse is then solved for one basis element at a time in degree order (see
+``conv_inverse``); antipode precomposition and the functional-calculus route
+in :mod:`hopfchar.series` reproduce it and are cross-checked in the tests.
 """
 
 from __future__ import annotations
@@ -21,11 +20,10 @@ import json
 from fractions import Fraction
 from typing import Mapping
 
-from .errors import AugmentationError, IncompatibleError, NotInvertibleError
+from .errors import (AugmentationError, DomainError, IncompatibleError, ParseError,
+                     TruncationOverflowError)
 from .hopf import GradedVector, HopfStructure, resolve_hopf
 from .rings import resolve_ring
-
-_ONE = Fraction(1)
 
 
 class TruncatedFunctional:
@@ -195,16 +193,28 @@ class TruncatedFunctional:
     def from_json_dict(data: dict) -> "TruncatedFunctional":
         hopf = resolve_hopf(data["hopf"])
         ring = resolve_ring(data["ring"])
-        truncation = int(data["truncation"])
+        truncation = parse_truncation(data["truncation"])
         values = {
             hopf.parse_basis(key): ring.parse_element(text)
             for key, text in data.get("values", {}).items()
         }
-        return TruncatedFunctional(hopf, ring, truncation, values)
+        try:
+            return TruncatedFunctional(hopf, ring, truncation, values)
+        except ValueError as err:  # a value above the truncation
+            raise TruncationOverflowError(str(err)) from None
 
     @staticmethod
     def from_json(text: str) -> "TruncatedFunctional":
         return TruncatedFunctional.from_json_dict(json.loads(text))
+
+
+def parse_truncation(value) -> int:
+    """The ``truncation`` field of a JSON payload: an integer >= 0."""
+    if type(value) is not int:
+        raise ParseError(f"truncation must be an integer, got {value!r}", 0)
+    if value < 0:
+        raise DomainError(f"truncation must be >= 0, got {value}")
+    return value
 
 
 def conv_unit(hopf: HopfStructure, ring, truncation: int) -> TruncatedFunctional:
@@ -217,28 +227,31 @@ def delta(hopf: HopfStructure, ring, truncation: int, basis) -> TruncatedFunctio
     return TruncatedFunctional(hopf, ring, truncation, {basis: ring.one})
 
 
+def convolve_at(hopf: HopfStructure, ring, f: Mapping, g: Mapping, basis):
+    """(f * g)(basis): the ring sum of f(left) * g(right) over the coproduct
+    terms of basis.  f and g map basis elements to values, absent meaning 0."""
+    total = ring.zero
+    for coeff, left, right in hopf.coproduct(basis):
+        a = f.get(left)
+        if a is None:
+            continue
+        b = g.get(right)
+        if b is None:
+            continue
+        term = ring.mul(a, b)
+        if coeff != 1:
+            term = ring.scale(term, coeff)
+        total = ring.add(total, term)
+    return total
+
+
 def convolve(phi: TruncatedFunctional, psi: TruncatedFunctional) -> TruncatedFunctional:
-    """Convolution: on each basis element, sum phi(left) * psi(right) over the
-    coproduct table.  Associative with unit ``conv_unit``."""
+    """Convolution: ``convolve_at`` on every basis element of degree <= N.
+    Associative with unit ``conv_unit``."""
     phi._compatible(psi)
-    ring = phi.ring
-    out = {}
-    for basis in phi.hopf.all_basis_upto(phi.truncation):
-        total = ring.zero
-        for coeff, left, right in phi.hopf.coproduct(basis):
-            a = phi.values.get(left)
-            if a is None:
-                continue
-            b = psi.values.get(right)
-            if b is None:
-                continue
-            term = ring.mul(a, b)
-            if coeff != 1:
-                term = ring.scale(term, coeff)
-            total = ring.add(total, term)
-        if not ring.is_zero(total):
-            out[basis] = total
-    return phi._build(out)
+    hopf, ring = phi.hopf, phi.ring
+    return phi._build({b: convolve_at(hopf, ring, phi.values, psi.values, b)
+                       for b in hopf.all_basis_upto(phi.truncation)})
 
 
 def conv_power(phi: TruncatedFunctional, exponent: int) -> TruncatedFunctional:
@@ -252,20 +265,17 @@ def conv_power(phi: TruncatedFunctional, exponent: int) -> TruncatedFunctional:
 
 
 def conv_inverse(phi: TruncatedFunctional) -> TruncatedFunctional:
-    """Convolution inverse, defined exactly when the degree-0 value is a ring
-    unit.  Computed as ``(sum_k (-a0^{-1} b)^k) * a0^{-1}`` with b the
-    positive-degree part; the series terminates at the truncation degree."""
-    ring = phi.ring
-    a0 = phi.degree0
-    if not ring.is_unit(a0):
-        raise NotInvertibleError("degree-0 value is not a unit of the coefficient ring")
-    a0_inv = ring.inv(a0)
-    b = phi.drop_degree0().scale_ring(a0_inv).scale(-1)
-    # Geometric series, Horner-style: 1 + b(1 + b(1 + ...)).
-    acc = conv_unit(phi.hopf, ring, phi.truncation)
-    for _ in range(phi.truncation):
-        acc = conv_unit(phi.hopf, ring, phi.truncation) + convolve(b, acc)
-    return acc.scale_ring(a0_inv)
+    """Convolution inverse, defined exactly when the degree-0 value a0 is a
+    ring unit.  In degree order, psi(b) = (counit(b) - convolve_at(psi, phi, b))
+    * a0^-1: the term psi(b) * a0 drops out because b is not yet in psi."""
+    ring, hopf = phi.ring, phi.hopf
+    a0_inv = ring.inv(phi.degree0)  # NotInvertibleError unless a ring unit
+    out = {hopf.unit_basis: a0_inv}
+    for basis in hopf.all_basis_upto(phi.truncation)[1:]:  # the unit comes first
+        value = ring.mul(ring.neg(convolve_at(hopf, ring, out, phi.values, basis)), a0_inv)
+        if not ring.is_zero(value):
+            out[basis] = value
+    return phi._build(out)
 
 
 def require_augmentation(phi: TruncatedFunctional) -> None:

@@ -10,9 +10,10 @@ Two instances share one interface:
   concatenation product, unshuffle coproduct and antipode
   ``w -> (-1)^|w| reversed(w)``.
 
-Structure constants are exact integers carried as ``Fraction`` coefficients
-inside ``GradedVector``.  Instances are stateless apart from write-once memo
-tables, so shared read-only use across threads is safe.
+Both algebras are free; ``split`` gives a basis element's first generator and
+the product of the rest.  Structure constants are exact integers carried as
+``Fraction`` coefficients inside ``GradedVector``.  Instances are stateless
+apart from memo dicts, on which racing threads store equal values.
 """
 
 from __future__ import annotations
@@ -225,6 +226,15 @@ class HopfStructure:
                 terms.append((self._product_basis(b1, b2), c1 * c2))
         return GradedVector(terms)
 
+    def split(self, basis) -> tuple:
+        """``(first generator, product of the rest)``; the rest is 1 on generators."""
+        raise NotImplementedError
+
+    def generators(self, max_degree: int) -> list:
+        """The generators of degree 1..max_degree, in basis order."""
+        return [b for b in self.all_basis_upto(max_degree)
+                if b.degree and not self.split(b)[1].degree]
+
     def coproduct(self, basis) -> tuple[tuple[Fraction, object, object], ...]:
         """Coproduct terms ``(coefficient, left, right)`` with equal pairs
         combined; coefficients are positive integers."""
@@ -264,6 +274,9 @@ class CKHopf(HopfStructure):
 
     def _product_basis(self, b1: Forest, b2: Forest) -> Forest:
         return b1.union(b2)
+
+    def split(self, basis: Forest) -> tuple[Forest, Forest]:
+        return Forest(basis.trees[:1]), Forest(basis.trees[1:])
 
     def coproduct(self, basis: Forest):
         cached = self._coproduct_cache.get(basis)
@@ -325,6 +338,9 @@ class TensorHopf(HopfStructure):
 
     def _product_basis(self, b1: Word, b2: Word) -> Word:
         return Word(b1.letters + b2.letters)
+
+    def split(self, basis: Word) -> tuple[Word, Word]:
+        return Word(basis.letters[:1]), Word(basis.letters[1:])
 
     def coproduct(self, basis: Word):
         cached = self._coproduct_cache.get(basis)

@@ -31,10 +31,6 @@ class RationalRing:
     one = _ONE
 
     @staticmethod
-    def from_fraction(q) -> Fraction:
-        return Fraction(q)
-
-    @staticmethod
     def add(a: Fraction, b: Fraction) -> Fraction:
         return a + b
 
@@ -101,9 +97,6 @@ class TruncatedSeriesRing:
         cs += [_ZERO] * (self.modulus_degree + 1 - len(cs))
         return tuple(cs)
 
-    def from_fraction(self, q) -> tuple[Fraction, ...]:
-        return (Fraction(q),) + (_ZERO,) * self.modulus_degree
-
     def add(self, a, b):
         return tuple(x + y for x, y in zip(a, b))
 
@@ -160,8 +153,7 @@ def resolve_ring(key: str):
         return RATIONAL
     if key.startswith("series:"):
         try:
-            modulus = int(key.split(":", 1)[1])
+            return TruncatedSeriesRing(int(key.split(":", 1)[1]))
         except ValueError:
-            raise ParseError(f"bad ring id {key!r}", 0) from None
-        return TruncatedSeriesRing(modulus)
+            raise ParseError(f"bad ring id {key!r} (want series:M with M >= 1)", 0) from None
     raise ParseError(f"unknown ring id {key!r}", 0)

@@ -16,12 +16,11 @@ from .characters import (
     Character,
     InfinitesimalCharacter,
     char_exp,
-    char_from_tree_values,
+    char_from_generator_values,
     infinitesimal_from_tree_values,
-    tensor_char_from_vector,
 )
 from .convolution import TruncatedFunctional
-from .hopf import CKHopf, HopfStructure
+from .hopf import HopfStructure
 from .ideals import HopfIdealSpec
 from .linalg import nullspace
 from .rings import RATIONAL, TruncatedSeriesRing
@@ -88,26 +87,14 @@ def random_tree_values(
 def random_character(
     hopf: HopfStructure, ring, truncation: int, rng: random.Random
 ) -> Character:
-    if isinstance(hopf, CKHopf):
-        return char_from_tree_values(
-            random_tree_values(truncation, rng, ring), truncation, ring, hopf
-        )
-    vector = [random_ring_element(ring, rng) for _ in hopf.basis(1)]
-    return tensor_char_from_vector(vector, hopf, truncation, ring)
+    values = {g: random_ring_element(ring, rng) for g in hopf.generators(truncation)}
+    return char_from_generator_values(values, hopf, truncation, ring)
 
 
 def random_infinitesimal(
     hopf: HopfStructure, ring, truncation: int, rng: random.Random
 ) -> InfinitesimalCharacter:
-    if isinstance(hopf, CKHopf):
-        return infinitesimal_from_tree_values(
-            random_tree_values(truncation, rng, ring), truncation, ring, hopf
-        )
-    values = {
-        w: random_ring_element(ring, rng)
-        for w in hopf.basis(1)
-        if truncation >= 1
-    }
+    values = {g: random_ring_element(ring, rng) for g in hopf.generators(truncation)}
     return InfinitesimalCharacter(TruncatedFunctional(hopf, ring, truncation, values))
 
 

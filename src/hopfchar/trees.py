@@ -11,15 +11,16 @@ trees are equal iff they are root-preserving graph isomorphic iff their
 serializations coincide.  Forests sort their trees by the same order and the
 empty forest serializes as ``"1"``.
 
-All values are immutable after construction.  The per-tree memo tables used
-for subtree/partition enumeration are write-once caches and safe for
-concurrent readers.
+All values are immutable after construction.  The enumeration tables grow
+under a module lock; the subtree and partition memo dicts need none, since
+threads racing on one entry store equal values.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator, Mapping
+import threading
+from typing import Iterable, Iterator
 
 from .errors import ParseError, ResourceLimitError
 
@@ -178,6 +179,7 @@ def parse_forest(text: str) -> Forest:
 
 _tree_table: list[list[RootedTree]] = [[]]  # _tree_table[n] = trees of order n
 _forest_table: list[list[Forest]] = [[EMPTY_FOREST]]
+_table_lock = threading.Lock()  # held while either table grows
 
 
 def _extend_tree_table(max_order: int) -> None:
@@ -228,7 +230,9 @@ def enumerate_trees(max_order: int, cap: int = DEFAULT_ORDER_CAP) -> list[list[R
         raise ValueError(f"max_order must be >= 1, got {max_order}")
     if max_order > cap:
         raise ResourceLimitError(f"max_order {max_order} exceeds cap {cap}")
-    _extend_tree_table(max_order)
+    if len(_tree_table) <= max_order:
+        with _table_lock:
+            _extend_tree_table(max_order)
     return [list(_tree_table[n]) for n in range(1, max_order + 1)]
 
 
@@ -238,7 +242,9 @@ def enumerate_forests(degree: int, cap: int = DEFAULT_ORDER_CAP) -> list[Forest]
         raise ValueError(f"degree must be >= 0, got {degree}")
     if degree > cap:
         raise ResourceLimitError(f"degree {degree} exceeds cap {cap}")
-    _extend_forest_table(degree)
+    if len(_forest_table) <= degree:
+        with _table_lock:
+            _extend_forest_table(degree)
     return list(_forest_table[degree])
 
 
@@ -337,8 +343,3 @@ def butcher_product(tau: RootedTree, upsilon: RootedTree) -> RootedTree:
     the reverse grafting gives the 3-chain.
     """
     return RootedTree(tau.children + (upsilon,))
-
-
-def tree_values_complete(values: Mapping[RootedTree, object], max_order: int) -> bool:
-    """True when ``values`` has an entry for every tree of order <= max_order."""
-    return all(t in values for level in enumerate_trees(max_order) for t in level)

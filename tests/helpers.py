@@ -4,8 +4,11 @@ Everything here recomputes expected values along a different route than the
 library: graph-level isomorphism instead of canonical serialization, raw
 vertex-subset enumeration instead of the child recursion, the antipode axiom
 instead of the partition formula, the per-degree composition sum instead of
-Horner evaluation, and a linear-span ideal membership test instead of
-generator-only evaluation.
+Horner evaluation, a linear-span ideal membership test instead of
+generator-only evaluation, the product rule on every pair of basis elements
+instead of on (first generator, rest), the root-containing-subtree sum
+instead of the character product for Butcher composition, and the geometric
+series instead of the triangular recursion for the convolution inverse.
 """
 
 from fractions import Fraction
@@ -13,7 +16,7 @@ from fractions import Fraction
 from hopfchar.convolution import TruncatedFunctional, conv_unit, convolve
 from hopfchar.hopf import GradedVector
 from hopfchar.linalg import in_span
-from hopfchar.trees import Forest, RootedTree
+from hopfchar.trees import Forest, RootedTree, enumerate_trees, ordered_subtrees
 
 
 # -- rooted trees -------------------------------------------------------------
@@ -158,6 +161,69 @@ def apply_series_raw(series, a: TruncatedFunctional) -> TruncatedFunctional:
                     term = convolve(term, parts[index])
                 result = result + term.scale(coeffs[k])
     return result
+
+
+# -- characters ---------------------------------------------------------------
+
+
+def basis_pairs(hopf, truncation: int):
+    """Every ordered pair of basis elements with degree sum <= truncation."""
+    for i in range(truncation + 1):
+        for b1 in hopf.basis(i):
+            for j in range(truncation + 1 - i):
+                for b2 in hopf.basis(j):
+                    yield b1, b2
+
+
+def pairwise_violations(phi: TruncatedFunctional, infinitesimal: bool = False):
+    """Every basis pair (b1, b2) at which phi breaks the product rule of a
+    character, phi(b1 b2) = phi(b1) phi(b2), or of an infinitesimal
+    character, phi(b1 b2) = phi(b1) counit(b2) + counit(b1) phi(b2).  A wrong
+    unit value (1 for characters, 0 for infinitesimals) yields (unit, unit)
+    first."""
+    ring, hopf = phi.ring, phi.hopf
+    unit = hopf.unit_basis
+    if phi.degree0 != (ring.zero if infinitesimal else ring.one):
+        yield unit, unit
+    for b1, b2 in basis_pairs(hopf, phi.truncation):
+        lhs = phi.evaluate(hopf.product(b1, b2))
+        if infinitesimal:
+            rhs = ring.add(
+                ring.scale(phi.value(b1), hopf.counit(b2)),
+                ring.scale(phi.value(b2), hopf.counit(b1)),
+            )
+        else:
+            rhs = ring.mul(phi.value(b1), phi.value(b2))
+        if lhs != rhs:
+            yield b1, b2
+
+
+def butcher_compose_raw(a, b, truncation: int, ring) -> dict:
+    """(a.b)(tree) as the sum, over root-containing subtrees, of
+    b(kept subtree) times the product of a over the cut forest."""
+    out = {}
+    for level in enumerate_trees(truncation):
+        for tree in level:
+            total = ring.zero
+            for cut, kept in ordered_subtrees(tree):
+                term = ring.one if not kept.trees else b.get(kept.trees[0], ring.zero)
+                for theta in cut.trees:
+                    term = ring.mul(term, a.get(theta, ring.zero))
+                total = ring.add(total, term)
+            out[tree] = total
+    return out
+
+
+def conv_inverse_geometric(phi: TruncatedFunctional) -> TruncatedFunctional:
+    """(sum_k (-a0^-1 b)^k) a0^-1 with b the positive-degree part; the
+    series terminates at the truncation degree."""
+    ring = phi.ring
+    a0_inv = ring.inv(phi.degree0)
+    b = phi.drop_degree0().scale_ring(a0_inv).scale(-1)
+    acc = unit = conv_unit(phi.hopf, ring, phi.truncation)
+    for _ in range(phi.truncation):
+        acc = unit + convolve(b, acc)
+    return acc.scale_ring(a0_inv)
 
 
 # -- ideals -------------------------------------------------------------------

@@ -1,0 +1,33 @@
+"""The traced benchmark run wraps hopfchar functions and methods by name
+(``perfbench/spans.py``).  Renaming or removing one of them, or moving a
+method to a base class, makes ``--trace 1`` fail, so the names are pinned
+here."""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+
+
+def _spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_functions_resolve():
+    for targets in _spans().FUNCTIONS.values():
+        for mod_name, attr in targets:
+            module = importlib.import_module(f"hopfchar.{mod_name}")
+            assert callable(getattr(module, attr, None)), f"{mod_name}.{attr}"
+
+
+def test_traced_methods_are_defined_on_their_own_class():
+    spans = _spans()
+    for table in (spans.METHODS, spans.COUNTED):
+        for targets in table.values():
+            for mod_name, cls_name, attr in targets:
+                cls = getattr(importlib.import_module(f"hopfchar.{mod_name}"), cls_name)
+                assert attr in cls.__dict__, f"{cls_name}.{attr}"

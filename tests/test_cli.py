@@ -210,3 +210,51 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert target.read_text().strip() == "-[[]] + [] []"
+
+
+def run_error(capsys, argv):
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+    assert captured.out == ""
+    return code
+
+
+def write_functional(tmp_path, data) -> str:
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+LEAF_CHAR = {"hopf": "ck", "ring": "rational", "truncation": 2,
+             "values": {"1": "1", "[]": "1", "[] []": "1"}}
+
+
+def test_inv_value_above_truncation_is_overflow(tmp_path, capsys):
+    path = write_functional(tmp_path, dict(LEAF_CHAR, truncation=1))
+    assert run_error(capsys, ["char", "inv", path]) == 2
+
+
+def test_inv_series_ring_of_modulus_zero_is_bad_id(tmp_path, capsys):
+    path = write_functional(tmp_path, dict(LEAF_CHAR, ring="series:0"))
+    assert run_error(capsys, ["char", "inv", path]) == 1
+
+
+def test_inv_fractional_truncation_is_malformed(tmp_path, capsys):
+    path = write_functional(tmp_path, dict(LEAF_CHAR, truncation="2.5"))
+    assert run_error(capsys, ["char", "inv", path]) == 1
+
+
+def test_inv_negative_truncation_is_out_of_range(tmp_path, capsys):
+    path = write_functional(tmp_path, dict(LEAF_CHAR, truncation=-1))
+    assert run_error(capsys, ["char", "inv", path]) == 2
+
+
+def test_inv_top_level_array_is_malformed(tmp_path, capsys):
+    path = write_functional(tmp_path, [LEAF_CHAR])
+    assert run_error(capsys, ["char", "inv", path]) == 1
+
+
+def test_trees_max_order_zero_is_out_of_range(capsys):
+    assert run_error(capsys, ["trees", "--max-order", "0"]) == 2

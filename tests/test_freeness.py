@@ -1,0 +1,118 @@
+"""The generator-only routes against the older pairwise and raw-formula routes
+kept in ``helpers`` as oracles: membership predicates, Butcher composition,
+the character inverse and the convolution inverse."""
+
+import random
+
+import pytest
+
+from helpers import (
+    butcher_compose_raw,
+    conv_inverse_geometric,
+    pairwise_violations,
+)
+from hopfchar.characters import (
+    butcher_compose,
+    char_inv,
+    character_violation,
+    infinitesimal_violation,
+)
+from hopfchar.convolution import TruncatedFunctional, conv_inverse
+from hopfchar.hopf import ck_hopf, tensor_hopf
+from hopfchar.rings import RATIONAL, TruncatedSeriesRing
+from hopfchar.sampling import (
+    random_character,
+    random_functional,
+    random_infinitesimal,
+    random_invertible,
+    random_ring_element,
+    random_tree_values,
+)
+
+SERIES = TruncatedSeriesRing(2)
+CASES = [
+    pytest.param(ck_hopf(), RATIONAL, 5, id="ck"),
+    pytest.param(tensor_hopf(2), RATIONAL, 5, id="tensor(2)"),
+    pytest.param(ck_hopf(), SERIES, 5, id="ck-series:2"),
+]
+
+
+def _pair_degree(pair) -> int:
+    return pair[0].degree + pair[1].degree
+
+
+def _products(hopf, truncation):
+    return [b for b in hopf.all_basis_upto(truncation) if hopf.split(b)[1].degree]
+
+
+def _with_value(phi, basis, value):
+    values = dict(phi.values)
+    values[basis] = value
+    return TruncatedFunctional(phi.hopf, phi.ring, phi.truncation, values)
+
+
+def _membership_inputs(hopf, ring, truncation, rng):
+    """Characters, infinitesimals, dense non-characters (unit value 1 and 0),
+    and characters and infinitesimals with one product value changed."""
+    products = _products(hopf, truncation)
+    out = []
+    for _ in range(4):
+        char = random_character(hopf, ring, truncation, rng).functional
+        inf = random_infinitesimal(hopf, ring, truncation, rng).functional
+        dense = random_functional(hopf, ring, truncation, rng)
+        out += [char, inf, _with_value(dense, hopf.unit_basis, ring.one), dense.drop_degree0()]
+        target = rng.choice(products)
+        out.append(_with_value(char, target, ring.add(char.value(target), ring.one)))
+        out.append(_with_value(inf, rng.choice(products), random_ring_element(ring, rng)))
+    return out
+
+
+@pytest.mark.parametrize("hopf, ring, truncation", CASES)
+def test_predicates_agree_with_pairwise_oracle(hopf, ring, truncation):
+    rng = random.Random(71)
+    verdicts = set()
+    for phi in _membership_inputs(hopf, ring, truncation, rng):
+        for predicate, infinitesimal in (
+            (character_violation, False),
+            (infinitesimal_violation, True),
+        ):
+            found = predicate(phi)
+            oracle = list(pairwise_violations(phi, infinitesimal))
+            verdicts.add((infinitesimal, found is None))
+            if found is None:
+                assert not oracle
+                continue
+            assert found in oracle
+            assert _pair_degree(found) == min(map(_pair_degree, oracle))
+    # both predicates saw members and non-members
+    assert verdicts == {(False, True), (False, False), (True, True), (True, False)}
+
+
+@pytest.mark.parametrize("ring", [RATIONAL, SERIES], ids=["rational", "series:2"])
+def test_butcher_compose_matches_raw_formula(ring):
+    rng = random.Random(72)
+    for truncation in (1, 3, 5):
+        for _ in range(4):
+            a = random_tree_values(truncation, rng, ring)
+            b = random_tree_values(truncation, rng, ring)
+            sparse = dict(list(a.items())[::3])
+            for x, y in ((a, b), (b, a), (sparse, b), (a, {})):
+                assert butcher_compose(x, y, truncation, ring) == butcher_compose_raw(
+                    x, y, truncation, ring
+                )
+
+
+@pytest.mark.parametrize("hopf, ring, truncation", CASES)
+def test_char_inv_matches_antipode_precomposition(hopf, ring, truncation):
+    rng = random.Random(73)
+    for _ in range(4):
+        phi = random_character(hopf, ring, truncation, rng)
+        assert char_inv(phi).functional == phi.functional.precompose_antipode()
+
+
+@pytest.mark.parametrize("hopf, ring, truncation", CASES)
+def test_conv_inverse_matches_geometric_series(hopf, ring, truncation):
+    rng = random.Random(74)
+    for _ in range(4):
+        phi = random_invertible(hopf, ring, truncation, rng)
+        assert conv_inverse(phi) == conv_inverse_geometric(phi)

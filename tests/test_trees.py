@@ -210,3 +210,40 @@ def test_parent_array():
     assert LEAF.parent_array() == [-1]
     assert CHAIN.parent_array() == [-1, 0]
     assert CHERRY.parent_array() == [-1, 0, 0]
+
+
+def test_concurrent_first_enumeration_builds_each_level_once():
+    # Eight threads make the first call to enumerate_trees(9) on emptied
+    # tables while the interpreter switches threads as often as it can; an
+    # unguarded table grows duplicate or shifted levels.
+    import sys
+    import threading
+
+    from hopfchar import trees
+
+    expected_trees = [[t.serial for t in level] for level in enumerate_trees(9)]
+    expected_forests = [[f.serial for f in enumerate_forests(d)] for d in range(9)]
+    saved = trees._tree_table[:], trees._forest_table[:]
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        for _ in range(10):
+            del trees._tree_table[1:]
+            del trees._forest_table[1:]
+            results = []
+
+            def first_call():
+                results.append([[t.serial for t in level] for level in enumerate_trees(9)])
+
+            threads = [threading.Thread(target=first_call) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert results == [expected_trees] * 8
+            assert len(trees._tree_table) == 10
+            assert [[f.serial for f in level] for level in trees._forest_table] == expected_forests
+    finally:
+        sys.setswitchinterval(interval)
+        trees._tree_table[:], trees._forest_table[:] = saved
