@@ -18,7 +18,8 @@ from __future__ import annotations
 from typing import Mapping
 
 from . import series
-from .convolution import TruncatedFunctional, conv_unit, convolve, convolve_at, parse_truncation
+from .convolution import (TruncatedFunctional, conv_unit, convolve, convolve_at, json_entries,
+                          parse_truncation)
 from .errors import MembershipError
 from .hopf import HopfStructure, ck_hopf
 from .rings import RATIONAL, resolve_ring
@@ -231,7 +232,7 @@ def tree_values_from_json_dict(data: dict):
     truncation = parse_truncation(data["truncation"])
     values = {
         parse_tree(key): ring.parse_element(text)
-        for key, text in data.get("trees", {}).items()
+        for key, text in json_entries(data, "trees", dict, str, {}).items()
     }
     return values, truncation, ring
 

@@ -33,12 +33,6 @@ from .trees import enumerate_trees
 
 def _parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("-N", "--truncation", type=int, default=6,
-                        help="truncation degree (default 6)")
-    common.add_argument("--hopf", default="ck",
-                        help='Hopf algebra id: "ck" or "tensor(d)" (default ck)')
-    common.add_argument("--ring", default="rational",
-                        help='coefficient ring id: "rational" or "series:M"')
     common.add_argument("--format", choices=("text", "json"), default="text")
     common.add_argument("--out", help="output file (default stdout)")
 
@@ -56,6 +50,8 @@ def _parser() -> argparse.ArgumentParser:
                               help="coproduct/antipode of one element")
     p_struct.add_argument("element", help="basis element (forest or word serialization)")
     p_struct.add_argument("--which", choices=("coproduct", "antipode"), required=True)
+    p_struct.add_argument("--hopf", default="ck",
+                          help='Hopf algebra id: "ck" or "tensor(d)" (default ck)')
 
     p_char = sub.add_parser("char", parents=[common],
                             help="character arithmetic on JSON files")

@@ -196,7 +196,7 @@ class TruncatedFunctional:
         truncation = parse_truncation(data["truncation"])
         values = {
             hopf.parse_basis(key): ring.parse_element(text)
-            for key, text in data.get("values", {}).items()
+            for key, text in json_entries(data, "values", dict, str, {}).items()
         }
         try:
             return TruncatedFunctional(hopf, ring, truncation, values)
@@ -214,6 +214,17 @@ def parse_truncation(value) -> int:
         raise ParseError(f"truncation must be an integer, got {value!r}", 0)
     if value < 0:
         raise DomainError(f"truncation must be >= 0, got {value}")
+    return value
+
+
+def json_entries(data: dict, field: str, container: type, item: type, default=None):
+    """``data[field]`` (``default`` when absent, if given), checked to be a
+    dict or list ``container`` whose entries are all of type ``item``."""
+    value = data[field] if default is None else data.get(field, default)
+    if not isinstance(value, container) or not all(
+        isinstance(v, item) for v in (value.values() if container is dict else value)
+    ):
+        raise ParseError(f"{field} must be a JSON {container.__name__} of {item.__name__}", 0)
     return value
 
 

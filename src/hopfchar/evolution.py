@@ -2,23 +2,25 @@
 eta'(t) = eta(t) * gamma(t), eta(0) = unit, for polynomial-in-t curves gamma
 into the infinitesimal characters.
 
-Because gamma vanishes in degree 0 and convolution respects the grading, the
-degree-n component of eta(t) * gamma(t) on a basis element only involves eta
-components of degree < n.  So the solution builds up degree by degree: each
-basis value of eta is a polynomial in t obtained by integrating an already
-known polynomial, with eta vanishing at t=0 in positive degree.  Everything
-stays in exact rational arithmetic, and the solutions land in the character
-group (checked, not assumed, by ``evol``).
+The solution stays in the character group, so eta is one character with
+values in the polynomial algebra R[t] (``PolyRing``) and is fixed by its
+generator values.  Because gamma vanishes in degree 0 and on products, the
+value of eta * gamma on a generator g of degree n only involves eta in degree
+< n: eta(g) integrates ``convolve_at(eta, gamma, g)`` from 0, and products
+multiply.  Everything stays in exact rational arithmetic; ``evol`` still
+checks that the result is a character.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from typing import Iterable
 
-from .characters import Character, InfinitesimalCharacter, character_violation
-from .convolution import TruncatedFunctional
-from .errors import IncompatibleError, InternalError
+from .characters import (Character, InfinitesimalCharacter, _multiplicative,
+                         char_from_generator_values, character_violation)
+from .convolution import TruncatedFunctional, convolve_at, json_entries
+from .errors import InternalError
 from .hopf import HopfStructure
 
 
@@ -37,10 +39,6 @@ class Poly:
     @classmethod
     def zero(cls, ring) -> "Poly":
         return cls(ring)
-
-    @classmethod
-    def constant(cls, ring, value) -> "Poly":
-        return cls(ring, [value])
 
     def __eq__(self, other) -> bool:
         return (
@@ -112,6 +110,25 @@ class Poly:
         return f"Poly({list(self.coefficients)})"
 
 
+class PolyRing:
+    """R[t] as a coefficient ring for ``convolve_at`` and ``_multiplicative``;
+    the sum and product are ``Poly``'s own."""
+
+    add, mul = operator.add, operator.mul
+
+    def __init__(self, ring):
+        self.zero = Poly(ring)
+        self.one = Poly(ring, [ring.one])
+
+    @staticmethod
+    def scale(p: Poly, q) -> Poly:
+        return p.scale(q)
+
+    @staticmethod
+    def is_zero(p: Poly) -> bool:
+        return not p.coefficients
+
+
 class FunctionalCurve:
     """gamma(t) = sum_j t^j gamma_j with every coefficient an infinitesimal
     character over a shared Hopf algebra, ring and truncation."""
@@ -124,12 +141,7 @@ class FunctionalCurve:
             raise ValueError("a curve needs at least one coefficient")
         first = coeffs[0]
         for c in coeffs:
-            if (
-                c.hopf.key != first.hopf.key
-                or c.ring.key != first.ring.key
-                or c.truncation != first.truncation
-            ):
-                raise IncompatibleError("curve coefficients disagree on hopf/ring/N")
+            first._compatible(c)
             InfinitesimalCharacter(c)  # raises MembershipError if not infinitesimal
         self.coefficients = coeffs
         self.hopf: HopfStructure = first.hopf
@@ -150,40 +162,29 @@ class FunctionalCurve:
     @staticmethod
     def from_json_dict(data: dict) -> "FunctionalCurve":
         return FunctionalCurve(
-            TruncatedFunctional.from_json_dict(entry) for entry in data["coeffs"]
+            TruncatedFunctional.from_json_dict(entry)
+            for entry in json_entries(data, "coeffs", list, dict)
         )
 
 
 def evolve_polynomials(curve: FunctionalCurve) -> dict:
     """The full solution: for each basis element of degree <= N, the value of
-    eta as a ``Poly`` in t.  Degree-0 is constantly one; the degree-n values
-    integrate the convolution of the lower-degree solution with the curve."""
-    hopf, ring = curve.hopf, curve.ring
-    eta: dict = {hopf.unit_basis: Poly.constant(ring, ring.one)}
-    for degree in range(1, curve.truncation + 1):
-        for basis in hopf.basis(degree):
-            rate = Poly.zero(ring)
-            for coeff, left, right in hopf.coproduct(basis):
-                if right.degree == 0:
-                    continue  # gamma vanishes in degree 0
-                gamma_poly = curve.value_poly(right)
-                if not gamma_poly.coefficients:
-                    continue
-                rate = rate + (eta[left] * gamma_poly).scale(coeff)
-            eta[basis] = rate.integrate()
-    return eta
+    eta as a ``Poly`` in t."""
+    hopf, polys, truncation = curve.hopf, PolyRing(curve.ring), curve.truncation
+    gamma = {g: p for g in hopf.generators(truncation) if (p := curve.value_poly(g)).coefficients}
+    eta = _multiplicative(
+        hopf, polys, truncation,
+        lambda g, out: convolve_at(hopf, polys, out, gamma, g).integrate(),
+    ).functional.values
+    return {b: eta.get(b, polys.zero) for b in hopf.all_basis_upto(truncation)}
 
 
 def evolve(curve: FunctionalCurve, t_end) -> TruncatedFunctional:
     """eta(t_end), exactly."""
+    hopf, truncation = curve.hopf, curve.truncation
     eta = evolve_polynomials(curve)
-    ring = curve.ring
-    values = {}
-    for basis, poly in eta.items():
-        value = poly(t_end)
-        if not ring.is_zero(value):
-            values[basis] = value
-    return TruncatedFunctional(curve.hopf, ring, curve.truncation, values)
+    values = {g: eta[g](t_end) for g in hopf.generators(truncation)}
+    return char_from_generator_values(values, hopf, truncation, curve.ring).functional
 
 
 def evol(curve: FunctionalCurve) -> Character:

@@ -7,13 +7,16 @@ instead of the partition formula, the per-degree composition sum instead of
 Horner evaluation, a linear-span ideal membership test instead of
 generator-only evaluation, the product rule on every pair of basis elements
 instead of on (first generator, rest), the root-containing-subtree sum
-instead of the character product for Butcher composition, and the geometric
-series instead of the triangular recursion for the convolution inverse.
+instead of the character product for Butcher composition, the geometric
+series instead of the triangular recursion for the convolution inverse, and
+integration of the coproduct sum on every basis element instead of on
+generators only for the evolution equation.
 """
 
 from fractions import Fraction
 
 from hopfchar.convolution import TruncatedFunctional, conv_unit, convolve
+from hopfchar.evolution import Poly
 from hopfchar.hopf import GradedVector
 from hopfchar.linalg import in_span
 from hopfchar.trees import Forest, RootedTree, enumerate_trees, ordered_subtrees
@@ -224,6 +227,29 @@ def conv_inverse_geometric(phi: TruncatedFunctional) -> TruncatedFunctional:
     for _ in range(phi.truncation):
         acc = unit + convolve(b, acc)
     return acc.scale_ring(a0_inv)
+
+
+# -- evolution ----------------------------------------------------------------
+
+
+def evolve_polynomials_by_basis(curve) -> dict:
+    """eta as a ``Poly`` in t on every basis element of degree <= N: degree by
+    degree, eta(b) integrates the sum of eta(left) gamma(right) over all
+    coproduct terms of b, products included."""
+    hopf, ring = curve.hopf, curve.ring
+    eta: dict = {hopf.unit_basis: Poly(ring, [ring.one])}
+    for degree in range(1, curve.truncation + 1):
+        for basis in hopf.basis(degree):
+            rate = Poly.zero(ring)
+            for coeff, left, right in hopf.coproduct(basis):
+                if right.degree == 0:
+                    continue  # gamma vanishes in degree 0
+                gamma_poly = curve.value_poly(right)
+                if not gamma_poly.coefficients:
+                    continue
+                rate = rate + (eta[left] * gamma_poly).scale(coeff)
+            eta[basis] = rate.integrate()
+    return eta
 
 
 # -- ideals -------------------------------------------------------------------

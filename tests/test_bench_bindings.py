@@ -5,7 +5,13 @@ here."""
 
 import importlib
 import importlib.util
+import random
 from pathlib import Path
+
+from hopfchar.evolution import FunctionalCurve, Poly, evolve
+from hopfchar.hopf import ck_hopf
+from hopfchar.rings import RATIONAL
+from hopfchar.sampling import random_infinitesimal
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -31,3 +37,20 @@ def test_traced_methods_are_defined_on_their_own_class():
             for mod_name, cls_name, attr in targets:
                 cls = getattr(importlib.import_module(f"hopfchar.{mod_name}"), cls_name)
                 assert attr in cls.__dict__, f"{cls_name}.{attr}"
+
+
+def test_evolution_multiplies_through_the_poly_class(monkeypatch):
+    """``evolution.poly_mul.calls`` counts the class attribute
+    ``Poly.__mul__``, so the solver must look it up on every product."""
+    calls = []
+    original = Poly.__mul__
+
+    def counting(self, other):
+        calls.append(1)
+        return original(self, other)
+
+    monkeypatch.setattr(Poly, "__mul__", counting)
+    rng = random.Random(76)
+    curve = FunctionalCurve([random_infinitesimal(ck_hopf(), RATIONAL, 3, rng).functional])
+    evolve(curve, 1)
+    assert calls

@@ -1,6 +1,8 @@
 import json
 from fractions import Fraction
 
+import pytest
+
 from hopfchar import cli
 from hopfchar.characters import butcher_compose, char_from_tree_values, char_mul, tree_values
 from hopfchar.convolution import TruncatedFunctional, conv_unit, delta
@@ -258,3 +260,35 @@ def test_inv_top_level_array_is_malformed(tmp_path, capsys):
 
 def test_trees_max_order_zero_is_out_of_range(capsys):
     assert run_error(capsys, ["trees", "--max-order", "0"]) == 2
+
+
+def write_payload(tmp_path, data) -> str:
+    path = tmp_path / "payload.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "op, data",
+    [
+        ("inv", dict(LEAF_CHAR, values={"[]": 1})),
+        ("inv", dict(LEAF_CHAR, values=["1"])),
+        ("symplectic", {"truncation": 2, "trees": {"[]": 1}}),
+        ("symplectic", {"truncation": 2, "trees": ["[]"]}),
+        ("evolve", {"coeffs": {"a": 1}}),
+        ("evolve", {"coeffs": [5]}),
+    ],
+    ids=["values-number", "values-list", "trees-number", "trees-list",
+         "coeffs-object", "coeffs-number"],
+)
+def test_malformed_json_shape_is_parse_error(tmp_path, capsys, op, data):
+    assert run_error(capsys, ["char", op, write_payload(tmp_path, data)]) == 1
+
+
+def test_unread_options_are_refused(tmp_path, capsys):
+    path = write_functional(tmp_path, LEAF_CHAR)
+    for extra in (["-N", "2"], ["--ring", "series:3"], ["--hopf", "ck"]):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["char", "inv", path, *extra])
+        assert exit_info.value.code != 0
+        assert capsys.readouterr().out == ""

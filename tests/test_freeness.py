@@ -1,14 +1,16 @@
 """The generator-only routes against the older pairwise and raw-formula routes
 kept in ``helpers`` as oracles: membership predicates, Butcher composition,
-the character inverse and the convolution inverse."""
+the character inverse, the convolution inverse and the evolution solver."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from helpers import (
     butcher_compose_raw,
     conv_inverse_geometric,
+    evolve_polynomials_by_basis,
     pairwise_violations,
 )
 from hopfchar.characters import (
@@ -18,6 +20,7 @@ from hopfchar.characters import (
     infinitesimal_violation,
 )
 from hopfchar.convolution import TruncatedFunctional, conv_inverse
+from hopfchar.evolution import FunctionalCurve, evolve, evolve_polynomials
 from hopfchar.hopf import ck_hopf, tensor_hopf
 from hopfchar.rings import RATIONAL, TruncatedSeriesRing
 from hopfchar.sampling import (
@@ -116,3 +119,27 @@ def test_conv_inverse_matches_geometric_series(hopf, ring, truncation):
     for _ in range(4):
         phi = random_invertible(hopf, ring, truncation, rng)
         assert conv_inverse(phi) == conv_inverse_geometric(phi)
+
+
+def _curves(hopf, ring, truncation, rng):
+    """Curves of polynomial degree 0, 1 and 2, and one whose coefficients
+    vanish on every other generator."""
+    def coefficient():
+        return random_infinitesimal(hopf, ring, truncation, rng).functional
+
+    curves = [FunctionalCurve([coefficient() for _ in range(k + 1)]) for k in range(3)]
+    kept = hopf.generators(truncation)[::2]
+    sparse = [TruncatedFunctional(hopf, ring, truncation, {g: c.value(g) for g in kept})
+              for c in (coefficient(), coefficient())]
+    return curves + [FunctionalCurve(sparse)]
+
+
+@pytest.mark.parametrize("hopf, ring, truncation", CASES)
+def test_evolution_matches_per_basis_integration(hopf, ring, truncation):
+    rng = random.Random(75)
+    for curve in _curves(hopf, ring, truncation, rng):
+        oracle = evolve_polynomials_by_basis(curve)
+        assert evolve_polynomials(curve) == oracle
+        for t in (0, Fraction(1, 2), 1, -2):
+            expected = {b: poly(t) for b, poly in oracle.items()}
+            assert evolve(curve, t) == TruncatedFunctional(hopf, ring, truncation, expected)
