@@ -3,14 +3,14 @@
 A character is a unital algebra homomorphism into the coefficient ring; an
 infinitesimal character is the corresponding derivation-like object.  Both
 built-in algebras are free, so with b = first * rest from
-``HopfStructure.split``, membership is one pass over the basis in degree
+``HopfStructure.factored``, membership is one pass over the basis in degree
 order: phi(b) = phi(first) phi(rest) (or 0) on every product b.  A character
 is fixed by its generator values, and ``_multiplicative`` builds every one
-here: the group product evaluates the convolution on generators, the
-inverse solves phi^-1 * phi = unit there, and the Butcher composition law on
-tree maps is the product restricted to trees.  The convolution exponential
-restricts to a bijection from infinitesimal characters onto characters, with
-the commutator bracket as the Lie structure.
+here: the product evaluates the convolution on generators, the inverse
+solves phi^-1 * phi = unit there, and the Butcher law is the product on trees.
+The exponential (on the series) is a bijection from infinitesimal characters
+onto characters; its inverse, the logarithm, is solved on generators by the
+evolution kernel.  The commutator bracket is the Lie structure.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import Mapping
 
 from . import series
 from .convolution import (TruncatedFunctional, conv_unit, convolve, convolve_at, json_entries,
-                          parse_truncation)
+                          json_field, parse_truncation)
 from .errors import MembershipError
 from .hopf import HopfStructure, ck_hopf
 from .rings import RATIONAL, resolve_ring
@@ -47,8 +47,7 @@ def _violation(phi: TruncatedFunctional, unit_value, expected):
     hopf = phi.hopf
     if phi.degree0 != unit_value:
         return (hopf.unit_basis, hopf.unit_basis)
-    for basis in hopf.all_basis_upto(phi.truncation):
-        first, rest = hopf.split(basis)
+    for basis, first, rest in hopf.factored(phi.truncation):
         if rest.degree and phi.value(basis) != expected(first, rest):
             return (first, rest)
     return None
@@ -127,8 +126,7 @@ def _multiplicative(hopf: HopfStructure, ring, truncation: int, on_generator) ->
     out holds the nonzero values found so far, and out[first] * out[rest] on
     each product."""
     out = {hopf.unit_basis: ring.one}
-    for basis in hopf.all_basis_upto(truncation)[1:]:  # the unit comes first
-        first, rest = hopf.split(basis)
+    for basis, first, rest in hopf.factored(truncation)[1:]:  # the unit comes first
         if rest.degree:
             a, b = out.get(first), out.get(rest)
             value = ring.zero if a is None or b is None else ring.mul(a, b)
@@ -171,8 +169,17 @@ def char_exp(phi: InfinitesimalCharacter) -> Character:
 
 
 def char_log(psi: Character) -> InfinitesimalCharacter:
-    """The convolution logarithm, landing in the infinitesimal characters."""
-    return InfinitesimalCharacter(series.log(psi.functional))
+    """The convolution logarithm: the infinitesimal character phi whose
+    evolution exp(t phi) reaches psi at t = 1.  On each generator g the
+    evolution kernel gives eta(g) = rest + t phi(g), so phi(g) = psi(g) - rest(1)."""
+    from .evolution import Poly, evolution_pass  # evolution imports this module
+    f, ring = psi.functional, psi.functional.ring
+
+    def rate(g, rest):
+        return Poly(ring, [ring.add(f.value(g), ring.neg(rest(1)))])
+
+    _eta, phi = evolution_pass(f.hopf, ring, f.truncation, rate)
+    return InfinitesimalCharacter(f._build({g: p.coefficients[0] for g, p in phi.items()}))
 
 
 def lie_bracket(
@@ -229,7 +236,7 @@ def tree_values_to_json_dict(
 def tree_values_from_json_dict(data: dict):
     """Inverse codec; returns (values, truncation, ring)."""
     ring = resolve_ring(data.get("ring", "rational"))
-    truncation = parse_truncation(data["truncation"])
+    truncation = parse_truncation(json_field(data, "truncation"))
     values = {
         parse_tree(key): ring.parse_element(text)
         for key, text in json_entries(data, "trees", dict, str, {}).items()

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .characters import (
     Character,
@@ -27,6 +26,7 @@ from .errors import AlgebraError, DomainError, ParseError
 from .evolution import FunctionalCurve, evolve
 from .hopf import resolve_hopf
 from .ideals import is_symplectic, symplectic_generators
+from .rings import RATIONAL
 from .series import FormalSeries, apply_series
 from .trees import enumerate_trees
 
@@ -149,7 +149,7 @@ def _cmd_char(args) -> str:
         return char_log(psi).functional.to_json()
     if op == "evolve":
         curve = FunctionalCurve.from_json_dict(_load_json(args.inputs[0]))
-        return evolve(curve, Fraction(args.t)).to_json()
+        return evolve(curve, RATIONAL.parse_element(args.t)).to_json()
     if op == "apply":
         if not args.series:
             raise ParseError("apply needs --series \"c0,c1,...\"", 0)
@@ -177,7 +177,7 @@ def main(argv=None) -> int:
     except ParseError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    except (OSError, json.JSONDecodeError, KeyError) as err:
+    except (OSError, json.JSONDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except AlgebraError as err:

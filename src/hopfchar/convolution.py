@@ -191,9 +191,9 @@ class TruncatedFunctional:
 
     @staticmethod
     def from_json_dict(data: dict) -> "TruncatedFunctional":
-        hopf = resolve_hopf(data["hopf"])
-        ring = resolve_ring(data["ring"])
-        truncation = parse_truncation(data["truncation"])
+        hopf = resolve_hopf(json_field(data, "hopf"))
+        ring = resolve_ring(json_field(data, "ring"))
+        truncation = parse_truncation(json_field(data, "truncation"))
         values = {
             hopf.parse_basis(key): ring.parse_element(text)
             for key, text in json_entries(data, "values", dict, str, {}).items()
@@ -217,10 +217,17 @@ def parse_truncation(value) -> int:
     return value
 
 
+def json_field(data: dict, field: str):
+    """``data[field]``; a missing field is a ``ParseError`` that names it."""
+    if field not in data:
+        raise ParseError(f"missing field {field!r}", 0)
+    return data[field]
+
+
 def json_entries(data: dict, field: str, container: type, item: type, default=None):
     """``data[field]`` (``default`` when absent, if given), checked to be a
     dict or list ``container`` whose entries are all of type ``item``."""
-    value = data[field] if default is None else data.get(field, default)
+    value = json_field(data, field) if default is None else data.get(field, default)
     if not isinstance(value, container) or not all(
         isinstance(v, item) for v in (value.values() if container is dict else value)
     ):

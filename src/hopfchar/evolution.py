@@ -6,9 +6,10 @@ The solution stays in the character group, so eta is one character with
 values in the polynomial algebra R[t] (``PolyRing``) and is fixed by its
 generator values.  Because gamma vanishes in degree 0 and on products, the
 value of eta * gamma on a generator g of degree n only involves eta in degree
-< n: eta(g) integrates ``convolve_at(eta, gamma, g)`` from 0, and products
-multiply.  Everything stays in exact rational arithmetic; ``evol`` still
-checks that the result is a character.
+< n and gamma(g): eta(g) integrates ``convolve_at(eta, gamma, g)`` from 0,
+and products multiply.  ``evolution_pass`` asks for gamma(g) once the rest of
+eta(g) is known, so it also solves ``characters.char_log``.  Everything stays
+in exact rational arithmetic; ``evol`` checks that the result is a character.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Iterable
 from .characters import (Character, InfinitesimalCharacter, _multiplicative,
                          char_from_generator_values, character_violation)
 from .convolution import TruncatedFunctional, convolve_at, json_entries
-from .errors import InternalError
+from .errors import InternalError, ParseError
 from .hopf import HopfStructure
 
 
@@ -61,10 +62,12 @@ class Poly:
         ring = self.ring
         if not self.coefficients or not other.coefficients:
             return Poly.zero(ring)
+        right = [(j, b) for j, b in enumerate(other.coefficients) if not ring.is_zero(b)]
         out = [ring.zero] * (len(self.coefficients) + len(other.coefficients) - 1)
         for i, a in enumerate(self.coefficients):
-            for j, b in enumerate(other.coefficients):
-                out[i + j] = ring.add(out[i + j], ring.mul(a, b))
+            if not ring.is_zero(a):
+                for j, b in right:
+                    out[i + j] = ring.add(out[i + j], ring.mul(a, b))
         return Poly(ring, out)
 
     def scale(self, q) -> "Poly":
@@ -161,22 +164,38 @@ class FunctionalCurve:
 
     @staticmethod
     def from_json_dict(data: dict) -> "FunctionalCurve":
-        return FunctionalCurve(
-            TruncatedFunctional.from_json_dict(entry)
-            for entry in json_entries(data, "coeffs", list, dict)
-        )
+        coeffs = json_entries(data, "coeffs", list, dict)
+        if not coeffs:
+            raise ParseError("coeffs must be a nonempty JSON list", 0)
+        return FunctionalCurve(TruncatedFunctional.from_json_dict(entry) for entry in coeffs)
+
+
+def evolution_pass(hopf: HopfStructure, ring, truncation: int, rate) -> tuple[dict, dict]:
+    """Solve eta' = eta * gamma over R[t] in basis order.  At a generator g,
+    ``rest`` integrates ``convolve_at(eta, gamma, g)`` while gamma(g) is still
+    unknown (only the 1 (x) g term is missing), ``rate(g, rest)`` gives
+    gamma(g) as a ``Poly`` and eta(g) = rest + its integral; products multiply.
+    Returns the nonzero values of eta on the basis and of gamma on generators."""
+    polys, gamma = PolyRing(ring), {}
+
+    def on_generator(g, eta):
+        rest = convolve_at(hopf, polys, eta, gamma, g).integrate()
+        value = rate(g, rest)
+        if value.coefficients:
+            gamma[g] = value
+        return rest + value.integrate()
+
+    eta = _multiplicative(hopf, polys, truncation, on_generator).functional.values
+    return eta, gamma
 
 
 def evolve_polynomials(curve: FunctionalCurve) -> dict:
     """The full solution: for each basis element of degree <= N, the value of
     eta as a ``Poly`` in t."""
-    hopf, polys, truncation = curve.hopf, PolyRing(curve.ring), curve.truncation
-    gamma = {g: p for g in hopf.generators(truncation) if (p := curve.value_poly(g)).coefficients}
-    eta = _multiplicative(
-        hopf, polys, truncation,
-        lambda g, out: convolve_at(hopf, polys, out, gamma, g).integrate(),
-    ).functional.values
-    return {b: eta.get(b, polys.zero) for b in hopf.all_basis_upto(truncation)}
+    eta, _gamma = evolution_pass(curve.hopf, curve.ring, curve.truncation,
+                                 lambda g, rest: curve.value_poly(g))
+    zero = Poly.zero(curve.ring)
+    return {b: eta.get(b, zero) for b in curve.hopf.all_basis_upto(curve.truncation)}
 
 
 def evolve(curve: FunctionalCurve, t_end) -> TruncatedFunctional:

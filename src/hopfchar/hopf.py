@@ -11,9 +11,10 @@ Two instances share one interface:
   ``w -> (-1)^|w| reversed(w)``.
 
 Both algebras are free; ``split`` gives a basis element's first generator and
-the product of the rest.  Structure constants are exact integers carried as
-``Fraction`` coefficients inside ``GradedVector``.  Instances are stateless
-apart from memo dicts, on which racing threads store equal values.
+the product of the rest, memoized over the basis by ``factored``.  Structure
+constants are exact integers carried as ``Fraction`` coefficients inside
+``GradedVector``.  Instances are stateless apart from memo dicts, on which
+racing threads store equal values.
 """
 
 from __future__ import annotations
@@ -230,10 +231,19 @@ class HopfStructure:
         """``(first generator, product of the rest)``; the rest is 1 on generators."""
         raise NotImplementedError
 
+    def factored(self, max_degree: int) -> tuple:
+        """``(b, *split(b))`` for the basis elements b of degree <= max_degree in
+        basis order, memoized; first and rest are the basis's own objects."""
+        table = self._factored.get(max_degree)
+        if table is None:
+            own = {b: b for b in self.all_basis_upto(max_degree)}
+            table = tuple((b, *(own[x] for x in self.split(b))) for b in own)
+            self._factored[max_degree] = table
+        return table
+
     def generators(self, max_degree: int) -> list:
         """The generators of degree 1..max_degree, in basis order."""
-        return [b for b in self.all_basis_upto(max_degree)
-                if b.degree and not self.split(b)[1].degree]
+        return [b for b, _first, rest in self.factored(max_degree) if b.degree and not rest.degree]
 
     def coproduct(self, basis) -> tuple[tuple[Fraction, object, object], ...]:
         """Coproduct terms ``(coefficient, left, right)`` with equal pairs
@@ -268,6 +278,7 @@ class CKHopf(HopfStructure):
         self.order_cap = order_cap
         self._coproduct_cache: dict[Forest, tuple] = {}
         self._antipode_cache: dict = {}
+        self._factored: dict[int, tuple] = {}
 
     def basis(self, degree: int) -> tuple[Forest, ...]:
         return tuple(enumerate_forests(degree, cap=self.order_cap))
@@ -329,6 +340,7 @@ class TensorHopf(HopfStructure):
         self.dimension = dimension
         self.key = f"tensor({dimension})"
         self._coproduct_cache: dict[Word, tuple] = {}
+        self._factored: dict[int, tuple] = {}
 
     def basis(self, degree: int) -> tuple[Word, ...]:
         return tuple(
@@ -383,14 +395,10 @@ def resolve_hopf(key: str) -> HopfStructure:
     """Map a Hopf algebra id ("ck" or "tensor(d)") to a shared instance."""
     if key == "ck":
         return ck_hopf()
-    if key.startswith("tensor(") and key.endswith(")"):
-        try:
-            return tensor_hopf(int(key[7:-1]))
-        except ValueError:
-            raise ParseError(f"bad Hopf algebra id {key!r}", 0) from None
-    if key.startswith("tensor:"):
-        try:
-            return tensor_hopf(int(key.split(":", 1)[1]))
-        except ValueError:
-            raise ParseError(f"bad Hopf algebra id {key!r}", 0) from None
+    for prefix, suffix in (("tensor(", ")"), ("tensor:", "")):
+        if isinstance(key, str) and key.startswith(prefix) and key.endswith(suffix):
+            try:
+                return tensor_hopf(int(key[len(prefix):len(key) - len(suffix)]))
+            except ValueError:
+                raise ParseError(f"bad Hopf algebra id {key!r}", 0) from None
     raise ParseError(f"unknown Hopf algebra id {key!r}", 0)

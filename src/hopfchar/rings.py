@@ -151,7 +151,7 @@ def resolve_ring(key: str):
     """Map a ring id ("rational" or "series:M") to a ring instance."""
     if key == "rational":
         return RATIONAL
-    if key.startswith("series:"):
+    if isinstance(key, str) and key.startswith("series:"):
         try:
             return TruncatedSeriesRing(int(key.split(":", 1)[1]))
         except ValueError:

@@ -4,12 +4,12 @@
 rational formal power series.  Since a lives in the augmentation ideal, its
 k-th convolution power has no components below degree k, so the series
 truncates exactly at the truncation degree.  Evaluation runs Horner-style in
-the convolution product; the raw per-degree composition formula is kept as an
-independent oracle in the test suite.
+the convolution product (the raw composition formula is a test oracle).
 
-On top of this sit the exponential, the logarithm (mutually inverse between
-the ideal and its unit translate) and the truncated BCH combination
-``log(exp(x) * exp(y))``.
+On top of this sit ``exp``, ``log`` (mutually inverse between the ideal and
+its unit translate) and the truncated BCH ``log(exp(x) * exp(y))``, for any
+such functionals.  ``characters.char_exp`` is ``exp``; ``char_log`` is solved
+on generators by the evolution kernel instead.
 """
 
 from __future__ import annotations

@@ -8,10 +8,11 @@ import importlib.util
 import random
 from pathlib import Path
 
+from hopfchar.characters import char_log
 from hopfchar.evolution import FunctionalCurve, Poly, evolve
 from hopfchar.hopf import ck_hopf
 from hopfchar.rings import RATIONAL
-from hopfchar.sampling import random_infinitesimal
+from hopfchar.sampling import random_character, random_infinitesimal
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -53,4 +54,19 @@ def test_evolution_multiplies_through_the_poly_class(monkeypatch):
     rng = random.Random(76)
     curve = FunctionalCurve([random_infinitesimal(ck_hopf(), RATIONAL, 3, rng).functional])
     evolve(curve, 1)
+    assert calls
+
+
+def test_char_log_multiplies_through_the_poly_class(monkeypatch):
+    """``char_log`` runs the evolution kernel, so its products are counted
+    by ``evolution.poly_mul.calls`` too."""
+    calls = []
+    original = Poly.__mul__
+
+    def counting(self, other):
+        calls.append(1)
+        return original(self, other)
+
+    monkeypatch.setattr(Poly, "__mul__", counting)
+    char_log(random_character(ck_hopf(), RATIONAL, 3, random.Random(78)))
     assert calls

@@ -292,3 +292,29 @@ def test_unread_options_are_refused(tmp_path, capsys):
             cli.main(["char", "inv", path, *extra])
         assert exit_info.value.code != 0
         assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "op, data",
+    [
+        ("inv", dict(LEAF_CHAR, hopf=5)),
+        ("inv", dict(LEAF_CHAR, ring=5)),
+        ("symplectic", {"truncation": 2, "ring": 3, "trees": {}}),
+    ],
+    ids=["hopf-number", "ring-number", "tree-map-ring-number"],
+)
+def test_non_string_id_is_parse_error(tmp_path, capsys, op, data):
+    assert run_error(capsys, ["char", op, write_payload(tmp_path, data)]) == 1
+
+
+@pytest.mark.parametrize("t", ["abc", "1/0"])
+def test_evolve_bad_end_time_is_parse_error(tmp_path, capsys, t):
+    curve = FunctionalCurve([delta(CK, RATIONAL, 2, F_LEAF)])
+    path = write_payload(tmp_path, curve.to_json_dict())
+    assert run_error(capsys, ["char", "evolve", path, "--t", t]) == 1
+
+
+def test_missing_field_is_named(tmp_path, capsys):
+    data = {k: v for k, v in LEAF_CHAR.items() if k != "hopf"}
+    assert cli.main(["char", "inv", write_payload(tmp_path, data)]) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: missing field 'hopf' (at offset 0)"]

@@ -1,6 +1,7 @@
 """The generator-only routes against the older pairwise and raw-formula routes
 kept in ``helpers`` as oracles: membership predicates, Butcher composition,
-the character inverse, the convolution inverse and the evolution solver."""
+the character inverse, the convolution inverse and the evolution solver; and
+the character logarithm against the Horner series in ``series``."""
 
 import random
 from fractions import Fraction
@@ -13,9 +14,13 @@ from helpers import (
     evolve_polynomials_by_basis,
     pairwise_violations,
 )
+from hopfchar import series
 from hopfchar.characters import (
     butcher_compose,
+    char_exp,
+    char_from_generator_values,
     char_inv,
+    char_log,
     character_violation,
     infinitesimal_violation,
 )
@@ -38,6 +43,7 @@ CASES = [
     pytest.param(tensor_hopf(2), RATIONAL, 5, id="tensor(2)"),
     pytest.param(ck_hopf(), SERIES, 5, id="ck-series:2"),
 ]
+LOG_CASES = CASES + [pytest.param(tensor_hopf(3), RATIONAL, 4, id="tensor(3)")]
 
 
 def _pair_degree(pair) -> int:
@@ -143,3 +149,38 @@ def test_evolution_matches_per_basis_integration(hopf, ring, truncation):
         for t in (0, Fraction(1, 2), 1, -2):
             expected = {b: poly(t) for b, poly in oracle.items()}
             assert evolve(curve, t) == TruncatedFunctional(hopf, ring, truncation, expected)
+
+
+def _characters(hopf, ring, truncation, rng):
+    """Random characters, and characters with values on every other generator,
+    on the top-degree generators only, and on none (the unit)."""
+    gens = hopf.generators(truncation)
+    chars = [random_character(hopf, ring, truncation, rng) for _ in range(3)]
+    for kept in (gens[::2], [g for g in gens if g.degree == truncation], []):
+        values = {g: random_ring_element(ring, rng) for g in kept}
+        chars.append(char_from_generator_values(values, hopf, truncation, ring))
+    return chars
+
+
+@pytest.mark.parametrize("hopf, ring, truncation", LOG_CASES)
+def test_char_log_matches_horner_series(hopf, ring, truncation):
+    rng = random.Random(76)
+    for psi in _characters(hopf, ring, truncation, rng):
+        assert char_log(psi).functional == series.log(psi.functional)
+
+
+@pytest.mark.parametrize("hopf, ring, truncation", LOG_CASES)
+def test_char_log_inverts_char_exp(hopf, ring, truncation):
+    rng = random.Random(77)
+    for _ in range(4):
+        x = random_infinitesimal(hopf, ring, truncation, rng)
+        assert char_log(char_exp(x)) == x
+
+
+@pytest.mark.parametrize("hopf, ring, truncation", LOG_CASES)
+def test_factor_table_and_generators_match_split(hopf, ring, truncation):
+    basis = hopf.all_basis_upto(truncation)
+    assert hopf.factored(truncation) == tuple((b, *hopf.split(b)) for b in basis)
+    assert hopf.generators(truncation) == [
+        b for b in basis if b.degree and not hopf.split(b)[1].degree
+    ]

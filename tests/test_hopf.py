@@ -5,7 +5,9 @@ import pytest
 from hopfchar.errors import ParseError, TruncationOverflowError
 from hopfchar.hopf import (
     EMPTY_WORD,
+    CKHopf,
     GradedVector,
+    TensorHopf,
     Word,
     ck_hopf,
     parse_word,
@@ -250,3 +252,30 @@ def test_multiset_helper_consistency():
     # the helper used across the suite counts multiplicities
     pairs = [(F_LEAF, F_LEAF), (F_LEAF, F_LEAF), (F_LEAF, F_CHAIN)]
     assert as_multiset(pairs) == {("[]", "[]"): 2, ("[]", "[[]]"): 1}
+
+
+def test_concurrent_first_factor_table_calls_agree():
+    # Four threads make the first call to factored(6) on a fresh instance
+    # while the interpreter switches threads as often as it can.  The memo is
+    # unlocked: racing threads store equal tables, so every caller sees one.
+    import sys
+    import threading
+
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        for make in (CKHopf, lambda: TensorHopf(2)):
+            expected = make().factored(6)
+            for _ in range(5):
+                hopf, results = make(), []
+                threads = [threading.Thread(target=lambda: results.append(hopf.factored(6)))
+                           for _ in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                assert results == [expected] * 4
+                assert hopf.factored(6) == expected
+    finally:
+        sys.setswitchinterval(interval)
