@@ -5,16 +5,18 @@ Two instances share one interface:
 * ``CKHopf`` — the commutative algebra of rooted forests.  The coproduct of a
   tree sums (cut forest) x (kept subtree) over its root-containing subtrees;
   the antipode of a tree sums signed cut forests over edge subsets, with sign
-  ``(-1)^(number of components)``.  Both extend multiplicatively to forests.
+  ``(-1)^(number of components)``; it extends multiplicatively to forests.
 * ``TensorHopf(d)`` — the tensor algebra on d generators with word basis,
-  concatenation product, unshuffle coproduct and antipode
-  ``w -> (-1)^|w| reversed(w)``.
+  concatenation product, unshuffle coproduct (letters are primitive) and
+  antipode ``w -> (-1)^|w| reversed(w)``.
 
 Both algebras are free; ``split`` gives a basis element's first generator and
-the product of the rest, memoized over the basis by ``factored``.  Structure
-constants are exact integers carried as ``Fraction`` coefficients inside
-``GradedVector``.  Instances are stateless apart from memo dicts, on which
-racing threads store equal values.
+the product of the rest, memoized over the basis by ``factored``.  The
+coproduct is an algebra morphism, hence the multiplicative extension of its
+generator values: one memoized recursion Delta(b) = Delta(first) Delta(rest)
+builds both tables.  Structure constants are exact integers carried as
+``Fraction`` coefficients.  Instances are stateless apart from memo dicts, on
+which racing threads store equal values.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from typing import Iterable, Iterator
 
 from .errors import ParseError, TruncationOverflowError
 from .trees import (
-    DEFAULT_ORDER_CAP,
     EMPTY_FOREST,
     Forest,
     edge_partitions,
@@ -188,11 +189,15 @@ def vector_of(basis) -> GradedVector:
 class HopfStructure:
     """Common driver for a graded connected Hopf algebra with a chosen basis.
 
-    Subclasses provide the basis per degree and the raw structure maps on
-    basis elements; this class supplies linear extensions and memoization.
+    Subclasses provide the basis per degree, the product, ``split`` and the
+    coproduct of a generator; this class extends them, with memoization.
     """
 
     key: str
+
+    def __init__(self, unit):
+        self._coproduct_cache: dict = {unit: ((_ONE, unit, unit),)}
+        self._factored: dict[int, tuple] = {}
 
     def basis(self, degree: int) -> tuple:
         raise NotImplementedError
@@ -202,10 +207,7 @@ class HopfStructure:
         return self.basis(0)[0]
 
     def all_basis_upto(self, max_degree: int) -> list:
-        out = []
-        for n in range(max_degree + 1):
-            out.extend(self.basis(n))
-        return out
+        return [b for n in range(max_degree + 1) for b in self.basis(n)]
 
     def product(self, b1, b2, truncation: int | None = None) -> GradedVector:
         """Algebra product of two basis elements (a single basis term here)."""
@@ -245,9 +247,29 @@ class HopfStructure:
         """The generators of degree 1..max_degree, in basis order."""
         return [b for b, _first, rest in self.factored(max_degree) if b.degree and not rest.degree]
 
-    def coproduct(self, basis) -> tuple[tuple[Fraction, object, object], ...]:
+    def _coproduct(self, basis) -> tuple[tuple[Fraction, object, object], ...]:
         """Coproduct terms ``(coefficient, left, right)`` with equal pairs
-        combined; coefficients are positive integers."""
+        combined; coefficients are positive integers.  Memoized; a product
+        b = first * rest takes Delta(first) Delta(rest) term by term."""
+        cached = self._coproduct_cache.get(basis)
+        if cached is not None:
+            return cached
+        first, rest = self.split(basis)
+        if rest.degree:
+            product, rest_terms = self._product_basis, self._coproduct(rest)
+            terms = [(c1 * c2, product(l1, l2), product(r1, r2))
+                     for c1, l1, r1 in self._coproduct(first) for c2, l2, r2 in rest_terms]
+        else:
+            terms = [(_ONE, left, right) for left, right in self._generator_pairs(first)]
+        pairs: dict = {}
+        for coeff, left, right in terms:
+            pairs[left, right] = pairs.get((left, right), _ZERO) + coeff
+        result = tuple((coeff, left, right) for (left, right), coeff in pairs.items())
+        self._coproduct_cache[basis] = result
+        return result
+
+    def _generator_pairs(self, generator) -> Iterable[tuple]:
+        """The coproduct of a generator as ``(left, right)`` pairs, with repeats."""
         raise NotImplementedError
 
     def counit(self, basis) -> Fraction:
@@ -274,14 +296,12 @@ class CKHopf(HopfStructure):
 
     key = "ck"
 
-    def __init__(self, order_cap: int = DEFAULT_ORDER_CAP):
-        self.order_cap = order_cap
-        self._coproduct_cache: dict[Forest, tuple] = {}
+    def __init__(self):
+        super().__init__(EMPTY_FOREST)
         self._antipode_cache: dict = {}
-        self._factored: dict[int, tuple] = {}
 
     def basis(self, degree: int) -> tuple[Forest, ...]:
-        return tuple(enumerate_forests(degree, cap=self.order_cap))
+        return tuple(enumerate_forests(degree))
 
     def _product_basis(self, b1: Forest, b2: Forest) -> Forest:
         return b1.union(b2)
@@ -289,22 +309,11 @@ class CKHopf(HopfStructure):
     def split(self, basis: Forest) -> tuple[Forest, Forest]:
         return Forest(basis.trees[:1]), Forest(basis.trees[1:])
 
+    def _generator_pairs(self, generator: Forest):
+        return ordered_subtrees(generator.trees[0])
+
     def coproduct(self, basis: Forest):
-        cached = self._coproduct_cache.get(basis)
-        if cached is not None:
-            return cached
-        # Componentwise tensor product over the trees of the forest.
-        pairs: dict[tuple[Forest, Forest], Fraction] = {(EMPTY_FOREST, EMPTY_FOREST): _ONE}
-        for tree in basis.trees:
-            new_pairs: dict[tuple[Forest, Forest], Fraction] = {}
-            for (left, right), coeff in pairs.items():
-                for cut, kept in ordered_subtrees(tree):
-                    pair = (left.union(cut), right.union(kept))
-                    new_pairs[pair] = new_pairs.get(pair, _ZERO) + coeff
-            pairs = new_pairs
-        result = tuple((coeff, left, right) for (left, right), coeff in pairs.items())
-        self._coproduct_cache[basis] = result
-        return result
+        return self._coproduct(basis)
 
     def _tree_antipode(self, tree) -> GradedVector:
         cached = self._antipode_cache.get(tree)
@@ -328,7 +337,7 @@ class CKHopf(HopfStructure):
         return parse_forest(text)
 
     def __repr__(self) -> str:
-        return f"CKHopf(order_cap={self.order_cap})"
+        return "CKHopf()"
 
 
 class TensorHopf(HopfStructure):
@@ -339,8 +348,7 @@ class TensorHopf(HopfStructure):
             raise ValueError(f"tensor dimension must be >= 1, got {dimension}")
         self.dimension = dimension
         self.key = f"tensor({dimension})"
-        self._coproduct_cache: dict[Word, tuple] = {}
-        self._factored: dict[int, tuple] = {}
+        super().__init__(EMPTY_WORD)
 
     def basis(self, degree: int) -> tuple[Word, ...]:
         return tuple(
@@ -354,19 +362,11 @@ class TensorHopf(HopfStructure):
     def split(self, basis: Word) -> tuple[Word, Word]:
         return Word(basis.letters[:1]), Word(basis.letters[1:])
 
+    def _generator_pairs(self, generator: Word):
+        return (generator, EMPTY_WORD), (EMPTY_WORD, generator)
+
     def coproduct(self, basis: Word):
-        cached = self._coproduct_cache.get(basis)
-        if cached is not None:
-            return cached
-        n = basis.degree
-        pairs: dict[tuple[Word, Word], Fraction] = {}
-        for mask in range(1 << n):
-            left = Word(basis.letters[i] for i in range(n) if mask >> i & 1)
-            right = Word(basis.letters[i] for i in range(n) if not mask >> i & 1)
-            pairs[(left, right)] = pairs.get((left, right), _ZERO) + 1
-        result = tuple((coeff, left, right) for (left, right), coeff in pairs.items())
-        self._coproduct_cache[basis] = result
-        return result
+        return self._coproduct(basis)
 
     def antipode(self, basis: Word) -> GradedVector:
         return GradedVector([(Word(reversed(basis.letters)), (-1) ** basis.degree)])
@@ -382,8 +382,8 @@ class TensorHopf(HopfStructure):
 
 
 @functools.lru_cache(maxsize=None)
-def ck_hopf(order_cap: int = DEFAULT_ORDER_CAP) -> CKHopf:
-    return CKHopf(order_cap)
+def ck_hopf() -> CKHopf:
+    return CKHopf()
 
 
 @functools.lru_cache(maxsize=None)
@@ -392,13 +392,17 @@ def tensor_hopf(dimension: int = 2) -> TensorHopf:
 
 
 def resolve_hopf(key: str) -> HopfStructure:
-    """Map a Hopf algebra id ("ck" or "tensor(d)") to a shared instance."""
+    """Map an id "ck", "tensor(d)" or "tensor:d" (d in ASCII digits, no leading
+    zero) to a shared instance."""
     if key == "ck":
         return ck_hopf()
     for prefix, suffix in (("tensor(", ")"), ("tensor:", "")):
         if isinstance(key, str) and key.startswith(prefix) and key.endswith(suffix):
+            digits = key[len(prefix):len(key) - len(suffix)]
             try:
-                return tensor_hopf(int(key[len(prefix):len(key) - len(suffix)]))
-            except ValueError:
-                raise ParseError(f"bad Hopf algebra id {key!r}", 0) from None
+                if digits.isascii() and digits.isdigit() and digits[0] != "0":
+                    return tensor_hopf(int(digits))
+            except ValueError:  # too many digits
+                pass
+            raise ParseError(f"bad Hopf algebra id {key!r}", 0)
     raise ParseError(f"unknown Hopf algebra id {key!r}", 0)

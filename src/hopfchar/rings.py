@@ -68,7 +68,7 @@ class RationalRing:
     def parse_element(text: str) -> Fraction:
         try:
             return Fraction(text.strip())
-        except (ValueError, ZeroDivisionError):
+        except (AttributeError, ValueError, ZeroDivisionError):  # not text, or not a rational
             raise ParseError(f"bad rational {text!r}", 0) from None
 
     def __repr__(self) -> str:
@@ -148,12 +148,16 @@ class TruncatedSeriesRing:
 
 
 def resolve_ring(key: str):
-    """Map a ring id ("rational" or "series:M") to a ring instance."""
+    """Map a ring id ("rational" or "series:M", M in ASCII digits with no
+    leading zero, so that the id is the key) to a ring instance."""
     if key == "rational":
         return RATIONAL
     if isinstance(key, str) and key.startswith("series:"):
+        digits = key[len("series:"):]
         try:
-            return TruncatedSeriesRing(int(key.split(":", 1)[1]))
-        except ValueError:
-            raise ParseError(f"bad ring id {key!r} (want series:M with M >= 1)", 0) from None
+            if digits.isascii() and digits.isdigit() and digits[0] != "0":
+                return TruncatedSeriesRing(int(digits))
+        except ValueError:  # too many digits
+            pass
+        raise ParseError(f"bad ring id {key!r} (want series:M with M >= 1)", 0)
     raise ParseError(f"unknown ring id {key!r}", 0)

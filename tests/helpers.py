@@ -2,8 +2,10 @@
 
 Everything here recomputes expected values along a different route than the
 library: graph-level isomorphism instead of canonical serialization, raw
-vertex-subset enumeration instead of the child recursion, the antipode axiom
-instead of the partition formula, the per-degree composition sum instead of
+vertex-subset enumeration instead of the child recursion, the componentwise
+product over a forest's trees and the unshuffle over letter masks instead of
+the multiplicative extension of the coproduct, the antipode axiom instead of
+the partition formula, the per-degree composition sum instead of
 Horner evaluation, a linear-span ideal membership test instead of
 generator-only evaluation, the product rule on every pair of basis elements
 instead of on (first generator, rest), the root-containing-subtree sum
@@ -17,7 +19,7 @@ from fractions import Fraction
 
 from hopfchar.convolution import TruncatedFunctional, conv_unit, convolve
 from hopfchar.evolution import Poly
-from hopfchar.hopf import GradedVector
+from hopfchar.hopf import GradedVector, Word
 from hopfchar.linalg import in_span
 from hopfchar.trees import Forest, RootedTree, enumerate_trees, ordered_subtrees
 
@@ -107,6 +109,32 @@ def as_multiset(pairs) -> dict:
 
 
 # -- Hopf structure -----------------------------------------------------------
+
+
+def coproduct_by_components(forest: Forest) -> dict:
+    """Delta(forest) as ``{(left, right): coefficient}``: the componentwise
+    tensor product, tree by tree, of the vertex-subset pairs of each tree."""
+    pairs = {(Forest(), Forest()): Fraction(1)}
+    for tree in forest.trees:
+        grown = {}
+        for (left, right), coeff in pairs.items():
+            for cut, kept in subtree_pairs_by_vertex_subsets(tree):
+                pair = (left.union(cut), right.union(kept))
+                grown[pair] = grown.get(pair, Fraction(0)) + coeff
+        pairs = grown
+    return pairs
+
+
+def unshuffle_by_masks(word: Word) -> dict:
+    """Delta(word) as ``{(left, right): coefficient}``: one term per subset
+    of letter positions, the chosen letters going left in order."""
+    n = word.degree
+    pairs = {}
+    for mask in range(1 << n):
+        left = Word(word.letters[i] for i in range(n) if mask >> i & 1)
+        right = Word(word.letters[i] for i in range(n) if not mask >> i & 1)
+        pairs[(left, right)] = pairs.get((left, right), Fraction(0)) + 1
+    return pairs
 
 
 def antipode_by_axiom(hopf, basis) -> GradedVector:

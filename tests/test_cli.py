@@ -318,3 +318,11 @@ def test_missing_field_is_named(tmp_path, capsys):
     data = {k: v for k, v in LEAF_CHAR.items() if k != "hopf"}
     assert cli.main(["char", "inv", write_payload(tmp_path, data)]) == 1
     assert capsys.readouterr().err.splitlines() == ["error: missing field 'hopf' (at offset 0)"]
+
+
+@pytest.mark.parametrize("truncation", [0, 1])
+def test_symplectic_below_truncation_two_checks_no_pairs(tmp_path, capsys, truncation):
+    path = write_payload(tmp_path, {"truncation": truncation, "trees": {"[]": "1"}})
+    code, out = run(capsys, ["char", "symplectic", path])
+    assert code == 0
+    assert out.strip() == "true (generators checked: 0)"

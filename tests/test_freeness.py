@@ -1,7 +1,8 @@
 """The generator-only routes against the older pairwise and raw-formula routes
-kept in ``helpers`` as oracles: membership predicates, Butcher composition,
-the character inverse, the convolution inverse and the evolution solver; and
-the character logarithm against the Horner series in ``series``."""
+kept in ``helpers`` as oracles: the coproduct tables, membership predicates,
+Butcher composition, the character inverse, the convolution inverse and the
+evolution solver; and the character logarithm against the Horner series in
+``series``."""
 
 import random
 from fractions import Fraction
@@ -11,8 +12,10 @@ import pytest
 from helpers import (
     butcher_compose_raw,
     conv_inverse_geometric,
+    coproduct_by_components,
     evolve_polynomials_by_basis,
     pairwise_violations,
+    unshuffle_by_masks,
 )
 from hopfchar import series
 from hopfchar.characters import (
@@ -26,7 +29,7 @@ from hopfchar.characters import (
 )
 from hopfchar.convolution import TruncatedFunctional, conv_inverse
 from hopfchar.evolution import FunctionalCurve, evolve, evolve_polynomials
-from hopfchar.hopf import ck_hopf, tensor_hopf
+from hopfchar.hopf import CKHopf, TensorHopf, ck_hopf, tensor_hopf
 from hopfchar.rings import RATIONAL, TruncatedSeriesRing
 from hopfchar.sampling import (
     random_character,
@@ -44,6 +47,23 @@ CASES = [
     pytest.param(ck_hopf(), SERIES, 5, id="ck-series:2"),
 ]
 LOG_CASES = CASES + [pytest.param(tensor_hopf(3), RATIONAL, 4, id="tensor(3)")]
+
+
+@pytest.mark.parametrize("make, oracle, truncation", [
+    pytest.param(CKHopf, coproduct_by_components, 6, id="ck"),
+    pytest.param(lambda: TensorHopf(2), unshuffle_by_masks, 6, id="tensor(2)"),
+    pytest.param(lambda: TensorHopf(3), unshuffle_by_masks, 4, id="tensor(3)"),
+])
+def test_coproduct_tables_match_oracles(make, oracle, truncation):
+    # A fresh instance, filled from the top degree down: the first call
+    # builds its whole recursion from an empty memo.
+    hopf = make()
+    for basis in reversed(hopf.all_basis_upto(truncation)):
+        terms = hopf.coproduct(basis)
+        table = {(left, right): coeff for coeff, left, right in terms}
+        assert len(table) == len(terms)  # equal pairs combined
+        assert all(type(c) is Fraction and c.denominator == 1 and c > 0 for c in table.values())
+        assert table == oracle(basis)
 
 
 def _pair_degree(pair) -> int:

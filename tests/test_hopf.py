@@ -244,6 +244,10 @@ def test_resolve_hopf():
     assert resolve_hopf("tensor:3") is tensor_hopf(3)
     with pytest.raises(ParseError):
         resolve_hopf("group-algebra")
+    for bad in ("tensor(0_2)", "tensor:+2", "tensor( 2)", "tensor(02)", "tensor()",
+                "tensor(-2)", "tensor(\u0662)"):
+        with pytest.raises(ParseError):
+            resolve_hopf(bad)
     with pytest.raises(ValueError):
         tensor_hopf(0)
 
@@ -255,9 +259,10 @@ def test_multiset_helper_consistency():
 
 
 def test_concurrent_first_factor_table_calls_agree():
-    # Four threads make the first call to factored(6) on a fresh instance
-    # while the interpreter switches threads as often as it can.  The memo is
-    # unlocked: racing threads store equal tables, so every caller sees one.
+    # Four threads make the first call to factored(6), or to the coproduct
+    # of a top-degree element, on a fresh instance while the interpreter
+    # switches threads as often as it can.  The memos are unlocked: racing
+    # threads store equal tables, so every caller sees one.
     import sys
     import threading
 
@@ -265,17 +270,19 @@ def test_concurrent_first_factor_table_calls_agree():
     try:
         sys.setswitchinterval(1e-6)
         for make in (CKHopf, lambda: TensorHopf(2)):
-            expected = make().factored(6)
-            for _ in range(5):
-                hopf, results = make(), []
-                threads = [threading.Thread(target=lambda: results.append(hopf.factored(6)))
-                           for _ in range(4)]
-                for thread in threads:
-                    thread.start()
-                for thread in threads:
-                    thread.join(timeout=60)
-                assert not any(thread.is_alive() for thread in threads)
-                assert results == [expected] * 4
-                assert hopf.factored(6) == expected
+            top = make().basis(6)[-1]
+            for call in (lambda hopf: hopf.factored(6), lambda hopf: hopf.coproduct(top)):
+                expected = call(make())
+                for _ in range(5):
+                    hopf, results = make(), []
+                    threads = [threading.Thread(target=lambda: results.append(call(hopf)))
+                               for _ in range(4)]
+                    for thread in threads:
+                        thread.start()
+                    for thread in threads:
+                        thread.join(timeout=60)
+                    assert not any(thread.is_alive() for thread in threads)
+                    assert results == [expected] * 4
+                    assert call(hopf) == expected
     finally:
         sys.setswitchinterval(interval)

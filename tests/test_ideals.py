@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -15,7 +16,7 @@ from hopfchar.characters import (
     tree_values,
 )
 from hopfchar.convolution import conv_unit, delta
-from hopfchar.errors import IdealError, MembershipError
+from hopfchar.errors import IdealError, MembershipError, ParseError
 from hopfchar.hopf import GradedVector, ck_hopf, vector_of
 from hopfchar.ideals import (
     HopfIdealSpec,
@@ -204,3 +205,18 @@ def test_json_roundtrip():
     assert [g.format() for g in restored.generators] == [
         g.format() for g in ideal.generators
     ]
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"generators": []},
+        {"hopf": "ck", "generators": [{"[[]]": "x"}]},
+        {"hopf": "ck", "generators": {"a": 1}},
+        {"hopf": "ck", "generators": [{"[[]]": 2, "[] []": "-1"}]},
+    ],
+    ids=["missing-hopf", "bad-coefficient", "generators-object", "number-coefficient"],
+)
+def test_malformed_ideal_payload_is_parse_error(payload):
+    with pytest.raises(ParseError):
+        HopfIdealSpec.from_json(json.dumps(payload))

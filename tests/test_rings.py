@@ -88,6 +88,10 @@ def test_resolve_ring():
     assert resolve_ring("series:4").modulus_degree == 4
     with pytest.raises(ParseError):
         resolve_ring("series:x")
+    for bad in ("series:1_0", "series: +3", "series:03", "series:+3", "series:",
+                "series:-3", "series:\u0663"):
+        with pytest.raises(ParseError):
+            resolve_ring(bad)
     with pytest.raises(ParseError):
         resolve_ring("integers")
     with pytest.raises(ValueError):
