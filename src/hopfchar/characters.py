@@ -2,12 +2,13 @@
 
 A character is a unital algebra homomorphism into the coefficient ring; an
 infinitesimal character is the corresponding derivation-like object.  Both
-built-in algebras are free, so with b = first * rest from
-``HopfStructure.factored``, membership is one pass over the basis in degree
-order: phi(b) = phi(first) phi(rest) (or 0) on every product b.  A character
-is fixed by its generator values, and ``_multiplicative`` builds every one
-here: the product evaluates the convolution on generators, the inverse
-solves phi^-1 * phi = unit there, and the Butcher law is the product on trees.
+built-in algebras are free, so with b = first * rest from the
+``IndexTable``, membership is one pass over the basis in degree order:
+phi(b) = phi(first) phi(rest) (or 0) on every product b.  A character is
+fixed by its generator values, and ``_multiplicative`` builds every one here,
+on value lists in basis order: the product evaluates the convolution kernel
+on generators, the inverse solves phi^-1 * phi = unit there, and the Butcher
+law is the product on trees.
 The exponential (on the series) is a bijection from infinitesimal characters
 onto characters; its inverse, the logarithm, is solved on generators by the
 evolution kernel.  The commutator bracket is the Lie structure.
@@ -26,30 +27,49 @@ from .rings import RATIONAL, resolve_ring
 from .trees import RootedTree, enumerate_trees, parse_tree, single_tree_forest
 
 
+class Violation(tuple):
+    """The pair ``(first, rest)`` at which a functional breaks a membership
+    rule, with the value ``found`` on their product and the value the rule
+    ``expected`` there.  ``(unit, unit)`` reports a wrong value on the unit."""
+
+    def __new__(cls, first, rest, found, expected):
+        pair = super().__new__(cls, (first, rest))
+        pair.found, pair.expected = found, expected
+        return pair
+
+    def describe(self, ring) -> str:
+        first, rest = self
+        return (f"({first.serial}, {rest.serial}): found {ring.format_element(self.found)},"
+                f" expected {ring.format_element(self.expected)}")
+
+
 def character_violation(phi: TruncatedFunctional):
-    """None when phi is a character; otherwise ``(first, rest)`` for the first
+    """None when phi is a character; otherwise the ``Violation`` at the first
     product basis element, in degree order, on which phi is not
-    multiplicative.  ``(unit, unit)`` reports a wrong value on the unit."""
-    ring, value = phi.ring, phi.value
-    return _violation(phi, ring.one, lambda first, rest: ring.mul(value(first), value(rest)))
+    multiplicative."""
+    return _violation(phi, phi.ring.one, phi.ring.mul)
 
 
 def infinitesimal_violation(phi: TruncatedFunctional):
     """As ``character_violation``, for the rule that an infinitesimal
     character vanishes on the unit and on every product."""
     zero = phi.ring.zero
-    return _violation(phi, zero, lambda first, rest: zero)
+    return _violation(phi, zero, lambda a, b: zero)
 
 
 def _violation(phi: TruncatedFunctional, unit_value, expected):
     # Below the returned pair phi obeys the rule on every product, hence on
     # every pair (b1, b2): the pair has least degree among pairwise violations.
-    hopf = phi.hopf
-    if phi.degree0 != unit_value:
-        return (hopf.unit_basis, hopf.unit_basis)
-    for basis, first, rest in hopf.factored(phi.truncation):
-        if rest.degree and phi.value(basis) != expected(first, rest):
-            return (first, rest)
+    table, zero = phi.hopf.table(phi.truncation), phi.ring.zero
+    values = [zero if v is None else v for v in phi.value_list()]
+    basis = table.basis
+    if values[0] != unit_value:
+        return Violation(basis[0], basis[0], values[0], unit_value)
+    for value, first, rest in zip(values, table.first, table.rest):
+        if rest:
+            want = expected(values[first], values[rest])
+            if value != want:
+                return Violation(basis[first], basis[rest], value, want)
     return None
 
 
@@ -69,9 +89,8 @@ class Character:
     def __init__(self, functional: TruncatedFunctional):
         violation = character_violation(functional)
         if violation is not None:
-            b1, b2 = violation
             raise MembershipError(
-                f"not a character: violated at ({b1.serial}, {b2.serial})"
+                f"not a character: violated at {violation.describe(functional.ring)}"
             )
         self.functional = functional
 
@@ -98,9 +117,9 @@ class InfinitesimalCharacter:
     def __init__(self, functional: TruncatedFunctional):
         violation = infinitesimal_violation(functional)
         if violation is not None:
-            b1, b2 = violation
             raise MembershipError(
-                f"not an infinitesimal character: violated at ({b1.serial}, {b2.serial})"
+                "not an infinitesimal character: violated at"
+                f" {violation.describe(functional.ring)}"
             )
         self.functional = functional
 
@@ -122,19 +141,25 @@ def char_unit(hopf: HopfStructure, ring, truncation: int) -> Character:
 
 
 def _multiplicative(hopf: HopfStructure, ring, truncation: int, on_generator) -> Character:
-    """The character with ``on_generator(b, out)`` on each generator b, where
-    out holds the nonzero values found so far, and out[first] * out[rest] on
-    each product."""
-    out = {hopf.unit_basis: ring.one}
-    for basis, first, rest in hopf.factored(truncation)[1:]:  # the unit comes first
-        if rest.degree:
-            a, b = out.get(first), out.get(rest)
-            value = ring.zero if a is None or b is None else ring.mul(a, b)
+    """The character with ``on_generator(i, out)`` on each generator basis[i]
+    of ``hopf.table(truncation)``, where the list out holds the values found
+    so far (None for zero and for not yet known), and out[first] * out[rest]
+    on each product."""
+    table = hopf.table(truncation)
+    out = [None] * len(table.basis)
+    out[0] = ring.one  # the unit comes first
+    for i in range(1, len(out)):
+        rest = table.rest[i]
+        if rest:
+            a, b = out[table.first[i]], out[rest]
+            if a is None or b is None:
+                continue
+            value = ring.mul(a, b)
         else:
-            value = on_generator(basis, out)
+            value = on_generator(i, out)
         if not ring.is_zero(value):
-            out[basis] = value
-    return Character._wrap(TruncatedFunctional(hopf, ring, truncation, out))
+            out[i] = value
+    return Character._wrap(TruncatedFunctional.from_value_list(hopf, ring, truncation, out))
 
 
 def char_from_generator_values(
@@ -142,25 +167,28 @@ def char_from_generator_values(
 ) -> Character:
     """The unique character with the given values on generators (single-tree
     forests, one-letter words); missing generators count as zero."""
-    return _multiplicative(hopf, ring, truncation, lambda b, out: values.get(b, ring.zero))
+    basis = hopf.table(truncation).basis
+    return _multiplicative(hopf, ring, truncation,
+                           lambda i, out: values.get(basis[i], ring.zero))
 
 
 def char_mul(phi: Character, psi: Character) -> Character:
     """Group product: the convolution on generators, extended multiplicatively."""
     f, g = phi.functional, psi.functional
     f._compatible(g)
-    hopf, ring = f.hopf, f.ring
-    return _multiplicative(hopf, ring, f.truncation,
-                           lambda b, out: convolve_at(hopf, ring, f.values, g.values, b))
+    hopf, ring, n = f.hopf, f.ring, f.truncation
+    table, fv, gv = hopf.table(n), f.value_list(), g.value_list()
+    return _multiplicative(hopf, ring, n, lambda i, out: convolve_at(table, ring, fv, gv, i))
 
 
 def char_inv(phi: Character) -> Character:
     """Group inverse: phi^-1(g) = -convolve_at(phi^-1, phi, g) on a generator g,
     where the term phi^-1(g) * phi(1) drops out because g is not yet known."""
     f = phi.functional
-    hopf, ring = f.hopf, f.ring
-    return _multiplicative(hopf, ring, f.truncation,
-                           lambda b, out: ring.neg(convolve_at(hopf, ring, out, f.values, b)))
+    hopf, ring, n = f.hopf, f.ring, f.truncation
+    table, fv = hopf.table(n), f.value_list()
+    return _multiplicative(hopf, ring, n,
+                           lambda i, out: ring.neg(convolve_at(table, ring, out, fv, i)))
 
 
 def char_exp(phi: InfinitesimalCharacter) -> Character:
@@ -179,7 +207,8 @@ def char_log(psi: Character) -> InfinitesimalCharacter:
         return Poly(ring, [ring.add(f.value(g), ring.neg(rest(1)))])
 
     _eta, phi = evolution_pass(f.hopf, ring, f.truncation, rate)
-    return InfinitesimalCharacter(f._build({g: p.coefficients[0] for g, p in phi.items()}))
+    return InfinitesimalCharacter(TruncatedFunctional.from_value_list(
+        f.hopf, ring, f.truncation, [None if p is None else p.coefficients[0] for p in phi]))
 
 
 def lie_bracket(
@@ -235,8 +264,8 @@ def tree_values_to_json_dict(
 
 def tree_values_from_json_dict(data: dict):
     """Inverse codec; returns (values, truncation, ring)."""
-    ring = resolve_ring(data.get("ring", "rational"))
     truncation = parse_truncation(json_field(data, "truncation"))
+    ring = resolve_ring(data.get("ring", "rational"))
     values = {
         parse_tree(key): ring.parse_element(text)
         for key, text in json_entries(data, "trees", dict, str, {}).items()

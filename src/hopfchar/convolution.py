@@ -2,9 +2,12 @@
 
 A ``TruncatedFunctional`` stores one coefficient-ring value per basis element
 of degree <= N (sparse storage, absent means zero).  ``convolve_at`` is the
-one convolution kernel: on one basis element, the ring sum of products of two
-value maps over the coproduct table.  Because the coproduct respects the
-grading, every degree-n output value only involves inputs of degree <= n, so
+one convolution kernel.  It works on the ``IndexTable`` of the Hopf algebra
+at N: values are lists in basis order with None for zero (``value_list`` and
+``from_value_list`` convert), and the value at index i is the ring's
+``sum_products`` over the coproduct triples (c, l, r) of basis[i] whose
+f[l] and g[r] are both nonzero.  Because the coproduct respects the grading,
+every degree-n output value only involves inputs of degree <= n, so
 degree-wise truncation is exact: the degree-n part of any result agrees with
 the one computed at any larger truncation.
 
@@ -22,7 +25,7 @@ from typing import Mapping
 
 from .errors import (AugmentationError, DomainError, IncompatibleError, ParseError,
                      TruncationOverflowError)
-from .hopf import GradedVector, HopfStructure, resolve_hopf
+from .hopf import GradedVector, HopfStructure, IndexTable, resolve_hopf
 from .rings import resolve_ring
 
 
@@ -105,6 +108,20 @@ class TruncatedFunctional:
 
     def _build(self, values: dict) -> "TruncatedFunctional":
         return TruncatedFunctional(self.hopf, self.ring, self.truncation, values)
+
+    def value_list(self) -> list:
+        """The values in the basis order of ``hopf.table(truncation)``, None for
+        zero: the kernel's form of a functional."""
+        get = self.values.get
+        return [get(b) for b in self.hopf.table(self.truncation).basis]
+
+    @staticmethod
+    def from_value_list(hopf: HopfStructure, ring, truncation: int,
+                        values: list) -> "TruncatedFunctional":
+        """Inverse of ``value_list``; None and ring zeros are dropped."""
+        basis = hopf.table(truncation).basis
+        return TruncatedFunctional(hopf, ring, truncation,
+                                   {b: v for b, v in zip(basis, values) if v is not None})
 
     # -- linear operations --------------------------------------------------
 
@@ -218,7 +235,10 @@ def parse_truncation(value) -> int:
 
 
 def json_field(data: dict, field: str):
-    """``data[field]``; a missing field is a ``ParseError`` that names it."""
+    """``data[field]``; a payload that is not a JSON object, or lacks the
+    field, is a ``ParseError`` (naming the field when it is missing)."""
+    if not isinstance(data, dict):
+        raise ParseError("expected a JSON object", 0)
     if field not in data:
         raise ParseError(f"missing field {field!r}", 0)
     return data[field]
@@ -245,31 +265,29 @@ def delta(hopf: HopfStructure, ring, truncation: int, basis) -> TruncatedFunctio
     return TruncatedFunctional(hopf, ring, truncation, {basis: ring.one})
 
 
-def convolve_at(hopf: HopfStructure, ring, f: Mapping, g: Mapping, basis):
-    """(f * g)(basis): the ring sum of f(left) * g(right) over the coproduct
-    terms of basis.  f and g map basis elements to values, absent meaning 0."""
-    total = ring.zero
-    for coeff, left, right in hopf.coproduct(basis):
-        a = f.get(left)
-        if a is None:
-            continue
-        b = g.get(right)
-        if b is None:
-            continue
-        term = ring.mul(a, b)
-        if coeff != 1:
-            term = ring.scale(term, coeff)
-        total = ring.add(total, term)
-    return total
+def convolve_at(table: IndexTable, ring, f: list, g: list, i: int):
+    """(f * g)(table.basis[i]) for value lists f and g in basis order (None
+    for zero): ``ring.sum_products`` of (c, f[l], g[r]) over the coproduct
+    triples of basis[i] with both values present."""
+    row = table.coproduct[i] or table.compile(i)
+    terms = []
+    for c, left, right in row:
+        a = f[left]
+        if a is not None:
+            b = g[right]
+            if b is not None:
+                terms.append((c, a, b))
+    return ring.sum_products(terms)
 
 
 def convolve(phi: TruncatedFunctional, psi: TruncatedFunctional) -> TruncatedFunctional:
     """Convolution: ``convolve_at`` on every basis element of degree <= N.
     Associative with unit ``conv_unit``."""
     phi._compatible(psi)
-    hopf, ring = phi.hopf, phi.ring
-    return phi._build({b: convolve_at(hopf, ring, phi.values, psi.values, b)
-                       for b in hopf.all_basis_upto(phi.truncation)})
+    hopf, ring, n = phi.hopf, phi.ring, phi.truncation
+    table, f, g = hopf.table(n), phi.value_list(), psi.value_list()
+    return TruncatedFunctional.from_value_list(
+        hopf, ring, n, [convolve_at(table, ring, f, g, i) for i in range(len(f))])
 
 
 def conv_power(phi: TruncatedFunctional, exponent: int) -> TruncatedFunctional:
@@ -286,14 +304,16 @@ def conv_inverse(phi: TruncatedFunctional) -> TruncatedFunctional:
     """Convolution inverse, defined exactly when the degree-0 value a0 is a
     ring unit.  In degree order, psi(b) = (counit(b) - convolve_at(psi, phi, b))
     * a0^-1: the term psi(b) * a0 drops out because b is not yet in psi."""
-    ring, hopf = phi.ring, phi.hopf
+    ring, hopf, n = phi.ring, phi.hopf, phi.truncation
     a0_inv = ring.inv(phi.degree0)  # NotInvertibleError unless a ring unit
-    out = {hopf.unit_basis: a0_inv}
-    for basis in hopf.all_basis_upto(phi.truncation)[1:]:  # the unit comes first
-        value = ring.mul(ring.neg(convolve_at(hopf, ring, out, phi.values, basis)), a0_inv)
+    table, f = hopf.table(n), phi.value_list()
+    out = [None] * len(f)
+    out[0] = a0_inv  # the unit comes first
+    for i in range(1, len(f)):
+        value = ring.mul(ring.neg(convolve_at(table, ring, out, f, i)), a0_inv)
         if not ring.is_zero(value):
-            out[basis] = value
-    return phi._build(out)
+            out[i] = value
+    return TruncatedFunctional.from_value_list(hopf, ring, n, out)
 
 
 def require_augmentation(phi: TruncatedFunctional) -> None:

@@ -8,13 +8,20 @@ generator values.  Because gamma vanishes in degree 0 and on products, the
 value of eta * gamma on a generator g of degree n only involves eta in degree
 < n and gamma(g): eta(g) integrates ``convolve_at(eta, gamma, g)`` from 0,
 and products multiply.  ``evolution_pass`` asks for gamma(g) once the rest of
-eta(g) is known, so it also solves ``characters.char_log``.  Everything stays
-in exact rational arithmetic; ``evol`` checks that the result is a character.
+eta(g) is known, so it also solves ``characters.char_log``.
+
+The kernel's sum of polynomial products is fused (``poly_sum_products``):
+every product coefficient of every term is bucketed by its t-degree, and the
+coefficient ring sums each bucket once, so over the rationals each
+coefficient of eta(g) costs one gcd.  ``Poly.__mul__`` is its one-term case.
+Everything stays in exact rational arithmetic; ``evol`` checks that the
+result is a character.
 """
 
 from __future__ import annotations
 
 import operator
+from collections import defaultdict
 from fractions import Fraction
 from typing import Iterable
 
@@ -59,16 +66,7 @@ class Poly:
         return Poly(ring, out)
 
     def __mul__(self, other: "Poly") -> "Poly":
-        ring = self.ring
-        if not self.coefficients or not other.coefficients:
-            return Poly.zero(ring)
-        right = [(j, b) for j, b in enumerate(other.coefficients) if not ring.is_zero(b)]
-        out = [ring.zero] * (len(self.coefficients) + len(other.coefficients) - 1)
-        for i, a in enumerate(self.coefficients):
-            if not ring.is_zero(a):
-                for j, b in right:
-                    out[i + j] = ring.add(out[i + j], ring.mul(a, b))
-        return Poly(ring, out)
+        return poly_sum_products(self.ring, [(1, self, other)])
 
     def scale(self, q) -> "Poly":
         q = Fraction(q)
@@ -113,6 +111,22 @@ class Poly:
         return f"Poly({list(self.coefficients)})"
 
 
+def poly_sum_products(ring, terms) -> Poly:
+    """The sum of c * p * q over ``(c, p, q)`` in terms, for polynomials over
+    ``ring``: one ``ring.sum_products`` per coefficient of the result."""
+    is_zero, buckets = ring.is_zero, defaultdict(list)
+    for c, p, q in terms:
+        right = [(j, b) for j, b in enumerate(q.coefficients) if not is_zero(b)]
+        for i, a in enumerate(p.coefficients):
+            if not is_zero(a):
+                for j, b in right:
+                    buckets[i + j].append((c, a, b))
+    out = [ring.zero] * (max(buckets, default=-1) + 1)
+    for k, bucket in buckets.items():
+        out[k] = ring.sum_products(bucket)
+    return Poly(ring, out)
+
+
 class PolyRing:
     """R[t] as a coefficient ring for ``convolve_at`` and ``_multiplicative``;
     the sum and product are ``Poly``'s own."""
@@ -120,8 +134,12 @@ class PolyRing:
     add, mul = operator.add, operator.mul
 
     def __init__(self, ring):
+        self.base = ring
         self.zero = Poly(ring)
         self.one = Poly(ring, [ring.one])
+
+    def sum_products(self, terms) -> Poly:
+        return poly_sum_products(self.base, terms)
 
     @staticmethod
     def scale(p: Poly, q) -> Poly:
@@ -170,19 +188,21 @@ class FunctionalCurve:
         return FunctionalCurve(TruncatedFunctional.from_json_dict(entry) for entry in coeffs)
 
 
-def evolution_pass(hopf: HopfStructure, ring, truncation: int, rate) -> tuple[dict, dict]:
+def evolution_pass(hopf: HopfStructure, ring, truncation: int, rate) -> tuple[dict, list]:
     """Solve eta' = eta * gamma over R[t] in basis order.  At a generator g,
     ``rest`` integrates ``convolve_at(eta, gamma, g)`` while gamma(g) is still
     unknown (only the 1 (x) g term is missing), ``rate(g, rest)`` gives
     gamma(g) as a ``Poly`` and eta(g) = rest + its integral; products multiply.
-    Returns the nonzero values of eta on the basis and of gamma on generators."""
-    polys, gamma = PolyRing(ring), {}
+    Returns the nonzero values of eta on the basis, and the values of gamma
+    as a list in basis order (None for zero and off the generators)."""
+    polys, table = PolyRing(ring), hopf.table(truncation)
+    gamma = [None] * len(table.basis)
 
-    def on_generator(g, eta):
-        rest = convolve_at(hopf, polys, eta, gamma, g).integrate()
-        value = rate(g, rest)
+    def on_generator(i, eta):
+        rest = convolve_at(table, polys, eta, gamma, i).integrate()
+        value = rate(table.basis[i], rest)
         if value.coefficients:
-            gamma[g] = value
+            gamma[i] = value
         return rest + value.integrate()
 
     eta = _multiplicative(hopf, polys, truncation, on_generator).functional.values
@@ -214,8 +234,7 @@ def evol(curve: FunctionalCurve) -> Character:
     functional = evolve(curve, 1)
     violation = character_violation(functional)
     if violation is not None:
-        b1, b2 = violation
         raise InternalError(
-            f"evolution left the character group at ({b1.serial}, {b2.serial})"
+            f"evolution left the character group at {violation.describe(functional.ring)}"
         )
     return Character._wrap(functional)

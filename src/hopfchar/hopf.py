@@ -11,12 +11,17 @@ Two instances share one interface:
   antipode ``w -> (-1)^|w| reversed(w)``.
 
 Both algebras are free; ``split`` gives a basis element's first generator and
-the product of the rest, memoized over the basis by ``factored``.  The
-coproduct is an algebra morphism, hence the multiplicative extension of its
-generator values: one memoized recursion Delta(b) = Delta(first) Delta(rest)
-builds both tables.  Structure constants are exact integers carried as
-``Fraction`` coefficients.  Instances are stateless apart from memo dicts, on
-which racing threads store equal values.
+the product of the rest.  The coproduct is an algebra morphism, hence the
+multiplicative extension of its generator values: one memoized recursion
+Delta(b) = Delta(first) Delta(rest) builds both tables.  Structure constants
+are exact integers carried as ``Fraction`` coefficients.
+
+``HopfStructure.table(N)`` compiles the basis of degree <= N once into an
+``IndexTable``: the basis in basis order, the index of each element, the
+indices of its first generator and of the rest, and (on first use) its
+coproduct as integer triples ``(c, i, j)``.  The convolution kernel works on
+these indices only.  Instances are stateless apart from memo dicts and the
+tables' lazily filled slots, on which racing threads store equal values.
 """
 
 from __future__ import annotations
@@ -43,13 +48,19 @@ _ONE = Fraction(1)
 class Word:
     """A word in generators ``v0 .. v(d-1)``; the empty word serializes as "1"."""
 
-    __slots__ = ("letters", "degree", "serial", "_hash")
+    __slots__ = ("letters", "degree", "_serial", "_hash")
 
     def __init__(self, letters: Iterable[int] = ()):
-        self.letters: tuple[int, ...] = tuple(int(i) for i in letters)
+        self.letters: tuple[int, ...] = tuple(map(int, letters))
         self.degree = len(self.letters)
-        self.serial = "".join(f"v{i}" for i in self.letters) if self.letters else "1"
+        self._serial = None  # built on first use: most words are never printed
         self._hash = hash(("word", self.letters))
+
+    @property
+    def serial(self) -> str:
+        if self._serial is None:
+            self._serial = "v" + "v".join(map(str, self.letters)) if self.letters else "1"
+        return self._serial
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Word) and self.letters == other.letters
@@ -186,6 +197,37 @@ def vector_of(basis) -> GradedVector:
     return GradedVector([(basis, 1)])
 
 
+class IndexTable:
+    """The basis of degree <= N of one Hopf algebra, compiled to indices.
+
+    ``basis`` lists the elements in basis order (the unit first) and ``index``
+    maps each to its position.  ``first[i]`` and ``rest[i]`` index the split
+    b = first * rest of ``basis[i]``; ``rest[i] == 0`` exactly on the unit and
+    on generators.  ``coproduct[i]`` holds Delta(basis[i]) as integer triples
+    ``(c, left, right)``, compiled by ``compile`` on first use, since the
+    generator-only operations never read the products' rows.
+    """
+
+    __slots__ = ("basis", "index", "first", "rest", "coproduct", "_hopf")
+
+    def __init__(self, hopf: "HopfStructure", max_degree: int):
+        self.basis = tuple(hopf.all_basis_upto(max_degree))
+        self.index = index = {b: i for i, b in enumerate(self.basis)}
+        splits = [[index[x] for x in hopf.split(b)] for b in self.basis]
+        self.first = tuple(f for f, _r in splits)
+        self.rest = tuple(r for _f, r in splits)
+        self.coproduct: list = [None] * len(self.basis)
+        self._hopf = hopf
+
+    def compile(self, i: int) -> tuple:
+        """``coproduct[i]``, compiled from the Hopf algebra's memoized table."""
+        index = self.index
+        row = tuple((int(c), index[left], index[right])
+                    for c, left, right in self._hopf.coproduct(self.basis[i]))
+        self.coproduct[i] = row
+        return row
+
+
 class HopfStructure:
     """Common driver for a graded connected Hopf algebra with a chosen basis.
 
@@ -197,7 +239,7 @@ class HopfStructure:
 
     def __init__(self, unit):
         self._coproduct_cache: dict = {unit: ((_ONE, unit, unit),)}
-        self._factored: dict[int, tuple] = {}
+        self._tables: dict[int, IndexTable] = {}
 
     def basis(self, degree: int) -> tuple:
         raise NotImplementedError
@@ -233,19 +275,24 @@ class HopfStructure:
         """``(first generator, product of the rest)``; the rest is 1 on generators."""
         raise NotImplementedError
 
+    def table(self, max_degree: int) -> IndexTable:
+        """The ``IndexTable`` of the basis of degree <= max_degree, memoized."""
+        table = self._tables.get(max_degree)
+        if table is None:
+            table = self._tables[max_degree] = IndexTable(self, max_degree)
+        return table
+
     def factored(self, max_degree: int) -> tuple:
         """``(b, *split(b))`` for the basis elements b of degree <= max_degree in
-        basis order, memoized; first and rest are the basis's own objects."""
-        table = self._factored.get(max_degree)
-        if table is None:
-            own = {b: b for b in self.all_basis_upto(max_degree)}
-            table = tuple((b, *(own[x] for x in self.split(b))) for b in own)
-            self._factored[max_degree] = table
-        return table
+        basis order; first and rest are the basis's own objects."""
+        table = self.table(max_degree)
+        basis = table.basis
+        return tuple((b, basis[f], basis[r]) for b, f, r in zip(basis, table.first, table.rest))
 
     def generators(self, max_degree: int) -> list:
         """The generators of degree 1..max_degree, in basis order."""
-        return [b for b, _first, rest in self.factored(max_degree) if b.degree and not rest.degree]
+        table = self.table(max_degree)
+        return [b for b, r in zip(table.basis[1:], table.rest[1:]) if not r]
 
     def _coproduct(self, basis) -> tuple[tuple[Fraction, object, object], ...]:
         """Coproduct terms ``(coefficient, left, right)`` with equal pairs

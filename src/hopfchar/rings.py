@@ -9,11 +9,20 @@ Two commutative unital rings with exact equality are provided:
 
 Both rings are Q-algebras (``scale`` divides exactly by any nonzero integer),
 which is what the exponential/logarithm series require.
+
+Besides ``add``/``mul``/``scale``, every ring used by the convolution kernel
+has ``sum_products(terms)``: the sum of ``c * a * b`` over a list of
+``(c, a, b)`` with c a positive integer and a, b ring elements, equal to the
+fold of ``mul``, ``scale`` and ``add`` from ``zero`` (``zero`` for no terms).
+Over the rationals it is one integer sum over the lcm of the term
+denominators and one ``Fraction`` (one gcd), instead of a reduced
+``Fraction`` per product and per partial sum.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .errors import NotInvertibleError, ParseError
 
@@ -45,6 +54,20 @@ class RationalRing:
     @staticmethod
     def scale(a: Fraction, q: Fraction) -> Fraction:
         return a * q
+
+    @staticmethod
+    def sum_products(terms) -> Fraction:
+        num, den = 0, 1
+        for c, a, b in terms:
+            na, da = a.as_integer_ratio()
+            nb, db = b.as_integer_ratio()
+            d = da * db
+            if den % d:
+                common = lcm(den, d)
+                num *= common // den
+                den = common
+            num += c * na * nb * (den // d)
+        return Fraction(num, den)
 
     @staticmethod
     def is_zero(a: Fraction) -> bool:
@@ -115,6 +138,21 @@ class TruncatedSeriesRing:
 
     def scale(self, a, q: Fraction):
         return tuple(x * q for x in a)
+
+    def sum_products(self, terms):
+        """One rational ``sum_products`` per coefficient, over the products
+        of coefficients that land in its X-degree."""
+        m = self.modulus_degree
+        buckets = [[] for _ in range(m + 1)]
+        for c, a, b in terms:
+            right = [(j, y) for j, y in enumerate(b) if y]
+            for i, x in enumerate(a):
+                if x:
+                    for j, y in right:
+                        if i + j > m:
+                            break
+                        buckets[i + j].append((c, x, y))
+        return tuple(map(RationalRing.sum_products, buckets))
 
     def is_zero(self, a) -> bool:
         return all(x == 0 for x in a)

@@ -10,9 +10,11 @@ Horner evaluation, a linear-span ideal membership test instead of
 generator-only evaluation, the product rule on every pair of basis elements
 instead of on (first generator, rest), the root-containing-subtree sum
 instead of the character product for Butcher composition, the geometric
-series instead of the triangular recursion for the convolution inverse, and
+series instead of the triangular recursion for the convolution inverse,
 integration of the coproduct sum on every basis element instead of on
-generators only for the evolution equation.
+generators only for the evolution equation, and a convolution kernel on
+value dicts keyed by basis objects, folding ``mul``/``scale``/``add`` term by
+term, instead of the index-table kernel with one ``sum_products`` per value.
 """
 
 from fractions import Fraction
@@ -255,6 +257,140 @@ def conv_inverse_geometric(phi: TruncatedFunctional) -> TruncatedFunctional:
     for _ in range(phi.truncation):
         acc = unit + convolve(b, acc)
     return acc.scale_ring(a0_inv)
+
+
+# -- the dict-keyed convolution kernel -----------------------------------------
+
+
+def convolve_at(hopf, ring, f, g, basis):
+    """(f * g)(basis): the ring sum of f(left) * g(right) over the coproduct
+    terms of basis.  f and g map basis elements to values, absent meaning 0."""
+    total = ring.zero
+    for coeff, left, right in hopf.coproduct(basis):
+        a = f.get(left)
+        if a is None:
+            continue
+        b = g.get(right)
+        if b is None:
+            continue
+        term = ring.mul(a, b)
+        if coeff != 1:
+            term = ring.scale(term, coeff)
+        total = ring.add(total, term)
+    return total
+
+
+class FoldPolyRing:
+    """R[t] with the schoolbook product, one ring ``mul`` and ``add`` per pair
+    of nonzero coefficients."""
+
+    def __init__(self, ring):
+        self.ring = ring
+        self.zero = Poly(ring)
+        self.one = Poly(ring, [ring.one])
+
+    @staticmethod
+    def add(p, q):
+        return p + q
+
+    def mul(self, p, q):
+        ring = self.ring
+        out = [ring.zero] * max(len(p.coefficients) + len(q.coefficients) - 1, 0)
+        for i, a in enumerate(p.coefficients):
+            for j, b in enumerate(q.coefficients):
+                if not ring.is_zero(a) and not ring.is_zero(b):
+                    out[i + j] = ring.add(out[i + j], ring.mul(a, b))
+        return Poly(ring, out)
+
+    @staticmethod
+    def scale(p, q):
+        return p.scale(q)
+
+    @staticmethod
+    def is_zero(p):
+        return not p.coefficients
+
+
+def multiplicative_by_dict(hopf, ring, truncation: int, on_generator) -> dict:
+    """The nonzero values of the character with ``on_generator(b, out)`` on
+    each generator b (out: the values so far) and out[first] * out[rest] on
+    each product, in basis order."""
+    out = {hopf.unit_basis: ring.one}
+    for basis in hopf.all_basis_upto(truncation)[1:]:
+        first, rest = hopf.split(basis)
+        if rest.degree:
+            a, b = out.get(first), out.get(rest)
+            value = ring.zero if a is None or b is None else ring.mul(a, b)
+        else:
+            value = on_generator(basis, out)
+        if not ring.is_zero(value):
+            out[basis] = value
+    return out
+
+
+def convolve_by_dict(phi, psi) -> TruncatedFunctional:
+    hopf, ring = phi.hopf, phi.ring
+    return phi._build({b: convolve_at(hopf, ring, phi.values, psi.values, b)
+                       for b in hopf.all_basis_upto(phi.truncation)})
+
+
+def conv_inverse_by_dict(phi) -> TruncatedFunctional:
+    ring, hopf = phi.ring, phi.hopf
+    a0_inv = ring.inv(phi.degree0)
+    out = {hopf.unit_basis: a0_inv}
+    for basis in hopf.all_basis_upto(phi.truncation)[1:]:
+        value = ring.mul(ring.neg(convolve_at(hopf, ring, out, phi.values, basis)), a0_inv)
+        if not ring.is_zero(value):
+            out[basis] = value
+    return phi._build(out)
+
+
+def char_mul_by_dict(phi, psi) -> TruncatedFunctional:
+    """The character product of two character functionals."""
+    hopf, ring = phi.hopf, phi.ring
+    return phi._build(multiplicative_by_dict(
+        hopf, ring, phi.truncation,
+        lambda b, out: convolve_at(hopf, ring, phi.values, psi.values, b)))
+
+
+def char_inv_by_dict(phi) -> TruncatedFunctional:
+    hopf, ring = phi.hopf, phi.ring
+    return phi._build(multiplicative_by_dict(
+        hopf, ring, phi.truncation,
+        lambda b, out: ring.neg(convolve_at(hopf, ring, out, phi.values, b))))
+
+
+def evolution_pass_by_dict(hopf, ring, truncation: int, rate) -> tuple[dict, dict]:
+    """eta' = eta * gamma on generators, with ``rate(g, rest)`` giving gamma(g):
+    the nonzero values of eta and of gamma, as dicts of ``Poly``."""
+    polys, gamma = FoldPolyRing(ring), {}
+
+    def on_generator(g, eta):
+        rest = convolve_at(hopf, polys, eta, gamma, g).integrate()
+        value = rate(g, rest)
+        if value.coefficients:
+            gamma[g] = value
+        return rest + value.integrate()
+
+    return multiplicative_by_dict(hopf, polys, truncation, on_generator), gamma
+
+
+def evolve_polynomials_by_dict(curve) -> dict:
+    eta, _gamma = evolution_pass_by_dict(curve.hopf, curve.ring, curve.truncation,
+                                         lambda g, rest: curve.value_poly(g))
+    zero = Poly.zero(curve.ring)
+    return {b: eta.get(b, zero) for b in curve.hopf.all_basis_upto(curve.truncation)}
+
+
+def char_log_by_dict(psi) -> TruncatedFunctional:
+    """The infinitesimal character phi with exp(phi) = psi, solved on generators."""
+    ring = psi.ring
+
+    def rate(g, rest):
+        return Poly(ring, [ring.add(psi.value(g), ring.neg(rest(1)))])
+
+    _eta, gamma = evolution_pass_by_dict(psi.hopf, ring, psi.truncation, rate)
+    return psi._build({g: p.coefficients[0] for g, p in gamma.items()})
 
 
 # -- evolution ----------------------------------------------------------------

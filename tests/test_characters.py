@@ -74,10 +74,15 @@ def test_exp_of_delta_is_character_exhaustively_at_n6():
 
 
 def test_wrappers_enforce_membership():
-    with pytest.raises(MembershipError):
+    # the message names the pair, the value found and the value expected
+    with pytest.raises(MembershipError, match=r"at \(1, 1\): found 0, expected 1$"):
         Character(delta(CK, RATIONAL, 3, F_LEAF))
-    with pytest.raises(MembershipError):
+    with pytest.raises(MembershipError, match=r"at \(1, 1\): found 1, expected 0$"):
         InfinitesimalCharacter(conv_unit(CK, RATIONAL, 3))
+    with pytest.raises(MembershipError, match=r"at \(\[\], \[\]\): found 0, expected 1$"):
+        Character(conv_unit(CK, RATIONAL, 3) + delta(CK, RATIONAL, 3, F_LEAF))
+    with pytest.raises(MembershipError, match=r"at \(\[\], \[\]\): found 2/3, expected 0$"):
+        InfinitesimalCharacter(delta(CK, RATIONAL, 3, Forest([LEAF, LEAF])).scale(Fraction(2, 3)))
 
 
 def test_char_from_tree_values():

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from hopfchar.characters import tree_values_from_json_dict
 from hopfchar.convolution import (
     TruncatedFunctional,
     conv_inverse,
@@ -12,8 +13,10 @@ from hopfchar.convolution import (
     convolve,
     delta,
 )
-from hopfchar.errors import IncompatibleError, NotInvertibleError
+from hopfchar.errors import IncompatibleError, NotInvertibleError, ParseError
+from hopfchar.evolution import FunctionalCurve
 from hopfchar.hopf import Word, ck_hopf, tensor_hopf
+from hopfchar.ideals import HopfIdealSpec
 from hopfchar.rings import RATIONAL, TruncatedSeriesRing
 from hopfchar.sampling import (
     random_character,
@@ -225,3 +228,15 @@ def test_json_roundtrip_series_and_tensor():
         T2, ring, 3, {Word([0]): ring.element([0, 1]), Word([1, 0]): ring.one}
     )
     assert TruncatedFunctional.from_json(phi.to_json()) == phi
+
+
+@pytest.mark.parametrize("payload", ["5", "null", '"x"', "[]"])
+@pytest.mark.parametrize("decode", [
+    TruncatedFunctional.from_json,
+    HopfIdealSpec.from_json,
+    lambda text: FunctionalCurve.from_json_dict(json.loads(text)),
+    lambda text: tree_values_from_json_dict(json.loads(text)),
+], ids=["functional", "ideal", "curve", "tree-values"])
+def test_codecs_refuse_non_objects(decode, payload):
+    with pytest.raises(ParseError, match="^expected a JSON object"):
+        decode(payload)

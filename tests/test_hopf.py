@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from hopfchar.characters import char_from_generator_values, char_mul
 from hopfchar.errors import ParseError, TruncationOverflowError
 from hopfchar.hopf import (
     EMPTY_WORD,
@@ -258,11 +259,20 @@ def test_multiset_helper_consistency():
     assert as_multiset(pairs) == {("[]", "[]"): 2, ("[]", "[[]]"): 1}
 
 
+def _first_product(hopf):
+    """A character product at truncation 6, which compiles the coproduct rows
+    of the generators up to degree 6 on first use."""
+    values = {g: Fraction(k + 1, 7) for k, g in enumerate(hopf.generators(6))}
+    phi = char_from_generator_values(values, hopf, 6)
+    return char_mul(phi, phi).functional
+
+
 def test_concurrent_first_factor_table_calls_agree():
-    # Four threads make the first call to factored(6), or to the coproduct
-    # of a top-degree element, on a fresh instance while the interpreter
-    # switches threads as often as it can.  The memos are unlocked: racing
-    # threads store equal tables, so every caller sees one.
+    # Four threads make the first call to factored(6), to the coproduct of a
+    # top-degree element, or to a character product at degree 6, on a fresh
+    # instance while the interpreter switches threads as often as it can.
+    # The memos and the index table's lazy rows are unlocked: racing threads
+    # store equal values, so every caller sees one.
     import sys
     import threading
 
@@ -271,7 +281,8 @@ def test_concurrent_first_factor_table_calls_agree():
         sys.setswitchinterval(1e-6)
         for make in (CKHopf, lambda: TensorHopf(2)):
             top = make().basis(6)[-1]
-            for call in (lambda hopf: hopf.factored(6), lambda hopf: hopf.coproduct(top)):
+            for call in (lambda hopf: hopf.factored(6), lambda hopf: hopf.coproduct(top),
+                         _first_product):
                 expected = call(make())
                 for _ in range(5):
                     hopf, results = make(), []
