@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Mapping
 
 from . import series
-from .convolution import (TruncatedFunctional, conv_unit, convolve, convolve_at, json_entries,
+from .convolution import (TruncatedFunctional, conv_unit, convolve_at, json_entries,
                           json_field, parse_truncation)
 from .errors import MembershipError
 from .hopf import HopfStructure, ck_hopf
@@ -214,26 +214,31 @@ def char_log(psi: Character) -> InfinitesimalCharacter:
 def lie_bracket(
     phi: InfinitesimalCharacter, psi: InfinitesimalCharacter
 ) -> InfinitesimalCharacter:
-    """Commutator bracket; infinitesimal characters are closed under it."""
+    """Commutator bracket.  Infinitesimal characters are closed under it, so
+    the bracket is fixed by its generator values, (f * g - g * f)(g_i), and
+    vanishes on the unit and on products."""
     f, g = phi.functional, psi.functional
-    return InfinitesimalCharacter(convolve(f, g) - convolve(g, f))
+    f._compatible(g)
+    hopf, ring, n = f.hopf, f.ring, f.truncation
+    table, fv, gv = hopf.table(n), f.value_list(), g.value_list()
+    values = {table.basis[i]: ring.add(convolve_at(table, ring, fv, gv, i),
+                                       ring.neg(convolve_at(table, ring, gv, fv, i)))
+              for i, rest in enumerate(table.rest) if i and not rest}
+    return InfinitesimalCharacter(TruncatedFunctional(hopf, ring, n, values))
 
 
 # -- the Butcher-group view on the rooted-forest instance ---------------------
 
 
 def char_from_tree_values(
-    values: Mapping[RootedTree, object],
-    truncation: int,
-    ring=RATIONAL,
-    hopf=None,
+    values: Mapping[RootedTree, object], truncation: int, ring=RATIONAL
 ) -> Character:
     """The unique character with the given values on single trees.
 
     Missing trees count as zero; forests get the product of their tree values.
     """
     generator_values = {single_tree_forest(t): v for t, v in values.items()}
-    return char_from_generator_values(generator_values, hopf or ck_hopf(), truncation, ring)
+    return char_from_generator_values(generator_values, ck_hopf(), truncation, ring)
 
 
 def tree_values(phi: Character) -> dict[RootedTree, object]:
@@ -274,15 +279,12 @@ def tree_values_from_json_dict(data: dict):
 
 
 def infinitesimal_from_tree_values(
-    values: Mapping[RootedTree, object],
-    truncation: int,
-    ring=RATIONAL,
-    hopf=None,
+    values: Mapping[RootedTree, object], truncation: int, ring=RATIONAL
 ) -> InfinitesimalCharacter:
     """The infinitesimal character supported on single trees with the given
     values (zero on the unit and on every multi-tree forest)."""
     out = {single_tree_forest(t): v for t, v in values.items() if t.order <= truncation}
-    return InfinitesimalCharacter(TruncatedFunctional(hopf or ck_hopf(), ring, truncation, out))
+    return InfinitesimalCharacter(TruncatedFunctional(ck_hopf(), ring, truncation, out))
 
 
 def butcher_compose(

@@ -10,9 +10,9 @@ value of eta * gamma on a generator g of degree n only involves eta in degree
 and products multiply.  ``evolution_pass`` asks for gamma(g) once the rest of
 eta(g) is known, so it also solves ``characters.char_log``.
 
-The kernel's sum of polynomial products is fused (``poly_sum_products``):
-every product coefficient of every term is bucketed by its t-degree, and the
-coefficient ring sums each bucket once, so over the rationals each
+The kernel's sum of polynomial products, ``poly_sum_products``, is the
+untruncated ``rings.poly_products``: each t-degree's coefficient products are
+one ``sum_products`` of the coefficient ring, so over the rationals each
 coefficient of eta(g) costs one gcd.  ``Poly.__mul__`` is its one-term case.
 Everything stays in exact rational arithmetic; ``evol`` checks that the
 result is a character.
@@ -21,7 +21,6 @@ result is a character.
 from __future__ import annotations
 
 import operator
-from collections import defaultdict
 from fractions import Fraction
 from typing import Iterable
 
@@ -30,6 +29,7 @@ from .characters import (Character, InfinitesimalCharacter, _multiplicative,
 from .convolution import TruncatedFunctional, convolve_at, json_entries
 from .errors import InternalError, ParseError
 from .hopf import HopfStructure
+from .rings import poly_products
 
 
 class Poly:
@@ -66,7 +66,8 @@ class Poly:
         return Poly(ring, out)
 
     def __mul__(self, other: "Poly") -> "Poly":
-        return poly_sum_products(self.ring, [(1, self, other)])
+        return Poly(self.ring,
+                    poly_products(self.ring, [(1, self.coefficients, other.coefficients)]))
 
     def scale(self, q) -> "Poly":
         q = Fraction(q)
@@ -114,17 +115,8 @@ class Poly:
 def poly_sum_products(ring, terms) -> Poly:
     """The sum of c * p * q over ``(c, p, q)`` in terms, for polynomials over
     ``ring``: one ``ring.sum_products`` per coefficient of the result."""
-    is_zero, buckets = ring.is_zero, defaultdict(list)
-    for c, p, q in terms:
-        right = [(j, b) for j, b in enumerate(q.coefficients) if not is_zero(b)]
-        for i, a in enumerate(p.coefficients):
-            if not is_zero(a):
-                for j, b in right:
-                    buckets[i + j].append((c, a, b))
-    out = [ring.zero] * (max(buckets, default=-1) + 1)
-    for k, bucket in buckets.items():
-        out[k] = ring.sum_products(bucket)
-    return Poly(ring, out)
+    return Poly(ring, poly_products(
+        ring, [(c, p.coefficients, q.coefficients) for c, p, q in terms]))
 
 
 class PolyRing:

@@ -13,8 +13,8 @@ Two instances share one interface:
 Both algebras are free; ``split`` gives a basis element's first generator and
 the product of the rest.  The coproduct is an algebra morphism, hence the
 multiplicative extension of its generator values: one memoized recursion
-Delta(b) = Delta(first) Delta(rest) builds both tables.  Structure constants
-are exact integers carried as ``Fraction`` coefficients.
+Delta(b) = Delta(first) Delta(rest) builds both tables on positive int
+structure constants; the public ``coproduct`` returns them as ``Fraction``s.
 
 ``HopfStructure.table(N)`` compiles the basis of degree <= N once into an
 ``IndexTable``: the basis in basis order, the index of each element, the
@@ -238,7 +238,7 @@ class HopfStructure:
     key: str
 
     def __init__(self, unit):
-        self._coproduct_cache: dict = {unit: ((_ONE, unit, unit),)}
+        self._coproduct_cache: dict = {unit: ((1, unit, unit),)}
         self._tables: dict[int, IndexTable] = {}
 
     def basis(self, degree: int) -> tuple:
@@ -294,9 +294,9 @@ class HopfStructure:
         table = self.table(max_degree)
         return [b for b, r in zip(table.basis[1:], table.rest[1:]) if not r]
 
-    def _coproduct(self, basis) -> tuple[tuple[Fraction, object, object], ...]:
+    def _coproduct(self, basis) -> tuple[tuple[int, object, object], ...]:
         """Coproduct terms ``(coefficient, left, right)`` with equal pairs
-        combined; coefficients are positive integers.  Memoized; a product
+        combined; coefficients are positive ints.  Memoized; a product
         b = first * rest takes Delta(first) Delta(rest) term by term."""
         cached = self._coproduct_cache.get(basis)
         if cached is not None:
@@ -307,10 +307,10 @@ class HopfStructure:
             terms = [(c1 * c2, product(l1, l2), product(r1, r2))
                      for c1, l1, r1 in self._coproduct(first) for c2, l2, r2 in rest_terms]
         else:
-            terms = [(_ONE, left, right) for left, right in self._generator_pairs(first)]
+            terms = [(1, left, right) for left, right in self._generator_pairs(first)]
         pairs: dict = {}
         for coeff, left, right in terms:
-            pairs[left, right] = pairs.get((left, right), _ZERO) + coeff
+            pairs[left, right] = pairs.get((left, right), 0) + coeff
         result = tuple((coeff, left, right) for (left, right), coeff in pairs.items())
         self._coproduct_cache[basis] = result
         return result
@@ -360,7 +360,7 @@ class CKHopf(HopfStructure):
         return ordered_subtrees(generator.trees[0])
 
     def coproduct(self, basis: Forest):
-        return self._coproduct(basis)
+        return tuple((Fraction(c), l, r) for c, l, r in self._coproduct(basis))
 
     def _tree_antipode(self, tree) -> GradedVector:
         cached = self._antipode_cache.get(tree)
@@ -413,7 +413,7 @@ class TensorHopf(HopfStructure):
         return (generator, EMPTY_WORD), (EMPTY_WORD, generator)
 
     def coproduct(self, basis: Word):
-        return self._coproduct(basis)
+        return tuple((Fraction(c), l, r) for c, l, r in self._coproduct(basis))
 
     def antipode(self, basis: Word) -> GradedVector:
         return GradedVector([(Word(reversed(basis.letters)), (-1) ** basis.degree)])

@@ -25,7 +25,7 @@ from .characters import (
 )
 from .convolution import json_entries, json_field
 from .errors import IdealError, MembershipError
-from .hopf import GradedVector, HopfStructure, resolve_hopf, vector_of
+from .hopf import GradedVector, HopfStructure, ck_hopf, resolve_hopf, vector_of
 from .rings import RATIONAL
 from .trees import RootedTree, butcher_product, enumerate_trees, single_tree_forest
 
@@ -129,20 +129,19 @@ def tree_pairs(truncation: int) -> Iterator[tuple[RootedTree, RootedTree]]:
                 yield tau, upsilon
 
 
-def symplectic_generators(truncation: int, hopf=None) -> HopfIdealSpec:
+def symplectic_generators(truncation: int) -> HopfIdealSpec:
     """Generators of the symplectic ideal: for each unordered pair of trees
     with total order <= N,  graft(t,u) + graft(u,t) - t*u.  Each generator is
     homogeneous (grafting preserves the node count)."""
     if truncation < 2:
         raise IdealError(f"symplectic generators need truncation >= 2, got {truncation}")
-    hopf = hopf if hopf is not None else resolve_hopf("ck")
     generators = [
         vector_of(single_tree_forest(butcher_product(tau, upsilon)))
         + vector_of(single_tree_forest(butcher_product(upsilon, tau)))
         - vector_of(single_tree_forest(tau).union(single_tree_forest(upsilon)))
         for tau, upsilon in tree_pairs(truncation)
     ]
-    return HopfIdealSpec(hopf, generators)
+    return HopfIdealSpec(ck_hopf(), generators)
 
 
 def is_symplectic(

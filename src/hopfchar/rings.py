@@ -17,10 +17,17 @@ fold of ``mul``, ``scale`` and ``add`` from ``zero`` (``zero`` for no terms).
 Over the rationals it is one integer sum over the lcm of the term
 denominators and one ``Fraction`` (one gcd), instead of a reduced
 ``Fraction`` per product and per partial sum.
+
+``poly_products`` is the one product of coefficient sequences, for series
+modulo X^(M+1), the evolution solver's polynomials in t and formal series:
+each degree's products of nonzero coefficients are one ``sum_products``.
 """
 
 from __future__ import annotations
 
+import operator
+import sys
+from collections import defaultdict
 from fractions import Fraction
 from math import lcm
 
@@ -69,9 +76,7 @@ class RationalRing:
             num += c * na * nb * (den // d)
         return Fraction(num, den)
 
-    @staticmethod
-    def is_zero(a: Fraction) -> bool:
-        return a == 0
+    is_zero = staticmethod(operator.not_)
 
     @staticmethod
     def is_unit(a: Fraction) -> bool:
@@ -127,32 +132,13 @@ class TruncatedSeriesRing:
         return tuple(-x for x in a)
 
     def mul(self, a, b):
-        m = self.modulus_degree
-        out = [_ZERO] * (m + 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j in range(m + 1 - i):
-                    if b[j]:
-                        out[i + j] += ai * b[j]
-        return tuple(out)
+        return self.sum_products([(1, a, b)])
 
     def scale(self, a, q: Fraction):
         return tuple(x * q for x in a)
 
     def sum_products(self, terms):
-        """One rational ``sum_products`` per coefficient, over the products
-        of coefficients that land in its X-degree."""
-        m = self.modulus_degree
-        buckets = [[] for _ in range(m + 1)]
-        for c, a, b in terms:
-            right = [(j, y) for j, y in enumerate(b) if y]
-            for i, x in enumerate(a):
-                if x:
-                    for j, y in right:
-                        if i + j > m:
-                            break
-                        buckets[i + j].append((c, x, y))
-        return tuple(map(RationalRing.sum_products, buckets))
+        return tuple(poly_products(RATIONAL, terms, self.modulus_degree + 1))
 
     def is_zero(self, a) -> bool:
         return all(x == 0 for x in a)
@@ -183,6 +169,28 @@ class TruncatedSeriesRing:
 
     def __repr__(self) -> str:
         return f"TruncatedSeriesRing({self.modulus_degree})"
+
+
+def poly_products(base, terms, size: int | None = None) -> list:
+    """The coefficients of the sum of c * p * q over ``(c, p, q)``, for
+    coefficient sequences p, q over the ring ``base``: products of nonzero
+    coefficients are bucketed by degree, one ``base.sum_products`` per
+    nonempty bucket.  With ``size``, degrees >= size are dropped and the list
+    is padded to ``size``; without it, it ends at the highest degree reached."""
+    is_zero, buckets = base.is_zero, defaultdict(list)
+    top = sys.maxsize if size is None else size
+    for c, p, q in terms:
+        right = [(j, b) for j, b in enumerate(q) if not is_zero(b)]
+        for i, a in enumerate(p):
+            if not is_zero(a):
+                for j, b in right:
+                    if i + j >= top:
+                        break
+                    buckets[i + j].append((c, a, b))
+    out = [base.zero] * (max(buckets, default=-1) + 1 if size is None else size)
+    for k, bucket in buckets.items():
+        out[k] = base.sum_products(bucket)
+    return out
 
 
 def resolve_ring(key: str):

@@ -131,7 +131,7 @@ def random_annihilating_infinitesimal(
         for tree, coord in zip(trees, vec):
             if coord:
                 values[tree] = ring.add(values[tree], ring.scale(weight, coord))
-    return infinitesimal_from_tree_values(values, truncation, ring, ideal.hopf)
+    return infinitesimal_from_tree_values(values, truncation, ring)
 
 
 def random_annihilating_character(

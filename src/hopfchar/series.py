@@ -1,10 +1,12 @@
 """Functional calculus on the augmentation ideal of the convolution algebra.
 
-``apply_series(f, a)`` substitutes a functional with zero degree-0 part into a
-rational formal power series.  Since a lives in the augmentation ideal, its
-k-th convolution power has no components below degree k, so the series
-truncates exactly at the truncation degree.  Evaluation runs Horner-style in
-the convolution product (the raw composition formula is a test oracle).
+``FormalSeries`` holds the coefficients of a rational power series truncated
+at X^N; its Cauchy product is ``rings.poly_products`` over the rationals.
+``apply_series(f, a)`` substitutes a functional with zero degree-0 part into
+such a series.  Since a lives in the augmentation ideal, its k-th
+convolution power has no components below degree k, so the series truncates
+exactly at the truncation degree.  Evaluation runs Horner-style in the
+convolution product (the raw composition formula is a test oracle).
 
 On top of this sit ``exp``, ``log`` (mutually inverse between the ideal and
 its unit translate) and the truncated BCH ``log(exp(x) * exp(y))``, for any
@@ -25,6 +27,7 @@ from .convolution import (
     require_unit_normalized,
 )
 from .errors import ParseError, UnsupportedRingError
+from .rings import RATIONAL, poly_products
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -58,15 +61,9 @@ class FormalSeries:
 
     def __mul__(self, other: "FormalSeries") -> "FormalSeries":
         """Cauchy product truncated at the larger of the two orders."""
-        n = max(self.order, other.order)
-        out = [_ZERO] * (n + 1)
-        for i, ci in enumerate(self.coefficients):
-            if ci:
-                for j, cj in enumerate(other.coefficients):
-                    if i + j > n:
-                        break
-                    out[i + j] += ci * cj
-        return FormalSeries(out)
+        return FormalSeries(poly_products(
+            RATIONAL, [(1, self.coefficients, other.coefficients)],
+            max(self.order, other.order) + 1))
 
     def padded(self, order: int) -> "FormalSeries":
         """The same series with coefficients listed up to X^order."""

@@ -14,7 +14,10 @@ series instead of the triangular recursion for the convolution inverse,
 integration of the coproduct sum on every basis element instead of on
 generators only for the evolution equation, and a convolution kernel on
 value dicts keyed by basis objects, folding ``mul``/``scale``/``add`` term by
-term, instead of the index-table kernel with one ``sum_products`` per value.
+term, instead of the index-table kernel with one ``sum_products`` per value,
+the schoolbook truncated product of coefficient lists instead of the
+degree-bucketed ``poly_products``, and two full-basis convolutions instead
+of the generator values for the Lie bracket.
 """
 
 from fractions import Fraction
@@ -23,6 +26,7 @@ from hopfchar.convolution import TruncatedFunctional, conv_unit, convolve
 from hopfchar.evolution import Poly
 from hopfchar.hopf import GradedVector, Word
 from hopfchar.linalg import in_span
+from hopfchar.rings import TruncatedSeriesRing
 from hopfchar.trees import Forest, RootedTree, enumerate_trees, ordered_subtrees
 
 
@@ -278,6 +282,45 @@ def convolve_at(hopf, ring, f, g, basis):
             term = ring.scale(term, coeff)
         total = ring.add(total, term)
     return total
+
+
+def schoolbook_product(a, b, size: int) -> list:
+    """The coefficients below X^size of the product of two rational
+    coefficient lists: one ``Fraction`` multiply and add per pair, zeros
+    included."""
+    out = [Fraction(0)] * size
+    for i, x in enumerate(a[:size]):
+        for j, y in enumerate(b[:size - i]):
+            out[i + j] += x * y
+    return out
+
+
+def random_coefficients(rng, length: int, zeros: float = 0.0, huge: bool = False) -> list:
+    """``length`` random rationals, each zero with probability ``zeros``;
+    ``huge`` ones have denominators far above 2^64."""
+    out = []
+    for _ in range(length):
+        if rng.random() < zeros:
+            out.append(Fraction(0))
+        elif huge:
+            out.append(Fraction(rng.randint(-10**30, 10**30), rng.randint(2**64, 2**80)))
+        else:
+            out.append(Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+    return out
+
+
+class SchoolbookSeriesRing(TruncatedSeriesRing):
+    """``series:M`` whose ``mul`` is the schoolbook product, so that a fold of
+    ``mul``/``scale``/``add`` does not run through ``sum_products``."""
+
+    def mul(self, a, b):
+        return tuple(schoolbook_product(a, b, self.modulus_degree + 1))
+
+
+def lie_bracket_by_convolution(phi, psi) -> TruncatedFunctional:
+    """The commutator f * g - g * f, convolved on every basis element."""
+    f, g = phi.functional, psi.functional
+    return convolve(f, g) - convolve(g, f)
 
 
 class FoldPolyRing:

@@ -200,6 +200,17 @@ def test_coproduct_respects_grading(hopf):
 
 
 @pytest.mark.parametrize("hopf", [CK, T2], ids=lambda h: h.key)
+def test_coproduct_gives_fractions_and_rows_give_ints(hopf):
+    table = hopf.table(5)
+    for i, basis in enumerate(table.basis):
+        terms = hopf.coproduct(basis)
+        assert all(type(c) is Fraction and c.denominator == 1 for c, _l, _r in terms)
+        row = table.coproduct[i] or table.compile(i)
+        assert all(type(c) is int for c, _l, _r in row)
+        assert sorted(row) == sorted((c, table.index[l], table.index[r]) for c, l, r in terms)
+
+
+@pytest.mark.parametrize("hopf", [CK, T2], ids=lambda h: h.key)
 def test_connectedness(hopf):
     assert len(hopf.basis(0)) == 1
 

@@ -1,6 +1,7 @@
 """The index-table convolution kernel against the dict-keyed kernel in
 ``helpers``: every operation routed through it returns the oracle's exact
-values, and every ring's ``sum_products`` equals the plain fold."""
+values, the Lie bracket on generators equals two full convolutions, and every
+ring's ``sum_products`` equals the plain fold."""
 
 import random
 from fractions import Fraction
@@ -9,15 +10,17 @@ import pytest
 
 from helpers import (
     FoldPolyRing,
+    SchoolbookSeriesRing,
     char_inv_by_dict,
     char_log_by_dict,
     char_mul_by_dict,
     conv_inverse_by_dict,
     convolve_by_dict,
     evolve_polynomials_by_dict,
+    lie_bracket_by_convolution,
     multiplicative_by_dict,
 )
-from hopfchar.characters import butcher_compose, char_inv, char_log, char_mul
+from hopfchar.characters import butcher_compose, char_inv, char_log, char_mul, lie_bracket
 from hopfchar.convolution import TruncatedFunctional, conv_inverse, convolve
 from hopfchar.evolution import FunctionalCurve, Poly, PolyRing, evolve_polynomials
 from hopfchar.hopf import ck_hopf, tensor_hopf
@@ -94,6 +97,20 @@ def test_butcher_compose_matches_dict_kernel(ring, truncation):
         assert {t: v for t, v in got.items() if not ring.is_zero(v)} == want
 
 
+BRACKET_CASES = ([(CK, RATIONAL, n) for n in range(1, 7)]
+                 + [(tensor_hopf(2), RATIONAL, n) for n in range(1, 7)] + [(CK, SERIES, 5)])
+
+
+@pytest.mark.parametrize("hopf, ring, truncation", BRACKET_CASES,
+                         ids=[f"{h.key}/{r.key}/N={n}" for h, r, n in BRACKET_CASES])
+def test_lie_bracket_matches_two_convolutions(hopf, ring, truncation):
+    rng = random.Random(86)
+    for _ in range(3):
+        x = random_infinitesimal(hopf, ring, truncation, rng)
+        y = random_infinitesimal(hopf, ring, truncation, rng)
+        assert lie_bracket(x, y).functional == lie_bracket_by_convolution(x, y)
+
+
 # -- sum_products --------------------------------------------------------------
 
 
@@ -117,10 +134,17 @@ SUM_RINGS = [RATIONAL, SERIES, PolyRing(RATIONAL), PolyRing(SERIES)]
 SUM_IDS = ["rational", "series:2", "poly/rational", "poly/series:2"]
 
 
+def _fold_ring(ring):
+    """The ring with a ``mul`` that does not call ``sum_products``."""
+    if isinstance(ring, PolyRing):
+        return FoldPolyRing(_fold_ring(ring.base))
+    return SchoolbookSeriesRing(ring.modulus_degree) if ring is SERIES else ring
+
+
 @pytest.mark.parametrize("ring", SUM_RINGS, ids=SUM_IDS)
 def test_sum_products_equals_the_fold(ring):
     rng = random.Random(85)
-    fold_ring = FoldPolyRing(ring.base) if isinstance(ring, PolyRing) else ring
+    fold_ring = _fold_ring(ring)
     shapes = {
         "no terms": [],
         "one term": [(1, _element(ring, rng), _element(ring, rng))],

@@ -4,8 +4,10 @@ from fractions import Fraction
 import pytest
 
 from hopfchar.errors import NotInvertibleError, ParseError
-from hopfchar.rings import RATIONAL, TruncatedSeriesRing, resolve_ring
+from hopfchar.rings import RATIONAL, TruncatedSeriesRing, poly_products, resolve_ring
 from hopfchar.sampling import random_ring_element, random_unit
+
+from helpers import random_coefficients, schoolbook_product
 
 SERIES = TruncatedSeriesRing(3)
 
@@ -103,3 +105,48 @@ def test_parse_element_errors():
         RATIONAL.parse_element("1/0")
     with pytest.raises(ParseError):
         SERIES.parse_element("1,nope")
+
+
+# -- products of coefficient lists against the schoolbook product --------------
+
+# (probability of a zero coefficient in a, in b, huge denominators)
+PRODUCT_SHAPES = [(0.0, 0.0, False), (0.5, 0.0, False), (0.0, 0.5, False), (0.4, 0.4, False),
+                  (1.0, 0.0, False), (0.0, 1.0, False), (0.0, 0.0, True), (0.3, 0.3, True)]
+
+
+def _schoolbook_sum(terms, size):
+    out = [Fraction(0)] * size
+    for c, a, b in terms:
+        for k, x in enumerate(schoolbook_product(a, b, size)):
+            out[k] += c * x
+    return tuple(out)
+
+
+@pytest.mark.parametrize("m", range(1, 6), ids=lambda m: f"series:{m}")
+def test_series_product_equals_the_schoolbook_product(m):
+    ring = TruncatedSeriesRing(m)
+    rng = random.Random(100 + m)
+    for zeros_a, zeros_b, huge in PRODUCT_SHAPES:
+        for _ in range(5):
+            a = ring.element(random_coefficients(rng, m + 1, zeros_a, huge))
+            b = ring.element(random_coefficients(rng, m + 1, zeros_b, huge))
+            assert ring.mul(a, b) == tuple(schoolbook_product(a, b, m + 1))
+            terms = [(1, a, b), (3, b, b), (2, a, ring.element(random_coefficients(rng, m + 1)))]
+            assert ring.sum_products(terms) == _schoolbook_sum(terms, m + 1)
+    assert ring.sum_products([]) == ring.zero
+
+
+def test_poly_products_sizes():
+    a, b = [Fraction(1), Fraction(0), Fraction(2)], [Fraction(0), Fraction(3)]
+    full = schoolbook_product(a, b, 4)
+    assert poly_products(RATIONAL, [(1, a, b)]) == full
+    assert poly_products(RATIONAL, [(1, a, b)], 2) == full[:2]
+    assert poly_products(RATIONAL, [(1, a, b)], 6) == full + [0, 0]
+    assert poly_products(RATIONAL, [(2, a, b), (1, b, b)], 3) == [0, 6, 9]
+    assert poly_products(RATIONAL, []) == []
+    assert poly_products(RATIONAL, [], 3) == [0, 0, 0]
+    assert poly_products(RATIONAL, [(1, [Fraction(0)], a)]) == []
+    series = TruncatedSeriesRing(1)  # coefficients in Q[X]/X^2
+    p, q = [series.x, series.one], [series.one, series.x]
+    assert poly_products(series, [(1, p, q)]) == [series.x, series.one, series.x]
+    assert poly_products(series, [(1, p, q)], 1) == [series.x]

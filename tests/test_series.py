@@ -21,7 +21,7 @@ from hopfchar.series import (
 )
 from hopfchar.trees import Forest, LEAF, parse_tree
 
-from helpers import apply_series_raw
+from helpers import apply_series_raw, random_coefficients, schoolbook_product
 
 CK = ck_hopf()
 T2 = tensor_hopf(2)
@@ -54,6 +54,21 @@ def test_formal_series_basics():
         FormalSeries.parse("1,oops")
     with pytest.raises(ValueError):
         FormalSeries([])
+
+
+def test_cauchy_product_equals_the_schoolbook_product():
+    """Unequal orders, zero coefficients in either factor and denominators
+    above 2^64; the product is truncated at the larger order."""
+    rng = random.Random(30)
+    shapes = [(0.0, 0.0, False), (0.5, 0.0, False), (0.0, 0.5, False), (1.0, 0.0, False),
+              (0.0, 0.0, True), (0.3, 0.3, True)]
+    for zeros_a, zeros_b, huge in shapes:
+        for order_a in range(6):
+            for order_b in range(6):
+                a = random_coefficients(rng, order_a + 1, zeros_a, huge)
+                b = random_coefficients(rng, order_b + 1, zeros_b, huge)
+                want = schoolbook_product(a, b, max(order_a, order_b) + 1)
+                assert (FormalSeries(a) * FormalSeries(b)).coefficients == tuple(want)
 
 
 def test_named_series():
