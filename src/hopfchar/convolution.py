@@ -269,9 +269,8 @@ def convolve_at(table: IndexTable, ring, f: list, g: list, i: int):
     """(f * g)(table.basis[i]) for value lists f and g in basis order (None
     for zero): ``ring.sum_products`` of (c, f[l], g[r]) over the coproduct
     triples of basis[i] with both values present."""
-    row = table.coproduct[i] or table.compile(i)
     terms = []
-    for c, left, right in row:
+    for c, left, right in table.coproduct[i]:
         a = f[left]
         if a is not None:
             b = g[right]

@@ -6,6 +6,11 @@ malformed textual input.  The CLI maps these to distinct exit codes.
 """
 
 
+#: The most coproduct terms one table, or coefficients one series element, may
+#: hold; larger requests raise ``ResourceLimitError`` before any allocation.
+SIZE_BUDGET = 2_000_000
+
+
 class AlgebraError(Exception):
     """Base class for all hopfchar errors."""
 

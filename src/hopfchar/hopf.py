@@ -10,34 +10,32 @@ Two instances share one interface:
   concatenation product, unshuffle coproduct (letters are primitive) and
   antipode ``w -> (-1)^|w| reversed(w)``.
 
-Both algebras are free; ``split`` gives a basis element's first generator and
-the product of the rest.  The coproduct is an algebra morphism, hence the
-multiplicative extension of its generator values: one memoized recursion
-Delta(b) = Delta(first) Delta(rest) builds both tables on positive int
-structure constants; the public ``coproduct`` returns them as ``Fraction``s.
+Both algebras are free, and the coproduct is an algebra morphism, hence the
+multiplicative extension of its generator values; a generator's value follows
+from a lower one through the Connes-Kreimer 1-cocycle B+.
 
 ``HopfStructure.table(N)`` compiles the basis of degree <= N once into an
 ``IndexTable``: the basis in basis order, the index of each element, the
-indices of its first generator and of the rest, and (on first use) its
-coproduct as integer triples ``(c, i, j)``.  The convolution kernel works on
-these indices only.  Instances are stateless apart from memo dicts and the
-tables' lazily filled slots, on which racing threads store equal values.
+indices of its first generator and of the rest, and its coproduct as positive
+integer triples ``(c, i, j)``.  The convolution kernel works on these indices
+only.  Instances are stateless apart from memo dicts: racing threads may each
+build a whole, equal table, and one is kept.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .errors import ParseError, TruncationOverflowError
+from .errors import SIZE_BUDGET, ParseError, ResourceLimitError, TruncationOverflowError
 from .trees import (
     EMPTY_FOREST,
     Forest,
     edge_partitions,
     enumerate_forests,
-    ordered_subtrees,
     parse_forest,
 )
 
@@ -204,41 +202,58 @@ class IndexTable:
     maps each to its position.  ``first[i]`` and ``rest[i]`` index the split
     b = first * rest of ``basis[i]``; ``rest[i] == 0`` exactly on the unit and
     on generators.  ``coproduct[i]`` holds Delta(basis[i]) as integer triples
-    ``(c, left, right)``, compiled by ``compile`` on first use, since the
-    generator-only operations never read the products' rows.
+    ``(c, left, right)`` with equal pairs combined, built on ``hopf.ids`` in
+    basis order: a generator b = B+(f) grafts the row of f by the cocycle
+    Delta(B+(f)) = B+(f) x 1 + (id x B+) Delta(f), and a product takes
+    Delta(first) Delta(rest) through a memo of key merges.
     """
 
-    __slots__ = ("basis", "index", "first", "rest", "coproduct", "_hopf")
+    __slots__ = ("basis", "index", "first", "rest", "coproduct")
 
     def __init__(self, hopf: "HopfStructure", max_degree: int):
-        self.basis = tuple(hopf.all_basis_upto(max_degree))
-        self.index = index = {b: i for i, b in enumerate(self.basis)}
-        splits = [[index[x] for x in hopf.split(b)] for b in self.basis]
-        self.first = tuple(f for f, _r in splits)
-        self.rest = tuple(r for _f, r in splits)
-        self.coproduct: list = [None] * len(self.basis)
-        self._hopf = hopf
-
-    def compile(self, i: int) -> tuple:
-        """``coproduct[i]``, compiled from the Hopf algebra's memoized table."""
-        index = self.index
-        row = tuple((int(c), index[left], index[right])
-                    for c, left, right in self._hopf.coproduct(self.basis[i]))
-        self.coproduct[i] = row
-        return row
+        self.basis = basis = tuple(hopf.all_basis_upto(max_degree))
+        self.index = {b: i for i, b in enumerate(basis)}
+        keys, children, merge = hopf.ids(basis)
+        at = {key: i for i, key in enumerate(keys)}
+        self.first = first = tuple(at[key[:1]] for key in keys)
+        self.rest = rest = tuple(at[key[1:]] for key in keys)
+        graft, products = {}, [{} for _ in basis]  # products[a][b]: index of a * b
+        rows = [((1, 0, 0),)]
+        for i in range(1, len(basis)):
+            if rest[i]:
+                pairs, rest_row = {}, rows[rest[i]]
+                for c1, l1, r1 in rows[first[i]]:
+                    times_l, times_r = products[l1], products[r1]
+                    for c2, l2, r2 in rest_row:
+                        left = times_l.get(l2)
+                        if left is None:
+                            left = times_l[l2] = at[merge(keys[l1], keys[l2])]
+                        right = times_r.get(r2)
+                        if right is None:
+                            right = times_r[r2] = at[merge(keys[r1], keys[r2])]
+                        pairs[left, right] = pairs.get((left, right), 0) + c1 * c2
+                rows.append(tuple((c, left, right) for (left, right), c in pairs.items()))
+            else:
+                # graft[f] = B+(f) for each f so far, so for each right factor
+                # of Delta(f); letters share f = 1 and read it at once.
+                f = at[children[i]]
+                graft[f] = i
+                rows.append(((1, i, 0),) + tuple((c, left, graft[right])
+                                                 for c, left, right in rows[f]))
+        self.coproduct = tuple(rows)
 
 
 class HopfStructure:
     """Common driver for a graded connected Hopf algebra with a chosen basis.
 
-    Subclasses provide the basis per degree, the product, ``split`` and the
-    coproduct of a generator; this class extends them, with memoization.
+    Subclasses provide the basis per degree, the product and ``ids``: the int
+    key of each basis element (its generators, first generator first), the key
+    of f on each generator B+(f), and the merge of two keys into their product's.
     """
 
     key: str
 
-    def __init__(self, unit):
-        self._coproduct_cache: dict = {unit: ((1, unit, unit),)}
+    def __init__(self):
         self._tables: dict[int, IndexTable] = {}
 
     def basis(self, degree: int) -> tuple:
@@ -249,7 +264,9 @@ class HopfStructure:
         return self.basis(0)[0]
 
     def all_basis_upto(self, max_degree: int) -> list:
-        return [b for n in range(max_degree + 1) for b in self.basis(n)]
+        # The top degree first, so that an oversized request fails at once.
+        levels = [self.basis(n) for n in range(max_degree, -1, -1)]
+        return [b for level in reversed(levels) for b in level]
 
     def product(self, b1, b2, truncation: int | None = None) -> GradedVector:
         """Algebra product of two basis elements (a single basis term here)."""
@@ -271,10 +288,6 @@ class HopfStructure:
                 terms.append((self._product_basis(b1, b2), c1 * c2))
         return GradedVector(terms)
 
-    def split(self, basis) -> tuple:
-        """``(first generator, product of the rest)``; the rest is 1 on generators."""
-        raise NotImplementedError
-
     def table(self, max_degree: int) -> IndexTable:
         """The ``IndexTable`` of the basis of degree <= max_degree, memoized."""
         table = self._tables.get(max_degree)
@@ -283,8 +296,8 @@ class HopfStructure:
         return table
 
     def factored(self, max_degree: int) -> tuple:
-        """``(b, *split(b))`` for the basis elements b of degree <= max_degree in
-        basis order; first and rest are the basis's own objects."""
+        """``(b, first, rest)`` for the basis elements b = first * rest of degree
+        <= max_degree in basis order, first a generator (or b = 1 = first)."""
         table = self.table(max_degree)
         basis = table.basis
         return tuple((b, basis[f], basis[r]) for b, f, r in zip(basis, table.first, table.rest))
@@ -294,42 +307,17 @@ class HopfStructure:
         table = self.table(max_degree)
         return [b for b, r in zip(table.basis[1:], table.rest[1:]) if not r]
 
-    def _coproduct(self, basis) -> tuple[tuple[int, object, object], ...]:
-        """Coproduct terms ``(coefficient, left, right)`` with equal pairs
-        combined; coefficients are positive ints.  Memoized; a product
-        b = first * rest takes Delta(first) Delta(rest) term by term."""
-        cached = self._coproduct_cache.get(basis)
-        if cached is not None:
-            return cached
-        first, rest = self.split(basis)
-        if rest.degree:
-            product, rest_terms = self._product_basis, self._coproduct(rest)
-            terms = [(c1 * c2, product(l1, l2), product(r1, r2))
-                     for c1, l1, r1 in self._coproduct(first) for c2, l2, r2 in rest_terms]
-        else:
-            terms = [(1, left, right) for left, right in self._generator_pairs(first)]
-        pairs: dict = {}
-        for coeff, left, right in terms:
-            pairs[left, right] = pairs.get((left, right), 0) + coeff
-        result = tuple((coeff, left, right) for (left, right), coeff in pairs.items())
-        self._coproduct_cache[basis] = result
-        return result
-
-    def _generator_pairs(self, generator) -> Iterable[tuple]:
-        """The coproduct of a generator as ``(left, right)`` pairs, with repeats."""
-        raise NotImplementedError
+    def coproduct(self, basis) -> tuple:
+        """Delta(basis) as ``(Fraction, left, right)`` from ``table(basis.degree)``."""
+        table = self.table(basis.degree)
+        return tuple((Fraction(c), table.basis[left], table.basis[right])
+                     for c, left, right in table.coproduct[table.index[basis]])
 
     def counit(self, basis) -> Fraction:
         return _ONE if basis.degree == 0 else _ZERO
 
     def antipode(self, basis) -> GradedVector:
         raise NotImplementedError
-
-    def antipode_vector(self, vec: GradedVector) -> GradedVector:
-        out = GradedVector()
-        for basis, coeff in vec:
-            out = out + self.antipode(basis) * coeff
-        return out
 
     def parse_basis(self, text: str):
         raise NotImplementedError
@@ -344,7 +332,7 @@ class CKHopf(HopfStructure):
     key = "ck"
 
     def __init__(self):
-        super().__init__(EMPTY_FOREST)
+        super().__init__()
         self._antipode_cache: dict = {}
 
     def basis(self, degree: int) -> tuple[Forest, ...]:
@@ -353,14 +341,18 @@ class CKHopf(HopfStructure):
     def _product_basis(self, b1: Forest, b2: Forest) -> Forest:
         return b1.union(b2)
 
-    def split(self, basis: Forest) -> tuple[Forest, Forest]:
-        return Forest(basis.trees[:1]), Forest(basis.trees[1:])
+    def ids(self, basis: tuple[Forest, ...]) -> tuple:
+        # A forest is the sorted tuple of its trees' generator indices, so keys
+        # merge by sorting; a tree is B+ of the forest of its root's children.
+        generator = {b.trees[0]: i for i, b in enumerate(basis) if len(b.trees) == 1}
 
-    def _generator_pairs(self, generator: Forest):
-        return ordered_subtrees(generator.trees[0])
+        def key(trees):
+            return tuple(sorted(generator[t] for t in trees))
+        return ([key(b.trees) for b in basis],
+                [key(b.trees[0].children) if len(b.trees) == 1 else None for b in basis],
+                lambda key1, key2: tuple(sorted(key1 + key2)))
 
-    def coproduct(self, basis: Forest):
-        return tuple((Fraction(c), l, r) for c, l, r in self._coproduct(basis))
+    coproduct = HopfStructure.coproduct  # on each class: perfbench traces it there
 
     def _tree_antipode(self, tree) -> GradedVector:
         cached = self._antipode_cache.get(tree)
@@ -395,9 +387,13 @@ class TensorHopf(HopfStructure):
             raise ValueError(f"tensor dimension must be >= 1, got {dimension}")
         self.dimension = dimension
         self.key = f"tensor({dimension})"
-        super().__init__(EMPTY_WORD)
+        super().__init__()
 
     def basis(self, degree: int) -> tuple[Word, ...]:
+        # Before equal pairs combine, Delta(w) has 2^|w| terms, so the table
+        # of degree <= n holds sum_k (2d)^k of them; (2d)^64 alone is too many.
+        if sum((2 * self.dimension) ** k for k in range(min(degree, 64) + 1)) > SIZE_BUDGET:
+            raise ResourceLimitError(f"{self.key} at degree {degree} exceeds {SIZE_BUDGET} terms")
         return tuple(
             Word(letters)
             for letters in itertools.product(range(self.dimension), repeat=degree)
@@ -406,14 +402,12 @@ class TensorHopf(HopfStructure):
     def _product_basis(self, b1: Word, b2: Word) -> Word:
         return Word(b1.letters + b2.letters)
 
-    def split(self, basis: Word) -> tuple[Word, Word]:
-        return Word(basis.letters[:1]), Word(basis.letters[1:])
+    def ids(self, basis: tuple[Word, ...]) -> tuple:
+        # A word is its letter tuple, so keys merge by concatenation; a letter
+        # is B+ of the unit (one B+ per letter).
+        return [w.letters for w in basis], [()] * len(basis), operator.add
 
-    def _generator_pairs(self, generator: Word):
-        return (generator, EMPTY_WORD), (EMPTY_WORD, generator)
-
-    def coproduct(self, basis: Word):
-        return tuple((Fraction(c), l, r) for c, l, r in self._coproduct(basis))
+    coproduct = HopfStructure.coproduct
 
     def antipode(self, basis: Word) -> GradedVector:
         return GradedVector([(Word(reversed(basis.letters)), (-1) ** basis.degree)])

@@ -31,7 +31,7 @@ from collections import defaultdict
 from fractions import Fraction
 from math import lcm
 
-from .errors import NotInvertibleError, ParseError
+from .errors import SIZE_BUDGET, NotInvertibleError, ParseError, ResourceLimitError
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -114,6 +114,8 @@ class TruncatedSeriesRing:
     def __init__(self, modulus_degree: int):
         if modulus_degree < 1:
             raise ValueError(f"series modulus degree must be >= 1, got {modulus_degree}")
+        if modulus_degree >= SIZE_BUDGET:
+            raise ResourceLimitError(f"series:{modulus_degree} exceeds {SIZE_BUDGET} terms")
         self.modulus_degree = modulus_degree
         self.key = f"series:{modulus_degree}"
         self.zero = (_ZERO,) * (modulus_degree + 1)

@@ -262,7 +262,7 @@ def ordered_subtrees(tree: RootedTree) -> tuple[tuple[Forest, Forest], ...]:
 
     The kept part is returned as a forest: empty for the empty subset, a
     single tree otherwise.  Distinct vertex subsets are separate entries even
-    when they produce equal pairs; the coproduct needs those multiplicities.
+    when they produce equal pairs.
     """
     cached = _subtree_cache.get(tree)
     if cached is not None:

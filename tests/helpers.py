@@ -16,8 +16,10 @@ generators only for the evolution equation, and a convolution kernel on
 value dicts keyed by basis objects, folding ``mul``/``scale``/``add`` term by
 term, instead of the index-table kernel with one ``sum_products`` per value,
 the schoolbook truncated product of coefficient lists instead of the
-degree-bucketed ``poly_products``, and two full-basis convolutions instead
-of the generator values for the Lie bracket.
+degree-bucketed ``poly_products``, two full-basis convolutions instead
+of the generator values for the Lie bracket, and the coproduct recursion on
+basis objects, with root-containing subtrees as tree values, instead of the
+index table's cocycle on ids.
 """
 
 from fractions import Fraction
@@ -131,6 +133,41 @@ def coproduct_by_components(forest: Forest) -> dict:
     return pairs
 
 
+def split(basis) -> tuple:
+    """``(first generator, product of the rest)`` of a forest or a word, on
+    objects: the tree first in basis order (least order, then least serial),
+    or the first letter."""
+    if isinstance(basis, Word):
+        return Word(basis.letters[:1]), Word(basis.letters[1:])
+    trees = sorted(basis.trees, key=lambda t: (t.order, t.serial))
+    return Forest(trees[:1]), Forest(trees[1:])
+
+
+def coproduct_by_recursion(hopf, basis, memo: dict) -> dict:
+    """Delta(basis) as ``{(left, right): int coefficient}`` by the memoized
+    object-level recursion Delta(first) Delta(rest), with the root-containing
+    subtrees of a tree and g x 1 + 1 x g for a letter as generator values."""
+    pairs = memo.get(basis)
+    if pairs is not None:
+        return pairs
+    first, rest = split(basis)
+    pairs = {}
+    if rest.degree:
+        product, rest_pairs = hopf._product_basis, coproduct_by_recursion(hopf, rest, memo)
+        for (l1, r1), c1 in coproduct_by_recursion(hopf, first, memo).items():
+            for (l2, r2), c2 in rest_pairs.items():
+                pair = (product(l1, l2), product(r1, r2))
+                pairs[pair] = pairs.get(pair, 0) + c1 * c2
+    elif isinstance(basis, Word):
+        unit = Word()
+        pairs = {(basis, unit): 1, (unit, basis): 1} if basis.degree else {(unit, unit): 1}
+    else:
+        for left, right in ordered_subtrees(basis.trees[0]) if basis.degree else [(basis, basis)]:
+            pairs[left, right] = pairs.get((left, right), 0) + 1
+    memo[basis] = pairs
+    return pairs
+
+
 def unshuffle_by_masks(word: Word) -> dict:
     """Delta(word) as ``{(left, right): coefficient}``: one term per subset
     of letter positions, the chosen letters going left in order."""
@@ -155,6 +192,14 @@ def antipode_by_axiom(hopf, basis) -> GradedVector:
             antipode_by_axiom(hopf, left), GradedVector([(right, coeff)])
         )
     return -total
+
+
+def antipode_vector(hopf, vec: GradedVector) -> GradedVector:
+    """The linear extension of the antipode to a vector."""
+    out = GradedVector()
+    for basis, coeff in vec:
+        out = out + hopf.antipode(basis) * coeff
+    return out
 
 
 def coproduct_triple(hopf, basis, left_first: bool):
@@ -360,7 +405,7 @@ def multiplicative_by_dict(hopf, ring, truncation: int, on_generator) -> dict:
     each product, in basis order."""
     out = {hopf.unit_basis: ring.one}
     for basis in hopf.all_basis_upto(truncation)[1:]:
-        first, rest = hopf.split(basis)
+        first, rest = split(basis)
         if rest.degree:
             a, b = out.get(first), out.get(rest)
             value = ring.zero if a is None or b is None else ring.mul(a, b)

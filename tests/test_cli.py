@@ -179,6 +179,32 @@ def test_exit_code_domain_error(tmp_path, capsys):
     assert code == 2
 
 
+def test_oversized_inputs_hit_the_size_budget(tmp_path, capsys):
+    # Each input is refused before its table or ring is allocated: the whole
+    # command stays under a few MB of Python allocations.
+    import tracemalloc
+
+    tensor = tmp_path / "tensor.json"
+    tensor.write_text(json.dumps(
+        {"hopf": "tensor(1000)", "ring": "rational", "truncation": 10, "values": {"1": "1"}}))
+    series = tmp_path / "series.json"
+    series.write_text(json.dumps(
+        {"hopf": "ck", "ring": "series:1000000000", "truncation": 2, "values": {}}))
+    order13 = "[" + "[]" * 12 + "]"
+    for argv in (["char", "inv", str(tensor)], ["char", "inv", str(series)],
+                 ["structure", order13, "--which", "coproduct"]):
+        tracemalloc.start()
+        try:
+            code = cli.main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        err = capsys.readouterr().err
+        assert code == 2, argv
+        assert "exceeds" in err
+        assert peak < 4 << 20, (argv, peak)
+
+
 def test_exit_code_io_and_parse_errors(tmp_path, capsys):
     code, _ = run(capsys, ["char", "exp", str(tmp_path / "missing.json")])
     assert code == 1

@@ -13,8 +13,10 @@ from helpers import (
     butcher_compose_raw,
     conv_inverse_geometric,
     coproduct_by_components,
+    coproduct_by_recursion,
     evolve_polynomials_by_basis,
     pairwise_violations,
+    split,
     unshuffle_by_masks,
 )
 from hopfchar import series
@@ -55,8 +57,8 @@ LOG_CASES = CASES + [pytest.param(tensor_hopf(3), RATIONAL, 4, id="tensor(3)")]
     pytest.param(lambda: TensorHopf(3), unshuffle_by_masks, 4, id="tensor(3)"),
 ])
 def test_coproduct_tables_match_oracles(make, oracle, truncation):
-    # A fresh instance, filled from the top degree down: the first call
-    # builds its whole recursion from an empty memo.
+    # A fresh instance, read from the top degree down: the first call builds
+    # the whole table of the top degree.
     hopf = make()
     for basis in reversed(hopf.all_basis_upto(truncation)):
         terms = hopf.coproduct(basis)
@@ -66,12 +68,54 @@ def test_coproduct_tables_match_oracles(make, oracle, truncation):
         assert table == oracle(basis)
 
 
+@pytest.mark.parametrize("make, truncation", [
+    pytest.param(CKHopf, 8, id="ck"),
+    pytest.param(lambda: TensorHopf(2), 7, id="tensor(2)"),
+    pytest.param(lambda: TensorHopf(3), 5, id="tensor(3)"),
+])
+def test_index_rows_match_the_object_recursion(make, truncation):
+    hopf, memo = make(), {}
+    table = hopf.table(truncation)
+    basis = table.basis
+    for element, row in zip(basis, table.coproduct):
+        pairs = {(basis[left], basis[right]): c for c, left, right in row}
+        assert len(pairs) == len(row)  # equal pairs combined
+        assert all(type(c) is int and c > 0 for c in pairs.values())
+        assert pairs == coproduct_by_recursion(hopf, element, memo)
+
+
+@pytest.mark.parametrize("make, truncation", [
+    pytest.param(CKHopf, 7, id="ck"),
+    pytest.param(lambda: TensorHopf(2), 6, id="tensor(2)"),
+])
+def test_smaller_tables_are_prefixes(make, truncation):
+    hopf = make()
+    top = hopf.table(truncation)
+    for degree in range(truncation):
+        table = hopf.table(degree)
+        size = len(table.basis)
+        assert table.basis == top.basis[:size]
+        assert (table.first, table.rest) == (top.first[:size], top.rest[:size])
+        assert table.coproduct == top.coproduct[:size]
+
+
+@pytest.mark.parametrize("make, truncation, size, terms", [
+    pytest.param(CKHopf, 9, 1205, 37702, id="ck-9"),
+    pytest.param(CKHopf, 10, 3047, 135017, id="ck-10"),
+    pytest.param(lambda: TensorHopf(2), 7, 255, 8655, id="tensor(2)-7"),
+])
+def test_table_sizes(make, truncation, size, terms):
+    table = make().table(truncation)
+    assert len(table.basis) == size
+    assert sum(map(len, table.coproduct)) == terms
+
+
 def _pair_degree(pair) -> int:
     return pair[0].degree + pair[1].degree
 
 
 def _products(hopf, truncation):
-    return [b for b in hopf.all_basis_upto(truncation) if hopf.split(b)[1].degree]
+    return [b for b in hopf.all_basis_upto(truncation) if split(b)[1].degree]
 
 
 def _with_value(phi, basis, value):
@@ -200,7 +244,7 @@ def test_char_log_inverts_char_exp(hopf, ring, truncation):
 @pytest.mark.parametrize("hopf, ring, truncation", LOG_CASES)
 def test_factor_table_and_generators_match_split(hopf, ring, truncation):
     basis = hopf.all_basis_upto(truncation)
-    assert hopf.factored(truncation) == tuple((b, *hopf.split(b)) for b in basis)
+    assert hopf.factored(truncation) == tuple((b, *split(b)) for b in basis)
     assert hopf.generators(truncation) == [
-        b for b in basis if b.degree and not hopf.split(b)[1].degree
+        b for b in basis if b.degree and not split(b)[1].degree
     ]

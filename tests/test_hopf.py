@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from hopfchar.characters import char_from_generator_values, char_mul
-from hopfchar.errors import ParseError, TruncationOverflowError
+from hopfchar.errors import ParseError, ResourceLimitError, TruncationOverflowError
 from hopfchar.hopf import (
     EMPTY_WORD,
     CKHopf,
@@ -205,9 +205,24 @@ def test_coproduct_gives_fractions_and_rows_give_ints(hopf):
     for i, basis in enumerate(table.basis):
         terms = hopf.coproduct(basis)
         assert all(type(c) is Fraction and c.denominator == 1 for c, _l, _r in terms)
-        row = table.coproduct[i] or table.compile(i)
+        row = table.coproduct[i]
         assert all(type(c) is int for c, _l, _r in row)
         assert sorted(row) == sorted((c, table.index[l], table.index[r]) for c, l, r in terms)
+
+
+def test_size_budget_is_checked_before_allocation():
+    # The tensor(2) table of degree <= 10 sums 1,398,101 coproduct terms, that
+    # of degree <= 11 5,592,405; the budget is 2,000,000.  Every refused table
+    # fails on its top degree, before any basis element is built.
+    assert len(tensor_hopf(2).basis(10)) == 1024
+    for hopf, degree in ((tensor_hopf(2), 11), (tensor_hopf(1000), 10), (tensor_hopf(1000), 2),
+                         (CK, 13)):
+        with pytest.raises(ResourceLimitError):
+            hopf.table(degree)
+        with pytest.raises(ResourceLimitError):
+            hopf.basis(degree)
+    with pytest.raises(ResourceLimitError):
+        CK.coproduct(Forest([parse_tree("[" + "[]" * 12 + "]")]))
 
 
 @pytest.mark.parametrize("hopf", [CK, T2], ids=lambda h: h.key)
@@ -271,8 +286,8 @@ def test_multiset_helper_consistency():
 
 
 def _first_product(hopf):
-    """A character product at truncation 6, which compiles the coproduct rows
-    of the generators up to degree 6 on first use."""
+    """A character product at truncation 6, which builds the index table of
+    degree 6 on first use."""
     values = {g: Fraction(k + 1, 7) for k, g in enumerate(hopf.generators(6))}
     phi = char_from_generator_values(values, hopf, 6)
     return char_mul(phi, phi).functional
@@ -282,8 +297,8 @@ def test_concurrent_first_factor_table_calls_agree():
     # Four threads make the first call to factored(6), to the coproduct of a
     # top-degree element, or to a character product at degree 6, on a fresh
     # instance while the interpreter switches threads as often as it can.
-    # The memos and the index table's lazy rows are unlocked: racing threads
-    # store equal values, so every caller sees one.
+    # The table memo is unlocked: racing threads may each build a whole
+    # table, all equal, and one of them is kept, so every caller sees one.
     import sys
     import threading
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from hopfchar.errors import NotInvertibleError, ParseError
+from hopfchar.errors import SIZE_BUDGET, NotInvertibleError, ParseError, ResourceLimitError
 from hopfchar.rings import RATIONAL, TruncatedSeriesRing, poly_products, resolve_ring
 from hopfchar.sampling import random_ring_element, random_unit
 
@@ -98,6 +98,9 @@ def test_resolve_ring():
         resolve_ring("integers")
     with pytest.raises(ValueError):
         TruncatedSeriesRing(0)
+    for oversized in ("series:1000000000", f"series:{SIZE_BUDGET}"):
+        with pytest.raises(ResourceLimitError):
+            resolve_ring(oversized)
 
 
 def test_parse_element_errors():
