@@ -130,9 +130,10 @@ def _cmd_structure(args) -> str:
 
 def _cmd_char(args) -> str:
     op = args.op
+    count, files = (2, "two input files") if op == "mul" else (1, "one input file")
+    if len(args.inputs) != count:
+        raise ParseError(f"{op} needs exactly {files}", 0)
     if op == "mul":
-        if len(args.inputs) != 2:
-            raise ParseError("mul needs exactly two input files", 0)
         phi = Character(TruncatedFunctional.from_json_dict(_load_json(args.inputs[0])))
         psi = Character(TruncatedFunctional.from_json_dict(_load_json(args.inputs[1])))
         return char_mul(phi, psi).functional.to_json()

@@ -10,18 +10,20 @@ value of eta * gamma on a generator g of degree n only involves eta in degree
 and products multiply.  ``evolution_pass`` asks for gamma(g) once the rest of
 eta(g) is known, so it also solves ``characters.char_log``.
 
-The kernel's sum of polynomial products, ``poly_sum_products``, is the
-untruncated ``rings.poly_products``: each t-degree's coefficient products are
-one ``sum_products`` of the coefficient ring, so over the rationals each
-coefficient of eta(g) costs one gcd.  ``Poly.__mul__`` is its one-term case.
-Everything stays in exact rational arithmetic; ``evol`` checks that the
-result is a character.
+A ``Poly`` over Q[X]/X^w is one tuple of integer numerators over one common
+denominator, so the kernel's sum of polynomial products
+(``PolyRing.sum_products``) is one integer convolution and one gcd, and
+integration and evaluation make no ``Fraction`` per coefficient; the ring is
+read only through its width and coordinates.  ``Poly.__mul__`` is the
+one-term sum.  Everything stays in exact rational arithmetic; ``evol`` checks
+that the result is a character.
 """
 
 from __future__ import annotations
 
 import operator
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable
 
 from .characters import (Character, InfinitesimalCharacter, _multiplicative,
@@ -29,94 +31,145 @@ from .characters import (Character, InfinitesimalCharacter, _multiplicative,
 from .convolution import TruncatedFunctional, convolve_at, json_entries
 from .errors import InternalError, ParseError
 from .hopf import HopfStructure
-from .rings import poly_products
 
 
 class Poly:
-    """A polynomial in the time variable with coefficient-ring values."""
+    """A polynomial in the time variable t over a coefficient ring
+    Q[X]/X^w, w = ``ring.width`` (1 for the rationals, M + 1 for
+    ``series:M``), stored as integer numerators ``nums`` over one positive
+    denominator ``den``: entry k*w + m is the numerator of the coefficient of
+    t^k X^m.  The form is canonical (no trailing zero entry and
+    gcd(den, *nums) = 1), so equal polynomials have equal fields.
+    ``coefficients`` gives the ring elements, built on read."""
 
-    __slots__ = ("ring", "coefficients")
+    __slots__ = ("ring", "nums", "den")
 
     def __init__(self, ring, coefficients: Iterable = ()):
-        coeffs = list(coefficients)
-        while coeffs and ring.is_zero(coeffs[-1]):
-            coeffs.pop()
+        ratios = [x.as_integer_ratio() for c in coefficients for x in ring.coordinates(c)]
+        den = lcm(*(d for _n, d in ratios))
         self.ring = ring
-        self.coefficients = tuple(coeffs)
+        self.nums, self.den = _canonical([n * (den // d) for n, d in ratios], den)
 
     @classmethod
     def zero(cls, ring) -> "Poly":
         return cls(ring)
 
+    @classmethod
+    def _of(cls, ring, nums: list, den: int) -> "Poly":
+        """The polynomial with these numerators over den > 0."""
+        p = cls.__new__(cls)
+        p.ring = ring
+        p.nums, p.den = _canonical(nums, den)
+        return p
+
+    @property
+    def coefficients(self) -> tuple:
+        ring, den, w = self.ring, self.den, self.ring.width
+        nums = self.nums + (0,) * (-len(self.nums) % w)
+        return tuple(ring.from_coordinates([Fraction(n, den) for n in nums[k:k + w]])
+                     for k in range(0, len(nums), w))
+
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Poly)
             and self.ring.key == other.ring.key
-            and self.coefficients == other.coefficients
+            and self.nums == other.nums
+            and self.den == other.den
         )
 
     def __add__(self, other: "Poly") -> "Poly":
-        ring = self.ring
-        a, b = self.coefficients, other.coefficients
+        a, b, den = self.nums, other.nums, self.den
+        if other.den != den:
+            den = lcm(den, other.den)
+            fa, fb = den // self.den, den // other.den
+            a, b = [x * fa for x in a], [y * fb for y in b]
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        for i, value in enumerate(b):
-            out[i] = ring.add(out[i], value)
-        return Poly(ring, out)
+        return Poly._of(self.ring, [x + y for x, y in zip(a, b)] + list(a[len(b):]), den)
 
     def __mul__(self, other: "Poly") -> "Poly":
-        return Poly(self.ring,
-                    poly_products(self.ring, [(1, self.coefficients, other.coefficients)]))
+        return _sum_products(self.ring, ((1, self, other),))
 
     def scale(self, q) -> "Poly":
-        q = Fraction(q)
-        return Poly(self.ring, [self.ring.scale(c, q) for c in self.coefficients])
+        return self.shift_scale(q, 0)
 
     def shift_scale(self, q, power: int) -> "Poly":
         """q * t^power * self."""
-        q = Fraction(q)
-        return Poly(
-            self.ring,
-            [self.ring.zero] * power
-            + [self.ring.scale(c, q) for c in self.coefficients],
-        )
+        n, d = Fraction(q).as_integer_ratio()
+        return Poly._of(self.ring, [0] * (power * self.ring.width) + [x * n for x in self.nums],
+                        self.den * d)
 
     def integrate(self) -> "Poly":
-        """Antiderivative with zero constant term."""
-        out = [self.ring.zero]
-        for k, c in enumerate(self.coefficients):
-            out.append(self.ring.scale(c, Fraction(1, k + 1)))
-        return Poly(self.ring, out)
+        """Antiderivative with zero constant term: the denominator gains
+        lcm(1, ..., top degree + 1)."""
+        w, nums = self.ring.width, self.nums
+        degrees = range(1, (len(nums) + w - 1) // w + 1)
+        common = lcm(*degrees)
+        factors = [common // k for k in degrees]
+        return Poly._of(self.ring, [0] * w + [x * factors[i // w] for i, x in enumerate(nums)],
+                        self.den * common)
 
     def differentiate(self) -> "Poly":
-        return Poly(
-            self.ring,
-            [
-                self.ring.scale(c, Fraction(k))
-                for k, c in enumerate(self.coefficients)
-            ][1:],
-        )
+        w = self.ring.width
+        return Poly._of(self.ring, [x * (i // w) for i, x in enumerate(self.nums)][w:], self.den)
 
     def __call__(self, t):
-        """Evaluate at a rational time."""
-        t = Fraction(t)
-        total = self.ring.zero
-        power = Fraction(1)
-        for c in self.coefficients:
-            total = self.ring.add(total, self.ring.scale(c, power))
-            power *= t
-        return total
+        """Evaluate at a rational time p/q: Horner on the integers
+        sum_k nums_k p^k q^(K-k), one ``Fraction`` per coordinate over
+        den q^K at the end."""
+        ring, w = self.ring, self.ring.width
+        p, q = Fraction(t).as_integer_ratio()
+        nums = self.nums + (0,) * (-len(self.nums) % w)
+        acc, q_power = [0] * w, 1
+        for k in range(len(nums) - w, -1, -w):
+            acc = [a * p + x * q_power for a, x in zip(acc, nums[k:k + w])]
+            q_power *= q
+        den = self.den * q ** max(len(nums) // w - 1, 0)
+        return ring.from_coordinates([Fraction(a, den) for a in acc])
 
     def __repr__(self) -> str:
         return f"Poly({list(self.coefficients)})"
 
 
-def poly_sum_products(ring, terms) -> Poly:
+def _canonical(nums: list, den: int) -> tuple[tuple, int]:
+    """nums/den with trailing zeros dropped and gcd(den, *nums) = 1."""
+    while nums and not nums[-1]:
+        nums.pop()
+    g = gcd(den, *nums)
+    if g != 1:
+        return tuple(x // g for x in nums), den // g
+    return tuple(nums), den
+
+
+def _sum_products(ring, terms) -> Poly:
     """The sum of c * p * q over ``(c, p, q)`` in terms, for polynomials over
-    ``ring``: one ``ring.sum_products`` per coefficient of the result."""
-    return Poly(ring, poly_products(
-        ring, [(c, p.coefficients, q.coefficients) for c, p, q in terms]))
+    Q[X]/X^w: one integer convolution of the numerators over the lcm of the
+    products' denominators, keeping a pair of entries t^i X^m1, t^j X^m2
+    only when m1 + m2 < w."""
+    w = ring.width
+    out, den = [], 1
+    for c, p, q in terms:
+        a, b = p.nums, q.nums
+        if not a or not b:
+            continue
+        d = p.den * q.den
+        if den % d:
+            common = lcm(den, d)
+            scale = common // den
+            out = [x * scale for x in out]
+            den = common
+        c *= den // d
+        out.extend([0] * (len(a) + len(b) - 1 - len(out)))
+        # below[r]: the nonzero entries (j, b_j) of q with j mod w <= r
+        entries = [(j, y) for j, y in enumerate(b) if y]
+        below = [[(j, y) for j, y in entries if j % w <= r] for r in range(w - 1)]
+        below.append(entries)
+        for i, x in enumerate(a):
+            if x:
+                x *= c
+                for j, y in below[w - 1 - i % w]:
+                    out[i + j] += x * y
+    return Poly._of(ring, out, den)
 
 
 class PolyRing:
@@ -131,7 +184,7 @@ class PolyRing:
         self.one = Poly(ring, [ring.one])
 
     def sum_products(self, terms) -> Poly:
-        return poly_sum_products(self.base, terms)
+        return _sum_products(self.base, terms)
 
     @staticmethod
     def scale(p: Poly, q) -> Poly:
@@ -139,7 +192,7 @@ class PolyRing:
 
     @staticmethod
     def is_zero(p: Poly) -> bool:
-        return not p.coefficients
+        return not p.nums
 
 
 class FunctionalCurve:
@@ -193,7 +246,7 @@ def evolution_pass(hopf: HopfStructure, ring, truncation: int, rate) -> tuple[di
     def on_generator(i, eta):
         rest = convolve_at(table, polys, eta, gamma, i).integrate()
         value = rate(table.basis[i], rest)
-        if value.coefficients:
+        if value.nums:
             gamma[i] = value
         return rest + value.integrate()
 

@@ -18,9 +18,15 @@ Over the rationals it is one integer sum over the lcm of the term
 denominators and one ``Fraction`` (one gcd), instead of a reduced
 ``Fraction`` per product and per partial sum.
 
-``poly_products`` is the one product of coefficient sequences, for series
-modulo X^(M+1), the evolution solver's polynomials in t and formal series:
-each degree's products of nonzero coefficients are one ``sum_products``.
+Both rings are Q[X]/X^w, with w = 1 for the rationals and M + 1 for
+``series:M``: ``width`` is w, the number of rational coordinates of an
+element, and ``coordinates``/``from_coordinates`` convert an element to and
+from them.  The evolution solver's ``Poly`` reads a ring only through these
+and does its arithmetic on integer numerators.
+
+``poly_products`` is the product of coefficient sequences for series modulo
+X^(M+1) and formal series: each degree's products of nonzero coefficients are
+one ``sum_products``.
 """
 
 from __future__ import annotations
@@ -42,6 +48,7 @@ class RationalRing:
 
     key = "rational"
     has_rational_scaling = True
+    width = 1
 
     zero = _ZERO
     one = _ONE
@@ -77,6 +84,14 @@ class RationalRing:
         return Fraction(num, den)
 
     is_zero = staticmethod(operator.not_)
+
+    @staticmethod
+    def coordinates(a: Fraction) -> tuple[Fraction]:
+        return (a,)
+
+    @staticmethod
+    def from_coordinates(cs) -> Fraction:
+        return cs[0]
 
     @staticmethod
     def is_unit(a: Fraction) -> bool:
@@ -117,6 +132,7 @@ class TruncatedSeriesRing:
         if modulus_degree >= SIZE_BUDGET:
             raise ResourceLimitError(f"series:{modulus_degree} exceeds {SIZE_BUDGET} terms")
         self.modulus_degree = modulus_degree
+        self.width = modulus_degree + 1
         self.key = f"series:{modulus_degree}"
         self.zero = (_ZERO,) * (modulus_degree + 1)
         self.one = (_ONE,) + (_ZERO,) * modulus_degree
@@ -144,6 +160,14 @@ class TruncatedSeriesRing:
 
     def is_zero(self, a) -> bool:
         return all(x == 0 for x in a)
+
+    @staticmethod
+    def coordinates(a) -> tuple[Fraction, ...]:
+        return a
+
+    @staticmethod
+    def from_coordinates(cs) -> tuple[Fraction, ...]:
+        return tuple(cs)
 
     def is_unit(self, a) -> bool:
         return a[0] != 0

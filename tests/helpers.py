@@ -17,15 +17,17 @@ value dicts keyed by basis objects, folding ``mul``/``scale``/``add`` term by
 term, instead of the index-table kernel with one ``sum_products`` per value,
 the schoolbook truncated product of coefficient lists instead of the
 degree-bucketed ``poly_products``, two full-basis convolutions instead
-of the generator values for the Lie bracket, and the coproduct recursion on
+of the generator values for the Lie bracket, the coproduct recursion on
 basis objects, with root-containing subtrees as tree values, instead of the
-index table's cocycle on ids.
+index table's cocycle on ids, and polynomials in t as tuples of ring
+elements (``FractionPoly``) instead of ``Poly``'s integer numerators over one
+denominator.
 """
 
+import operator
 from fractions import Fraction
 
 from hopfchar.convolution import TruncatedFunctional, conv_unit, convolve
-from hopfchar.evolution import Poly
 from hopfchar.hopf import GradedVector, Word
 from hopfchar.linalg import in_span
 from hopfchar.rings import TruncatedSeriesRing
@@ -368,27 +370,77 @@ def lie_bracket_by_convolution(phi, psi) -> TruncatedFunctional:
     return convolve(f, g) - convolve(g, f)
 
 
+class FractionPoly:
+    """A polynomial in t as a tuple of ring elements, trailing zeros trimmed:
+    every operation is a fold of the ring's ``add``/``mul``/``scale``, and the
+    product is the schoolbook one, one ring ``mul`` and ``add`` per pair of
+    nonzero coefficients."""
+
+    __slots__ = ("ring", "coefficients")
+
+    def __init__(self, ring, coefficients=()):
+        coeffs = list(coefficients)
+        while coeffs and ring.is_zero(coeffs[-1]):
+            coeffs.pop()
+        self.ring = ring
+        self.coefficients = tuple(coeffs)
+
+    def __add__(self, other):
+        ring = self.ring
+        a, b = self.coefficients, other.coefficients
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, value in enumerate(b):
+            out[i] = ring.add(out[i], value)
+        return FractionPoly(ring, out)
+
+    def __mul__(self, other):
+        ring = self.ring
+        p, q = self.coefficients, other.coefficients
+        out = [ring.zero] * max(len(p) + len(q) - 1, 0)
+        for i, a in enumerate(p):
+            for j, b in enumerate(q):
+                if not ring.is_zero(a) and not ring.is_zero(b):
+                    out[i + j] = ring.add(out[i + j], ring.mul(a, b))
+        return FractionPoly(ring, out)
+
+    def scale(self, q):
+        q = Fraction(q)
+        return FractionPoly(self.ring, [self.ring.scale(c, q) for c in self.coefficients])
+
+    def shift_scale(self, q, power):
+        """q * t^power * self."""
+        return FractionPoly(self.ring, [self.ring.zero] * power + list(self.scale(q).coefficients))
+
+    def integrate(self):
+        ring = self.ring
+        return FractionPoly(ring, [ring.zero] + [ring.scale(c, Fraction(1, k + 1))
+                                                 for k, c in enumerate(self.coefficients)])
+
+    def differentiate(self):
+        ring = self.ring
+        return FractionPoly(ring, [ring.scale(c, Fraction(k))
+                                   for k, c in enumerate(self.coefficients)][1:])
+
+    def __call__(self, t):
+        ring, t = self.ring, Fraction(t)
+        total, power = ring.zero, Fraction(1)
+        for c in self.coefficients:
+            total = ring.add(total, ring.scale(c, power))
+            power *= t
+        return total
+
+
 class FoldPolyRing:
-    """R[t] with the schoolbook product, one ring ``mul`` and ``add`` per pair
-    of nonzero coefficients."""
+    """R[t] on ``FractionPoly``, as a coefficient ring for the dict kernel."""
 
     def __init__(self, ring):
         self.ring = ring
-        self.zero = Poly(ring)
-        self.one = Poly(ring, [ring.one])
+        self.zero = FractionPoly(ring)
+        self.one = FractionPoly(ring, [ring.one])
 
-    @staticmethod
-    def add(p, q):
-        return p + q
-
-    def mul(self, p, q):
-        ring = self.ring
-        out = [ring.zero] * max(len(p.coefficients) + len(q.coefficients) - 1, 0)
-        for i, a in enumerate(p.coefficients):
-            for j, b in enumerate(q.coefficients):
-                if not ring.is_zero(a) and not ring.is_zero(b):
-                    out[i + j] = ring.add(out[i + j], ring.mul(a, b))
-        return Poly(ring, out)
+    add, mul = operator.add, operator.mul
 
     @staticmethod
     def scale(p, q):
@@ -397,6 +449,12 @@ class FoldPolyRing:
     @staticmethod
     def is_zero(p):
         return not p.coefficients
+
+
+def poly_coefficients(polys: dict) -> dict:
+    """A dict of polynomials (``Poly`` or ``FractionPoly``) as their
+    coefficient tuples, for comparing the library with the oracles."""
+    return {b: p.coefficients for b, p in polys.items()}
 
 
 def multiplicative_by_dict(hopf, ring, truncation: int, on_generator) -> dict:
@@ -450,7 +508,7 @@ def char_inv_by_dict(phi) -> TruncatedFunctional:
 
 def evolution_pass_by_dict(hopf, ring, truncation: int, rate) -> tuple[dict, dict]:
     """eta' = eta * gamma on generators, with ``rate(g, rest)`` giving gamma(g):
-    the nonzero values of eta and of gamma, as dicts of ``Poly``."""
+    the nonzero values of eta and of gamma, as dicts of ``FractionPoly``."""
     polys, gamma = FoldPolyRing(ring), {}
 
     def on_generator(g, eta):
@@ -463,10 +521,15 @@ def evolution_pass_by_dict(hopf, ring, truncation: int, rate) -> tuple[dict, dic
     return multiplicative_by_dict(hopf, polys, truncation, on_generator), gamma
 
 
+def curve_value_poly(curve, basis) -> FractionPoly:
+    """gamma evaluated at one basis element, as a ``FractionPoly`` in t."""
+    return FractionPoly(curve.ring, [c.value(basis) for c in curve.coefficients])
+
+
 def evolve_polynomials_by_dict(curve) -> dict:
     eta, _gamma = evolution_pass_by_dict(curve.hopf, curve.ring, curve.truncation,
-                                         lambda g, rest: curve.value_poly(g))
-    zero = Poly.zero(curve.ring)
+                                         lambda g, rest: curve_value_poly(curve, g))
+    zero = FractionPoly(curve.ring)
     return {b: eta.get(b, zero) for b in curve.hopf.all_basis_upto(curve.truncation)}
 
 
@@ -475,7 +538,7 @@ def char_log_by_dict(psi) -> TruncatedFunctional:
     ring = psi.ring
 
     def rate(g, rest):
-        return Poly(ring, [ring.add(psi.value(g), ring.neg(rest(1)))])
+        return FractionPoly(ring, [ring.add(psi.value(g), ring.neg(rest(1)))])
 
     _eta, gamma = evolution_pass_by_dict(psi.hopf, ring, psi.truncation, rate)
     return psi._build({g: p.coefficients[0] for g, p in gamma.items()})
@@ -485,18 +548,18 @@ def char_log_by_dict(psi) -> TruncatedFunctional:
 
 
 def evolve_polynomials_by_basis(curve) -> dict:
-    """eta as a ``Poly`` in t on every basis element of degree <= N: degree by
-    degree, eta(b) integrates the sum of eta(left) gamma(right) over all
-    coproduct terms of b, products included."""
+    """eta as a ``FractionPoly`` in t on every basis element of degree <= N:
+    degree by degree, eta(b) integrates the sum of eta(left) gamma(right) over
+    all coproduct terms of b, products included."""
     hopf, ring = curve.hopf, curve.ring
-    eta: dict = {hopf.unit_basis: Poly(ring, [ring.one])}
+    eta: dict = {hopf.unit_basis: FractionPoly(ring, [ring.one])}
     for degree in range(1, curve.truncation + 1):
         for basis in hopf.basis(degree):
-            rate = Poly.zero(ring)
+            rate = FractionPoly(ring)
             for coeff, left, right in hopf.coproduct(basis):
                 if right.degree == 0:
                     continue  # gamma vanishes in degree 0
-                gamma_poly = curve.value_poly(right)
+                gamma_poly = curve_value_poly(curve, right)
                 if not gamma_poly.coefficients:
                     continue
                 rate = rate + (eta[left] * gamma_poly).scale(coeff)

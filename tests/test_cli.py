@@ -346,6 +346,21 @@ def test_missing_field_is_named(tmp_path, capsys):
     assert capsys.readouterr().err.splitlines() == ["error: missing field 'hopf' (at offset 0)"]
 
 
+@pytest.mark.parametrize("op, count", [("mul", 1), ("mul", 3), ("inv", 3), ("exp", 2),
+                                       ("log", 3), ("evolve", 2), ("apply", 3),
+                                       ("symplectic", 3)])
+def test_input_file_count_is_checked(tmp_path, capsys, op, count):
+    """Extra or missing input files are refused before any file is read."""
+    path = write_functional(tmp_path, LEAF_CHAR)
+    inputs = [path, path, str(tmp_path / "missing.json")][:count]
+    extra = ["--series", "1,1"] if op == "apply" else []
+    wanted = "two input files" if op == "mul" else "one input file"
+    assert cli.main(["char", op, *inputs, *extra]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {op} needs exactly {wanted} (at offset 0)"]
+
+
 @pytest.mark.parametrize("truncation", [0, 1])
 def test_symplectic_below_truncation_two_checks_no_pairs(tmp_path, capsys, truncation):
     path = write_payload(tmp_path, {"truncation": truncation, "trees": {"[]": "1"}})

@@ -3,8 +3,10 @@ inputs with fields missing, mistyped or nested wrong.  Every run either
 succeeds or exits 1 or 2 with exactly one ``error:`` line on stderr, never a
 traceback.
 
-Sizes stay small (truncation <= 3, tensor dimension <= 2): tensor bases and
-``series:M`` have no resource cap yet, so a large id would only be slow."""
+Valid payloads stay small (truncation <= 3, tensor dimension <= 2).  The
+junk ids ``tensor(1000)`` and ``series:2000000`` ask for more than
+``SIZE_BUDGET`` allows, so they must end in ``ResourceLimitError`` (exit 2)
+before anything that size is allocated."""
 
 import contextlib
 import io
@@ -33,11 +35,16 @@ INFINITESIMALS = [random_infinitesimal(*space, _rng).functional.to_json_dict()
                   for space in SPACES]
 TREE_MAPS = [tree_values_to_json_dict(random_tree_values(n, _rng, ring), n, ring)
              for ring, n in ((RATIONAL, 3), (TruncatedSeriesRing(2), 2), (RATIONAL, 1))]
+# The tensor(2) payloads over the budget: tensor(1000) at truncation 3 and series:2000000.
+OVERSIZED = [dict(CHARACTERS[1], hopf="tensor(1000)"), dict(CHARACTERS[1], ring="series:2000000")]
+OVERSIZED_INFINITESIMALS = [dict(INFINITESIMALS[1], hopf="tensor(1000)"),
+                            dict(INFINITESIMALS[1], ring="series:2000000")]
 
 JUNK = st.one_of(
     st.none(), st.booleans(), st.integers(-3, 3),
     st.sampled_from([0.5, "", "x", "1/0", "1,2", "[]", "v0", "[[", "ck", "tensor(0)",
-                     "series:0", "series:x", [], {}, ["1"], {"a": 1}]),
+                     "tensor(1000)", "series:0", "series:x", "series:2000000",
+                     [], {}, ["1"], {"a": 1}]),
 )
 KEYS = st.sampled_from(["1", "[]", "[[]]", "[] []", "[[[]]]", "v0", "v1", "v0v1", "v7", "[[", ""])
 
@@ -71,11 +78,11 @@ def payloads(bases):
 
 
 OPS = {
-    "inv": payloads(CHARACTERS),
-    "log": payloads(CHARACTERS),
-    "evolve": payloads([{"coeffs": [f]} for f in INFINITESIMALS]
+    "inv": payloads(CHARACTERS + OVERSIZED),
+    "log": payloads(CHARACTERS + OVERSIZED),
+    "evolve": payloads([{"coeffs": [f]} for f in INFINITESIMALS + OVERSIZED_INFINITESIMALS]
                        + [{"coeffs": INFINITESIMALS[:1] * 2}]),
-    "symplectic": payloads(TREE_MAPS),
+    "symplectic": payloads(TREE_MAPS + [dict(TREE_MAPS[0], ring="series:2000000")]),
 }
 TIMES = st.sampled_from(["1", "1/2", "-2", "abc", "1/0", ""])
 
@@ -89,6 +96,8 @@ def run_cli(argv):
 
 @pytest.mark.parametrize("op", sorted(OPS))
 def test_fuzzed_payload_succeeds_or_prints_one_error_line(op):
+    over_budget = []
+
     @FUZZ
     @given(data=OPS[op], t=TIMES)
     def check(data, t):
@@ -103,5 +112,9 @@ def test_fuzzed_payload_succeeds_or_prints_one_error_line(op):
         else:
             assert code in (1, 2), (code, err)
             assert not out and len(lines) == 1 and lines[0].startswith("error: "), err
+            if "exceeds" in err:
+                assert code == 2, err
+                over_budget.append(err)
 
     check()
+    assert over_budget  # the oversized ids reached the size budget

@@ -3,13 +3,14 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import FractionPoly
 from hopfchar.characters import InfinitesimalCharacter, char_exp, char_unit
 from hopfchar.convolution import conv_unit, convolve, delta
 from hopfchar.errors import IncompatibleError, MembershipError
 from hopfchar.evolution import FunctionalCurve, Poly, evol, evolve, evolve_polynomials
 from hopfchar.hopf import ck_hopf, tensor_hopf
 from hopfchar.rings import RATIONAL, TruncatedSeriesRing
-from hopfchar.sampling import random_infinitesimal
+from hopfchar.sampling import random_infinitesimal, random_ring_element
 from hopfchar.series import exp
 from hopfchar.trees import Forest, LEAF, parse_tree
 
@@ -36,6 +37,59 @@ def test_poly_arithmetic():
     assert p(Fraction(1, 2)) == 2
     assert Poly(ring, [Fraction(0)]).coefficients == ()  # trailing zeros trimmed
     assert p.shift_scale(Fraction(2), 1).coefficients == (0, 2, 4)
+
+
+POLY_RINGS = [RATIONAL, TruncatedSeriesRing(1), TruncatedSeriesRing(2)]
+
+
+def _poly_coefficients(ring, rng):
+    """Coefficient lists with zero entries, small and huge denominators."""
+    def small():
+        return random_ring_element(ring, rng)
+
+    def huge():  # denominators far above 2^64
+        value = Fraction(rng.randint(-10**30, 10**30), rng.randint(2**64, 2**80))
+        return value if ring is RATIONAL else ring.element(
+            [value] + [0] * (ring.modulus_degree - 1) + [-value])
+
+    zero = ring.zero
+    return [[], [small()], [zero, zero, small()], [small(), zero, huge()],
+            [huge(), small(), small(), zero], [small() for _ in range(5)]]
+
+
+@pytest.mark.parametrize("ring", POLY_RINGS, ids=lambda r: r.key)
+def test_poly_ops_match_fraction_poly(ring):
+    rng = random.Random(79)
+    cases = _poly_coefficients(ring, rng)
+    times = (0, 1, -1, Fraction(-3, 7), Fraction(5, 12), Fraction(2**70 + 1, 3**45))
+    scalars = (0, 1, -2, Fraction(7, 6), Fraction(-1, 2**66 + 3))
+    for coeffs in cases:
+        p, want = Poly(ring, coeffs), FractionPoly(ring, coeffs)
+        assert p.coefficients == want.coefficients
+        assert p.integrate().coefficients == want.integrate().coefficients
+        assert p.differentiate().coefficients == want.differentiate().coefficients
+        assert p.integrate().differentiate() == p
+        for t in times:
+            assert p(t) == want(t), t
+        for q in scalars:
+            assert p.scale(q).coefficients == want.scale(q).coefficients
+            assert p.shift_scale(q, 2).coefficients == want.shift_scale(q, 2).coefficients
+        for other in cases:
+            r, want_r = Poly(ring, other), FractionPoly(ring, other)
+            assert (p + r).coefficients == (want + want_r).coefficients
+            assert (p * r).coefficients == (want * want_r).coefficients
+
+
+@pytest.mark.parametrize("ring", POLY_RINGS, ids=lambda r: r.key)
+def test_poly_form_is_canonical(ring):
+    """Equal values compare equal however their denominators were built."""
+    half = Poly(ring, [ring.scale(ring.one, Fraction(1, 2))])
+    assert half + half == Poly(ring, [ring.one]) == half.scale(2)
+    p = Poly(ring, [ring.one, ring.zero, ring.scale(ring.one, Fraction(3, 2**70))])
+    assert p.scale(Fraction(2**70, 9)).scale(Fraction(9, 2**70)) == p
+    assert p + p.scale(-1) == Poly(ring, []) == Poly(ring, [ring.zero, ring.zero])
+    assert Poly(ring, [ring.zero]).coefficients == ()
+    assert (p.shift_scale(Fraction(1, 6), 1) + p.shift_scale(Fraction(-1, 6), 1)).coefficients == ()
 
 
 def test_zero_curve_gives_unit_at_all_times():

@@ -16,6 +16,7 @@ from helpers import (
     coproduct_by_recursion,
     evolve_polynomials_by_basis,
     pairwise_violations,
+    poly_coefficients,
     split,
     unshuffle_by_masks,
 )
@@ -209,7 +210,7 @@ def test_evolution_matches_per_basis_integration(hopf, ring, truncation):
     rng = random.Random(75)
     for curve in _curves(hopf, ring, truncation, rng):
         oracle = evolve_polynomials_by_basis(curve)
-        assert evolve_polynomials(curve) == oracle
+        assert poly_coefficients(evolve_polynomials(curve)) == poly_coefficients(oracle)
         for t in (0, Fraction(1, 2), 1, -2):
             expected = {b: poly(t) for b, poly in oracle.items()}
             assert evolve(curve, t) == TruncatedFunctional(hopf, ring, truncation, expected)

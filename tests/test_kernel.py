@@ -10,6 +10,7 @@ import pytest
 
 from helpers import (
     FoldPolyRing,
+    FractionPoly,
     SchoolbookSeriesRing,
     char_inv_by_dict,
     char_log_by_dict,
@@ -19,10 +20,11 @@ from helpers import (
     evolve_polynomials_by_dict,
     lie_bracket_by_convolution,
     multiplicative_by_dict,
+    poly_coefficients,
 )
 from hopfchar.characters import butcher_compose, char_inv, char_log, char_mul, lie_bracket
 from hopfchar.convolution import TruncatedFunctional, conv_inverse, convolve
-from hopfchar.evolution import FunctionalCurve, Poly, PolyRing, evolve_polynomials
+from hopfchar.evolution import FunctionalCurve, Poly, PolyRing, evolve, evolve_polynomials
 from hopfchar.hopf import ck_hopf, tensor_hopf
 from hopfchar.rings import RATIONAL, TruncatedSeriesRing
 from hopfchar.sampling import (
@@ -68,13 +70,23 @@ def test_group_product_and_inverse_match_dict_kernel(hopf, ring, truncation):
         assert char_inv(a).functional == char_inv_by_dict(a.functional)
 
 
-@pytest.mark.parametrize("hopf, ring, truncation", CASES, ids=IDS)
+EVOLUTION_CASES = ([(CK, RATIONAL, n) for n in range(1, 8)]
+                   + [(tensor_hopf(2), RATIONAL, n) for n in range(1, 7)]
+                   + [(tensor_hopf(3), RATIONAL, 4)] + [(CK, SERIES, n) for n in range(1, 6)])
+
+
+@pytest.mark.parametrize("hopf, ring, truncation", EVOLUTION_CASES,
+                         ids=[f"{h.key}/{r.key}/N={n}" for h, r, n in EVOLUTION_CASES])
 def test_evolution_and_log_match_dict_kernel(hopf, ring, truncation):
     rng = random.Random(83)
     x = random_infinitesimal(hopf, ring, truncation, rng).functional
     y = random_infinitesimal(hopf, ring, truncation, rng).functional
     curve = FunctionalCurve([x, y, x.scale(Fraction(-2, 3))])
-    assert evolve_polynomials(curve) == evolve_polynomials_by_dict(curve)
+    oracle = evolve_polynomials_by_dict(curve)
+    assert poly_coefficients(evolve_polynomials(curve)) == poly_coefficients(oracle)
+    for t in (0, Fraction(-3, 7), 2):
+        expected = {b: p(t) for b, p in oracle.items()}
+        assert evolve(curve, t) == TruncatedFunctional(hopf, ring, truncation, expected)
     psi = random_character(hopf, ring, truncation, rng)
     assert char_log(psi).functional == char_log_by_dict(psi.functional)
 
@@ -126,19 +138,32 @@ def _element(ring, rng, huge=False):
         return Poly(ring.base, [_element(ring.base, rng, huge) for _ in range(3)])
     if huge:  # denominators far above 2^64
         value = Fraction(rng.randint(-10**30, 10**30), rng.randint(2**64, 2**80))
-        return ring.element([value, -value / 3]) if ring is SERIES else value
+        return value if ring is RATIONAL else ring.element([value, -value / 3])
     return random_ring_element(ring, rng)
 
 
-SUM_RINGS = [RATIONAL, SERIES, PolyRing(RATIONAL), PolyRing(SERIES)]
-SUM_IDS = ["rational", "series:2", "poly/rational", "poly/series:2"]
+SUM_RINGS = [RATIONAL, SERIES, PolyRing(RATIONAL), PolyRing(SERIES),
+             PolyRing(TruncatedSeriesRing(1))]
+SUM_IDS = ["rational", "series:2", "poly/rational", "poly/series:2", "poly/series:1"]
 
 
 def _fold_ring(ring):
     """The ring with a ``mul`` that does not call ``sum_products``."""
     if isinstance(ring, PolyRing):
         return FoldPolyRing(_fold_ring(ring.base))
-    return SchoolbookSeriesRing(ring.modulus_degree) if ring is SERIES else ring
+    return ring if ring is RATIONAL else SchoolbookSeriesRing(ring.modulus_degree)
+
+
+def _fold_terms(fold_ring, terms):
+    """The terms with each ``Poly`` as a ``FractionPoly`` over the fold ring."""
+    if not isinstance(fold_ring, FoldPolyRing):
+        return terms
+    return [(c, FractionPoly(fold_ring.ring, a.coefficients),
+             FractionPoly(fold_ring.ring, b.coefficients)) for c, a, b in terms]
+
+
+def _coefficients(value):
+    return value.coefficients if isinstance(value, (Poly, FractionPoly)) else value
 
 
 @pytest.mark.parametrize("ring", SUM_RINGS, ids=SUM_IDS)
@@ -155,7 +180,13 @@ def test_sum_products_equals_the_fold(ring):
     a, b = _element(ring, rng), _element(ring, rng)
     minus_a = a.scale(-1) if isinstance(a, Poly) else ring.neg(a)
     shapes["negative values"] = [(1, a, b), (3, minus_a, a), (2, minus_a, minus_a), (1, minus_a, b)]
+    if isinstance(ring, PolyRing):  # zero coefficients, inside and at the ends
+        base, huge = ring.base, _element(ring.base, rng, True)
+        gappy = Poly(base, [base.zero, _element(base, rng), base.zero, huge])
+        shapes["zero coefficients"] = [(1, gappy, a), (2, ring.zero, a), (1, gappy, gappy),
+                                       (4, a, Poly(base, [base.zero, base.zero, huge]))]
     for name, terms in shapes.items():
-        assert ring.sum_products(terms) == _fold(fold_ring, terms), name
+        want = _fold(fold_ring, _fold_terms(fold_ring, terms))
+        assert _coefficients(ring.sum_products(terms)) == _coefficients(want), name
     assert ring.sum_products([]) == ring.zero
     assert ring.sum_products([(1, a, b), (1, minus_a, b)]) == ring.zero
