@@ -258,7 +258,7 @@ def tree_values_to_json_dict(
     if ring.key != "rational":
         data["ring"] = ring.key
     data["trees"] = {
-        tree.serial: ring.format_element(value)
+        tree.serial: ring.format_element(value, tree)
         for tree, value in sorted(
             values.items(), key=lambda kv: (kv[0].order, kv[0].serial)
         )

@@ -193,7 +193,7 @@ class TruncatedFunctional:
 
     def to_json_dict(self) -> dict:
         values = {
-            b.serial: self.ring.format_element(v)
+            b.serial: self.ring.format_element(v, b)
             for b, v in sorted(self.values.items(), key=lambda kv: (kv[0].degree, kv[0].serial))
         }
         return {

@@ -198,8 +198,10 @@ def vector_of(basis) -> GradedVector:
 class IndexTable:
     """The basis of degree <= N of one Hopf algebra, compiled to indices.
 
-    ``basis`` lists the elements in basis order (the unit first) and ``index``
-    maps each to its position.  ``first[i]`` and ``rest[i]`` index the split
+    ``basis`` lists the elements in basis order (the unit first, degrees
+    ascending) and ``index`` maps each to its position; ``ends[d]`` is the
+    number of elements of degree <= d, so ``basis[:ends[d]]`` is that degree
+    prefix.  ``first[i]`` and ``rest[i]`` index the split
     b = first * rest of ``basis[i]``; ``rest[i] == 0`` exactly on the unit and
     on generators.  ``coproduct[i]`` holds Delta(basis[i]) as integer triples
     ``(c, left, right)`` with equal pairs combined, built on ``hopf.ids`` in
@@ -208,11 +210,15 @@ class IndexTable:
     Delta(first) Delta(rest) through a memo of key merges.
     """
 
-    __slots__ = ("basis", "index", "first", "rest", "coproduct")
+    __slots__ = ("basis", "index", "ends", "first", "rest", "coproduct")
 
     def __init__(self, hopf: "HopfStructure", max_degree: int):
         self.basis = basis = tuple(hopf.all_basis_upto(max_degree))
         self.index = {b: i for i, b in enumerate(basis)}
+        counts = [0] * (max_degree + 1)
+        for b in basis:
+            counts[b.degree] += 1
+        self.ends = tuple(itertools.accumulate(counts))
         keys, children, merge = hopf.ids(basis)
         at = {key: i for i, key in enumerate(keys)}
         self.first = first = tuple(at[key[:1]] for key in keys)

@@ -27,11 +27,19 @@ and does its arithmetic on integer numerators.
 ``poly_products`` is the product of coefficient sequences for series modulo
 X^(M+1) and formal series: each degree's products of nonzero coefficients are
 one ``sum_products``.
+
+Every rational literal read into a ring or a series goes through
+``parse_rational``, and every ring element written out through
+``format_rational``.  Both keep to the interpreter's
+``sys.get_int_max_str_digits()`` (4300 by default): a literal's exponent
+beyond it is a ``ParseError``, found before 10**exponent is computed, and a
+value with a longer numerator or denominator is a ``ResourceLimitError``.
 """
 
 from __future__ import annotations
 
 import operator
+import re
 import sys
 from collections import defaultdict
 from fractions import Fraction
@@ -41,6 +49,33 @@ from .errors import SIZE_BUDGET, NotInvertibleError, ParseError, ResourceLimitEr
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+# The exponent of a decimal literal, as ``Fraction`` reads it.
+_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
+
+
+def parse_rational(text: str) -> Fraction:
+    """``Fraction(text)`` for a literal such as ``-3/4``, ``1.5`` or ``2e-3``.
+    Anything else is a ``ParseError``, and so is an exponent of magnitude
+    above ``sys.get_int_max_str_digits()``, before 10**exponent is computed."""
+    try:
+        if "e" in text or "E" in text:  # skip the regex on most literals
+            limit, match = sys.get_int_max_str_digits(), _EXPONENT.search(text)
+            if limit and match and abs(int(match[1])) > limit:
+                raise ParseError(f"bad rational {text!r}: exponent magnitude over {limit}", 0)
+        return Fraction(text)
+    except (TypeError, ValueError, ZeroDivisionError):  # not text, not a rational, too long
+        raise ParseError(f"bad rational {text!r}", 0) from None
+
+
+def format_rational(q: Fraction, where="a basis element") -> str:
+    """``str(q)``; a numerator or denominator of more than
+    ``sys.get_int_max_str_digits()`` digits is a ``ResourceLimitError`` naming
+    ``where``, the basis element (or its description) the value stands on."""
+    try:
+        return str(q)
+    except ValueError:
+        raise ResourceLimitError(f"the value on {where} has more than"
+                                 f" {sys.get_int_max_str_digits()} digits") from None
 
 
 class RationalRing:
@@ -103,16 +138,8 @@ class RationalRing:
             raise NotInvertibleError("0 is not invertible in the rationals")
         return 1 / a
 
-    @staticmethod
-    def format_element(a: Fraction) -> str:
-        return str(a)
-
-    @staticmethod
-    def parse_element(text: str) -> Fraction:
-        try:
-            return Fraction(text.strip())
-        except (AttributeError, ValueError, ZeroDivisionError):  # not text, or not a rational
-            raise ParseError(f"bad rational {text!r}", 0) from None
+    format_element = staticmethod(format_rational)
+    parse_element = staticmethod(parse_rational)
 
     def __repr__(self) -> str:
         return "RationalRing()"
@@ -182,16 +209,11 @@ class TruncatedSeriesRing:
             out[n] = -inv0 * sum(a[k] * out[n - k] for k in range(1, n + 1))
         return tuple(out)
 
-    def format_element(self, a) -> str:
-        return ",".join(str(c) for c in a)
+    def format_element(self, a, where="a basis element") -> str:
+        return ",".join(format_rational(c, where) for c in a)
 
     def parse_element(self, text: str):
-        parts = text.split(",")
-        try:
-            coeffs = [Fraction(p.strip()) for p in parts]
-        except (ValueError, ZeroDivisionError):
-            raise ParseError(f"bad series element {text!r}", 0) from None
-        return self.element(coeffs)
+        return self.element(parse_rational(p) for p in text.split(","))
 
     def __repr__(self) -> str:
         return f"TruncatedSeriesRing({self.modulus_degree})"

@@ -5,8 +5,10 @@ at X^N; its Cauchy product is ``rings.poly_products`` over the rationals.
 ``apply_series(f, a)`` substitutes a functional with zero degree-0 part into
 such a series.  Since a lives in the augmentation ideal, its k-th
 convolution power has no components below degree k, so the series truncates
-exactly at the truncation degree.  Evaluation runs Horner-style in the
-convolution product (the raw composition formula is a test oracle).
+exactly at the truncation degree.  Evaluation runs Horner's rule on value
+lists through ``convolve_at``, each step only over the degree prefix of the
+basis that can still reach the result (the raw composition formula and
+Horner on value dicts are test oracles).
 
 On top of this sit ``exp``, ``log`` (mutually inverse between the ideal and
 its unit translate) and the truncated BCH ``log(exp(x) * exp(y))``, for any
@@ -21,13 +23,13 @@ from typing import Iterable
 
 from .convolution import (
     TruncatedFunctional,
-    conv_unit,
     convolve,
+    convolve_at,
     require_augmentation,
     require_unit_normalized,
 )
-from .errors import ParseError, UnsupportedRingError
-from .rings import RATIONAL, poly_products
+from .errors import UnsupportedRingError
+from .rings import RATIONAL, parse_rational, poly_products
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -75,10 +77,7 @@ class FormalSeries:
 
     @staticmethod
     def parse(text: str) -> "FormalSeries":
-        try:
-            return FormalSeries(Fraction(p.strip()) for p in text.split(","))
-        except (ValueError, ZeroDivisionError):
-            raise ParseError(f"bad series literal {text!r}", 0) from None
+        return FormalSeries(parse_rational(p) for p in text.split(","))
 
 
 def x_series(order: int) -> FormalSeries:
@@ -107,18 +106,28 @@ def apply_series(f: FormalSeries, a: TruncatedFunctional) -> TruncatedFunctional
     """Substitute ``a`` (zero degree-0 part required) into ``f``.
 
     For fixed a this is a unital algebra morphism from series under the
-    Cauchy product into the convolution algebra.
+    Cauchy product into the convolution algebra.  Horner's rule
+    acc_j = c_j 1 + a * acc_(j+1) runs on value lists (None for zero) through
+    ``convolve_at``.  Since a raises degree, only the degree <= N - j part of
+    acc_j reaches the result, and that part is the prefix ``ends[N - j]`` of
+    the basis order.  The shorter acc list is never read past its end: a
+    coproduct triple (c, l, r) of a degree-d element with a[l] nonzero has l
+    off the unit, where a vanishes, so r has degree < d.
     """
     require_augmentation(a)
-    if not a.ring.has_rational_scaling:
-        raise UnsupportedRingError(f"ring {a.ring.key} lacks rational scaling")
-    unit = conv_unit(a.hopf, a.ring, a.truncation)
-    coeffs = f.padded(a.truncation).coefficients
-    # Horner: c_0 + a * (c_1 + a * (...)).
-    acc = unit.scale(coeffs[-1])
-    for c in reversed(coeffs[:-1]):
-        acc = unit.scale(c) + convolve(a, acc)
-    return acc
+    ring, hopf, n = a.ring, a.hopf, a.truncation
+    if not ring.has_rational_scaling:
+        raise UnsupportedRingError(f"ring {ring.key} lacks rational scaling")
+    table, values = hopf.table(n), a.value_list()
+    coeffs = f.padded(n).coefficients
+    acc = []
+    for j in range(n, -1, -1):
+        step = [ring.scale(ring.one, coeffs[j]) if coeffs[j] else None]
+        for i in range(1, table.ends[n - j]):
+            value = convolve_at(table, ring, values, acc, i)
+            step.append(None if ring.is_zero(value) else value)
+        acc = step
+    return TruncatedFunctional.from_value_list(hopf, ring, n, acc)
 
 
 def exp(a: TruncatedFunctional) -> TruncatedFunctional:

@@ -5,8 +5,9 @@ library: graph-level isomorphism instead of canonical serialization, raw
 vertex-subset enumeration instead of the child recursion, the componentwise
 product over a forest's trees and the unshuffle over letter masks instead of
 the multiplicative extension of the coproduct, the antipode axiom instead of
-the partition formula, the per-degree composition sum instead of
-Horner evaluation, a linear-span ideal membership test instead of
+the partition formula, the per-degree composition sum and Horner on
+value dicts over the whole basis instead of Horner on degree prefixes of value
+lists, a linear-span ideal membership test instead of
 generator-only evaluation, the product rule on every pair of basis elements
 instead of on (first generator, rest), the root-containing-subtree sum
 instead of the character product for Butcher composition, the geometric
@@ -245,6 +246,17 @@ def apply_series_raw(series, a: TruncatedFunctional) -> TruncatedFunctional:
                     term = convolve(term, parts[index])
                 result = result + term.scale(coeffs[k])
     return result
+
+
+def apply_series_by_dict(series, a: TruncatedFunctional) -> TruncatedFunctional:
+    """Horner's rule c_0 + a * (c_1 + a * (...)) on value dicts, with one
+    full-basis dict-kernel convolution per coefficient."""
+    unit = conv_unit(a.hopf, a.ring, a.truncation)
+    coeffs = series.padded(a.truncation).coefficients
+    acc = unit.scale(coeffs[-1])
+    for c in reversed(coeffs[:-1]):
+        acc = unit.scale(c) + convolve_by_dict(a, acc)
+    return acc
 
 
 # -- characters ---------------------------------------------------------------

@@ -1,4 +1,6 @@
 import json
+import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -182,8 +184,6 @@ def test_exit_code_domain_error(tmp_path, capsys):
 def test_oversized_inputs_hit_the_size_budget(tmp_path, capsys):
     # Each input is refused before its table or ring is allocated: the whole
     # command stays under a few MB of Python allocations.
-    import tracemalloc
-
     tensor = tmp_path / "tensor.json"
     tensor.write_text(json.dumps(
         {"hopf": "tensor(1000)", "ring": "rational", "truncation": 10, "values": {"1": "1"}}))
@@ -367,3 +367,42 @@ def test_symplectic_below_truncation_two_checks_no_pairs(tmp_path, capsys, trunc
     code, out = run(capsys, ["char", "symplectic", path])
     assert code == 0
     assert out.strip() == "true (generators checked: 0)"
+
+
+INFINITESIMAL = {"hopf": "ck", "ring": "rational", "truncation": 3, "values": {"[]": "1"}}
+HUGE = "1e9999999"  # 10**9999999 alone takes 4 MB
+
+
+@pytest.mark.parametrize("argv", [
+    ["exp", dict(INFINITESIMAL, values={"[]": HUGE})],
+    ["exp", dict(INFINITESIMAL, ring="series:1", values={"[]": "1," + HUGE})],
+    ["apply", INFINITESIMAL, "--series", "0," + HUGE],
+    ["evolve", {"coeffs": [INFINITESIMAL]}, "--t", "2e-9999999"],
+], ids=["value", "series-value", "series", "t"])
+def test_huge_exponent_is_parse_error(tmp_path, capsys, argv):
+    """A short literal whose exponent is beyond ``sys.get_int_max_str_digits()``
+    in magnitude is refused (exit 1) before 10**exponent is computed."""
+    op, payload, *options = argv
+    argv = ["char", op, write_payload(tmp_path, payload), *options]
+    tracemalloc.start()
+    try:
+        code = cli.main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert "exponent magnitude over" in captured.err
+    assert peak < 1 << 20, peak
+
+
+@pytest.mark.parametrize("ring, value", [("rational", "1e1500"), ("series:1", "1e1500,1")])
+def test_result_beyond_the_digit_limit_is_resource_error(tmp_path, capsys, ring, value):
+    """Every input is under the digit limit but exp's degree-3 values are not:
+    exit 2, naming the first basis element written out."""
+    path = write_payload(tmp_path, dict(INFINITESIMAL, ring=ring, values={"[]": value}))
+    assert cli.main(["char", "exp", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: the value on [[[]]] has more than {sys.get_int_max_str_digits()} digits"]

@@ -6,7 +6,8 @@ traceback.
 Valid payloads stay small (truncation <= 3, tensor dimension <= 2).  The
 junk ids ``tensor(1000)`` and ``series:2000000`` ask for more than
 ``SIZE_BUDGET`` allows, so they must end in ``ResourceLimitError`` (exit 2)
-before anything that size is allocated."""
+before anything that size is allocated.  The junk value ``1e999999999`` must
+be a parse error (exit 1) before 10**999999999 is computed."""
 
 import contextlib
 import io
@@ -42,8 +43,8 @@ OVERSIZED_INFINITESIMALS = [dict(INFINITESIMALS[1], hopf="tensor(1000)"),
 
 JUNK = st.one_of(
     st.none(), st.booleans(), st.integers(-3, 3),
-    st.sampled_from([0.5, "", "x", "1/0", "1,2", "[]", "v0", "[[", "ck", "tensor(0)",
-                     "tensor(1000)", "series:0", "series:x", "series:2000000",
+    st.sampled_from([0.5, "", "x", "1/0", "1,2", "1e999999999", "[]", "v0", "[[", "ck",
+                     "tensor(0)", "tensor(1000)", "series:0", "series:x", "series:2000000",
                      [], {}, ["1"], {"a": 1}]),
 )
 KEYS = st.sampled_from(["1", "[]", "[[]]", "[] []", "[[[]]]", "v0", "v1", "v0v1", "v7", "[[", ""])

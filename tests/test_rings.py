@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -108,6 +109,16 @@ def test_parse_element_errors():
         RATIONAL.parse_element("1/0")
     with pytest.raises(ParseError):
         SERIES.parse_element("1,nope")
+    # An exponent is refused beyond the digit limit, in either sign.
+    limit = sys.get_int_max_str_digits()
+    assert RATIONAL.parse_element(f"1e{limit}") == 10 ** limit
+    assert RATIONAL.parse_element(f" -2.5E-{limit} ") == Fraction(-25, 10 ** (limit + 1))
+    assert RATIONAL.parse_element("3e0_001") == 30
+    for bad in (f"1e{limit + 1}", f"1E-{limit + 1}", f"1e+{limit + 1} ", "1e" + "9" * 5000, 5):
+        with pytest.raises(ParseError):
+            RATIONAL.parse_element(bad)
+    with pytest.raises(ParseError):
+        SERIES.parse_element(f"1,1e{limit + 1}")
 
 
 # -- products of coefficient lists against the schoolbook product --------------

@@ -21,7 +21,8 @@ from hopfchar.series import (
 )
 from hopfchar.trees import Forest, LEAF, parse_tree
 
-from helpers import apply_series_raw, random_coefficients, schoolbook_product
+from helpers import (apply_series_by_dict, apply_series_raw, random_coefficients,
+                     schoolbook_product)
 
 CK = ck_hopf()
 T2 = tensor_hopf(2)
@@ -123,13 +124,34 @@ def test_morphism_law_randomized():
         )
 
 
+HORNER_SPACES = ([(CK, RATIONAL, n) for n in range(7)] + [(T2, RATIONAL, n) for n in range(7)]
+                 + [(tensor_hopf(3), RATIONAL, 4)] + [(CK, SERIES_RING, n) for n in range(6)])
+
+
 def test_horner_agrees_with_raw_composition_formula():
+    """Horner on degree prefixes equals the per-degree composition sum and
+    Horner on value dicts over the whole basis.  Inputs: ck N = 0-6,
+    tensor(2) N = 0-6, tensor(3) N = 4 and ck over series:2 N = 0-5; a random
+    a, one with no degree-1 part and the zero functional; series with a zero
+    top coefficient, the zero series and series shorter and longer than N + 1."""
     rng = random.Random(32)
     for hopf in (CK, T2):
         for _ in range(5):
             a = random_ideal_element(hopf, RATIONAL, 4, rng)
             f = rnd_series(rng, 4)
             assert apply_series(f, a) == apply_series_raw(f, a)
+    for hopf, ring, n in HORNER_SPACES:
+        a = random_ideal_element(hopf, ring, n, rng)
+        no_degree1 = a - a.project(1) if n else a
+        full = rnd_series(rng, n)
+        series = [full, FormalSeries(full.coefficients[:-1] + (0,)), FormalSeries([0] * (n + 1)),
+                  rnd_series(rng, n // 2), rnd_series(rng, n + 2), FormalSeries([Fraction(-3, 2)])]
+        for x in (a, random_ideal_element(hopf, ring, n, rng), no_degree1, a - a):
+            for f in series:
+                case = f"{hopf.key}/{ring.key} N={n} f={f} a={x}"
+                want = apply_series_raw(f, x)
+                assert apply_series(f, x) == want, case
+                assert apply_series_by_dict(f, x) == want, case
 
 
 def test_exp_small_values():
