@@ -9,9 +9,11 @@ fixed by its generator values, and ``_multiplicative`` builds every one here,
 on value lists in basis order: the product evaluates the convolution kernel
 on generators, the inverse solves phi^-1 * phi = unit there, and the Butcher
 law is the product on trees.
-The exponential (on the series) is a bijection from infinitesimal characters
-onto characters; its inverse, the logarithm, is solved on generators by the
-evolution kernel.  The commutator bracket is the Lie structure.
+The exponential is a bijection from infinitesimal characters onto
+characters; ``char_exp`` runs it on the unit and the generators, a set closed
+under right factors, and extends by ``_multiplicative``.  The logarithm is
+solved on generators by the evolution kernel.  The commutator bracket is the
+Lie structure.
 """
 
 from __future__ import annotations
@@ -192,8 +194,14 @@ def char_inv(phi: Character) -> Character:
 
 
 def char_exp(phi: InfinitesimalCharacter) -> Character:
-    """The convolution exponential, landing in the character group."""
-    return Character(series.exp(phi.functional))
+    """The convolution exponential, landing in the character group: Horner
+    on the unit and the generators (closed under right factors, see
+    ``IndexTable``), extended multiplicatively."""
+    f = phi.functional
+    table = f.hopf.table(f.truncation)
+    on_generators = series.apply_series(series.exp_series(f.truncation), f,
+                                        [i for i, rest in enumerate(table.rest) if not rest])
+    return char_from_generator_values(on_generators.values, f.hopf, f.truncation, f.ring)
 
 
 def char_log(psi: Character) -> InfinitesimalCharacter:

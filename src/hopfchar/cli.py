@@ -166,8 +166,23 @@ def _cmd_char(args) -> str:
     return f"{'true' if verdict else 'false'} (generators checked: {count})"
 
 
+def _attach_values(argv: list) -> list:
+    """Spell ``--t V`` and ``--series V`` (or an abbreviation such as
+    ``--ser V``) as ``--t=V`` and ``--series=V``.
+
+    argparse takes a value that starts with "-" for an option unless it is a
+    plain negative number, so ``--t -1/2`` would be a usage error.  Here the
+    token after either option is always its value, as in getopt."""
+    out, tokens = [], iter(argv)
+    for token in tokens:
+        takes_value = len(token) > 2 and ("--t".startswith(token) or "--series".startswith(token))
+        value = next(tokens, None) if takes_value else None
+        out.append(token if value is None else f"{token}={value}")
+    return out
+
+
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parser().parse_args(_attach_values(sys.argv[1:] if argv is None else argv))
     try:
         if args.command == "trees":
             output = _cmd_trees(args)

@@ -207,7 +207,10 @@ class IndexTable:
     ``(c, left, right)`` with equal pairs combined, built on ``hopf.ids`` in
     basis order: a generator b = B+(f) grafts the row of f by the cocycle
     Delta(B+(f)) = B+(f) x 1 + (id x B+) Delta(f), and a product takes
-    Delta(first) Delta(rest) through a memo of key merges.
+    Delta(first) Delta(rest) through a memo of key merges.  So the right
+    factor of each triple in a generator's row is the unit or a generator:
+    the unit and the generators are closed under right factors, which lets
+    ``series.apply_series`` run on them alone.
     """
 
     __slots__ = ("basis", "index", "ends", "first", "rest", "coproduct")

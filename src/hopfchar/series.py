@@ -12,12 +12,14 @@ Horner on value dicts are test oracles).
 
 On top of this sit ``exp``, ``log`` (mutually inverse between the ideal and
 its unit translate) and the truncated BCH ``log(exp(x) * exp(y))``, for any
-such functionals.  ``characters.char_exp`` is ``exp``; ``char_log`` is solved
-on generators by the evolution kernel instead.
+such functionals.  ``apply_series`` can also run on a set of basis indices
+closed under right factors, as ``characters.char_exp`` does on the
+generators; ``char_log`` is solved on generators by the evolution kernel.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from typing import Iterable
 
@@ -102,7 +104,7 @@ def geometric_series(order: int) -> FormalSeries:
     return FormalSeries([_ONE] * (order + 1))
 
 
-def apply_series(f: FormalSeries, a: TruncatedFunctional) -> TruncatedFunctional:
+def apply_series(f: FormalSeries, a: TruncatedFunctional, indices=None) -> TruncatedFunctional:
     """Substitute ``a`` (zero degree-0 part required) into ``f``.
 
     For fixed a this is a unital algebra morphism from series under the
@@ -113,19 +115,30 @@ def apply_series(f: FormalSeries, a: TruncatedFunctional) -> TruncatedFunctional
     the basis order.  The shorter acc list is never read past its end: a
     coproduct triple (c, l, r) of a degree-d element with a[l] nonzero has l
     off the unit, where a vanishes, so r has degree < d.
+
+    ``indices`` (default: every basis index) restricts each step to a set of
+    basis indices of ``hopf.table(N)``.  The set must hold 0 and be closed
+    under right factors: for each triple (c, l, r) of one of its elements
+    with l off the unit, r is in the set.  Then every acc value that a step
+    reads is computed, and the result is exact on the set and zero off it.
     """
     require_augmentation(a)
     ring, hopf, n = a.ring, a.hopf, a.truncation
     if not ring.has_rational_scaling:
         raise UnsupportedRingError(f"ring {ring.key} lacks rational scaling")
     table, values = hopf.table(n), a.value_list()
+    order = range(len(table.basis)) if indices is None else sorted(indices)
     coeffs = f.padded(n).coefficients
     acc = []
     for j in range(n, -1, -1):
-        step = [ring.scale(ring.one, coeffs[j]) if coeffs[j] else None]
-        for i in range(1, table.ends[n - j]):
+        end = table.ends[n - j]
+        step = [None] * end
+        if coeffs[j]:
+            step[0] = ring.scale(ring.one, coeffs[j])
+        for i in order[1:bisect_left(order, end)]:
             value = convolve_at(table, ring, values, acc, i)
-            step.append(None if ring.is_zero(value) else value)
+            if not ring.is_zero(value):
+                step[i] = value
         acc = step
     return TruncatedFunctional.from_value_list(hopf, ring, n, acc)
 

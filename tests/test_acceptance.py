@@ -171,7 +171,7 @@ def test_criterion_05_character_bijection():
         )
         for hopf, ring, n in cases:
             phi = random_infinitesimal(hopf, ring, n, rng)
-            image = char_exp(phi)  # constructor asserts is_character
+            image = char_exp(phi)  # built multiplicatively, without a re-check
             assert is_character(image.functional)
             assert char_log(image) == phi
             psi = random_character(hopf, ring, n, rng)

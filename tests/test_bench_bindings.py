@@ -8,7 +8,8 @@ import importlib.util
 import random
 from pathlib import Path
 
-from hopfchar.characters import char_log
+from hopfchar import series
+from hopfchar.characters import char_exp, char_log
 from hopfchar.evolution import FunctionalCurve, Poly, evolve
 from hopfchar.hopf import ck_hopf
 from hopfchar.rings import RATIONAL
@@ -69,4 +70,20 @@ def test_char_log_multiplies_through_the_poly_class(monkeypatch):
 
     monkeypatch.setattr(Poly, "__mul__", counting)
     char_log(random_character(ck_hopf(), RATIONAL, 3, random.Random(78)))
+    assert calls
+
+
+def test_char_exp_calls_apply_series_through_the_module(monkeypatch):
+    """The layer gate of ``--trace 1`` wants ``series.apply_series.calls`` on
+    every workload, and that span wraps the module attribute, so ``char_exp``
+    must look ``apply_series`` up on ``hopfchar.series``."""
+    calls = []
+    original = series.apply_series
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(series, "apply_series", counting)
+    char_exp(random_infinitesimal(ck_hopf(), RATIONAL, 3, random.Random(79)))
     assert calls

@@ -23,7 +23,7 @@ from hopfchar.characters import (
     tensor_char_group_iso,
     tree_values,
 )
-from hopfchar.convolution import conv_inverse, conv_unit, convolve, delta
+from hopfchar.convolution import TruncatedFunctional, conv_inverse, conv_unit, convolve, delta
 from hopfchar.errors import MembershipError
 from hopfchar.hopf import ck_hopf, tensor_hopf
 from hopfchar.rings import RATIONAL, TruncatedSeriesRing
@@ -154,10 +154,40 @@ def test_exp_log_bijection_randomized(hopf, ring):
     rng = random.Random(45)
     for _ in range(8):
         phi = random_infinitesimal(hopf, ring, 4, rng)
-        image = char_exp(phi)  # constructor re-checks the character predicate
+        image = char_exp(phi)  # built multiplicatively, without a re-check
+        assert is_character(image.functional)
         assert char_log(image) == phi
         psi = random_character(hopf, ring, 4, rng)
         assert char_exp(char_log(psi)) == psi
+
+
+def test_generator_rows_have_generator_right_factors():
+    """The unit and the generators are closed under right factors: in the
+    coproduct row of a generator, each triple (c, l, r) with l off the unit
+    has r the unit or a generator.  ``char_exp`` runs Horner on that set."""
+    for hopf, top in ((CK, 8), (T2, 7), (tensor_hopf(3), 5)):
+        for n in range(top + 1):
+            table = hopf.table(n)
+            for i, rest in enumerate(table.rest):
+                if not rest:
+                    for _c, left, right in table.coproduct[i]:
+                        assert not left or not table.rest[right], (hopf.key, n, table.basis[i])
+
+
+def test_char_exp_equals_the_full_basis_exponential():
+    """exp on the unit and generators, extended multiplicatively, equals the
+    series exponential over the whole basis, on ck N = 0-7, tensor(2) N = 0-6,
+    tensor(3) N = 4 and ck over series:2 N = 0-5, for random x and x = 0."""
+    rng = random.Random(49)
+    spaces = ([(CK, RATIONAL, n) for n in range(8)] + [(T2, RATIONAL, n) for n in range(7)]
+              + [(tensor_hopf(3), RATIONAL, 4)] + [(CK, SERIES_RING, n) for n in range(6)])
+    for hopf, ring, n in spaces:
+        zero = InfinitesimalCharacter(TruncatedFunctional(hopf, ring, n))
+        for x in (random_infinitesimal(hopf, ring, n, rng),
+                  random_infinitesimal(hopf, ring, n, rng), zero):
+            image = char_exp(x)
+            assert image == Character(exp(x.functional)), f"{hopf.key}/{ring.key} N={n} x={x}"
+            assert is_character(image.functional)
 
 
 def test_infinitesimal_antipode_negation():

@@ -161,6 +161,26 @@ def test_char_apply_series_literal(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("op, option, value", [("evolve", "--t", "-1/2"),
+                                               ("apply", "--series", "-1,1"),
+                                               ("apply", "--ser", "-1,1")])
+def test_negative_option_value_in_both_spellings(tmp_path, capsys, monkeypatch, op, option,
+                                                  value):
+    d = delta(CK, RATIONAL, 4, F_LEAF)
+    f = tmp_path / "in.json"
+    f.write_text(json.dumps(FunctionalCurve([d]).to_json_dict()) if op == "evolve"
+                 else d.to_json())
+    outputs = []
+    for argv in (["char", op, str(f), option, value], ["char", op, str(f), f"{option}={value}"]):
+        monkeypatch.setattr(sys, "argv", ["hopfchar"] + argv)  # as the console script runs
+        outputs.append(run(capsys, None))
+    assert outputs[0] == outputs[1]
+    code, out = outputs[0]
+    assert code == 0
+    want = exp(d.scale(Fraction(-1, 2))) if op == "evolve" else d - conv_unit(CK, RATIONAL, 4)
+    assert TruncatedFunctional.from_json(out) == want
+
+
 def test_tree_value_codec_roundtrip(tmp_path, capsys):
     from hopfchar.characters import (
         tree_values_from_json_dict,

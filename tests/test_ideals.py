@@ -27,6 +27,7 @@ from hopfchar.ideals import (
 )
 from hopfchar.rings import RATIONAL, TruncatedSeriesRing
 from hopfchar.sampling import (
+    annihilating_tree_value_basis,
     random_annihilating_character,
     random_annihilating_infinitesimal,
     random_tree_values,
@@ -190,6 +191,40 @@ def test_generator_shortcut_against_span_oracle():
     # generators themselves
     _, span4 = ideal_degree_span(ideal, 4)
     assert len(span4) > len(ideal.generators_upto(4))
+
+
+def _free_trees(n):
+    """The free (unrooted) trees with n nodes, each mapped to whether it is
+    non-superfluous, found by rerooting every rooted tree of order n.  A free
+    tree is superfluous when one of its edges joins two isomorphic halves."""
+    found = {}
+    for tree in enumerate_trees(n)[n - 1]:
+        adjacent = [[] for _ in range(n)]
+        for node, parent in enumerate(tree.parent_array()):
+            if parent >= 0:
+                adjacent[node].append(parent)
+                adjacent[parent].append(node)
+
+        def code(node, away_from):  # the half at node once its edge to away_from is cut
+            return "(" + "".join(sorted(code(m, node) for m in adjacent[node]
+                                        if m != away_from)) + ")"
+        key = min(code(root, -1) for root in range(n))
+        found[key] = not any(code(u, v) == code(v, u) for u in range(n) for v in adjacent[u])
+    return found
+
+
+def test_symplectic_lie_algebra_dimension_by_order():
+    """The annihilating infinitesimal characters of the symplectic ideal have,
+    in order n, the dimension of the non-superfluous free trees with n nodes
+    (Chartier-Faou-Murua 2006).  Order 9 takes over a second, so n <= 8."""
+    counts = [_free_trees(n) for n in range(1, 9)]
+    assert [len(c) for c in counts] == [1, 1, 1, 2, 3, 6, 11, 23]
+    non_superfluous = [sum(c.values()) for c in counts]
+    assert non_superfluous == [1, 0, 1, 1, 3, 4, 11, 19]
+    trees, basis = annihilating_tree_value_basis(symplectic_generators(8), 8)
+    orders = [{t.order for t, coord in zip(trees, vec) if coord} for vec in basis]
+    assert all(len(o) == 1 for o in orders)  # the ideal is homogeneous
+    assert [orders.count({n}) for n in range(1, 9)] == non_superfluous
 
 
 def test_symplectic_ideal_is_coideal_and_antipode_stable():
