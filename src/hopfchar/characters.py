@@ -10,10 +10,11 @@ on value lists in basis order: the product evaluates the convolution kernel
 on generators, the inverse solves phi^-1 * phi = unit there, and the Butcher
 law is the product on trees.
 The exponential is a bijection from infinitesimal characters onto
-characters; ``char_exp`` runs it on the unit and the generators, a set closed
-under right factors, and extends by ``_multiplicative``.  The logarithm is
-solved on generators by the evolution kernel.  The commutator bracket is the
-Lie structure.
+characters.  ``char_exp`` and its inverse ``char_log`` both run
+``series.apply_series`` on the unit and the generators, a set closed under
+right factors: ``char_exp`` extends the result by ``_multiplicative``, and
+``char_log`` leaves it zero on products.  The commutator bracket is the Lie
+structure.
 """
 
 from __future__ import annotations
@@ -198,25 +199,19 @@ def char_exp(phi: InfinitesimalCharacter) -> Character:
     on the unit and the generators (closed under right factors, see
     ``IndexTable``), extended multiplicatively."""
     f = phi.functional
-    table = f.hopf.table(f.truncation)
     on_generators = series.apply_series(series.exp_series(f.truncation), f,
-                                        [i for i, rest in enumerate(table.rest) if not rest])
+                                        (0,) + f.hopf.table(f.truncation).generators)
     return char_from_generator_values(on_generators.values, f.hopf, f.truncation, f.ring)
 
 
 def char_log(psi: Character) -> InfinitesimalCharacter:
-    """The convolution logarithm: the infinitesimal character phi whose
-    evolution exp(t phi) reaches psi at t = 1.  On each generator g the
-    evolution kernel gives eta(g) = rest + t phi(g), so phi(g) = psi(g) - rest(1)."""
-    from .evolution import Poly, evolution_pass  # evolution imports this module
-    f, ring = psi.functional, psi.functional.ring
-
-    def rate(g, rest):
-        return Poly(ring, [ring.add(f.value(g), ring.neg(rest(1)))])
-
-    _eta, phi = evolution_pass(f.hopf, ring, f.truncation, rate)
-    return InfinitesimalCharacter(TruncatedFunctional.from_value_list(
-        f.hopf, ring, f.truncation, [None if p is None else p.coefficients[0] for p in phi]))
+    """The convolution logarithm log1p(psi - 1), back in the infinitesimal
+    characters: Horner on the unit and the generators, as in ``char_exp``,
+    and zero on products."""
+    f = psi.functional
+    return InfinitesimalCharacter(series.apply_series(
+        series.log1p_series(f.truncation), f.drop_degree0(),
+        (0,) + f.hopf.table(f.truncation).generators))
 
 
 def lie_bracket(
@@ -231,7 +226,7 @@ def lie_bracket(
     table, fv, gv = hopf.table(n), f.value_list(), g.value_list()
     values = {table.basis[i]: ring.add(convolve_at(table, ring, fv, gv, i),
                                        ring.neg(convolve_at(table, ring, gv, fv, i)))
-              for i, rest in enumerate(table.rest) if i and not rest}
+              for i in table.generators}
     return InfinitesimalCharacter(TruncatedFunctional(hopf, ring, n, values))
 
 

@@ -167,15 +167,16 @@ def _cmd_char(args) -> str:
 
 
 def _attach_values(argv: list) -> list:
-    """Spell ``--t V`` and ``--series V`` (or an abbreviation such as
-    ``--ser V``) as ``--t=V`` and ``--series=V``.
+    """Spell ``--t V``, ``--series V`` and ``--out V`` (or an abbreviation
+    such as ``--ser V``) as ``--t=V``, ``--series=V`` and ``--out=V``.
 
     argparse takes a value that starts with "-" for an option unless it is a
     plain negative number, so ``--t -1/2`` would be a usage error.  Here the
-    token after either option is always its value, as in getopt."""
+    token after any of these options is always its value, as in getopt."""
     out, tokens = [], iter(argv)
     for token in tokens:
-        takes_value = len(token) > 2 and ("--t".startswith(token) or "--series".startswith(token))
+        takes_value = len(token) > 2 and any(option.startswith(token)
+                                             for option in ("--t", "--series", "--out"))
         value = next(tokens, None) if takes_value else None
         out.append(token if value is None else f"{token}={value}")
     return out

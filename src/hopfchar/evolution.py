@@ -7,8 +7,7 @@ values in the polynomial algebra R[t] (``PolyRing``) and is fixed by its
 generator values.  Because gamma vanishes in degree 0 and on products, the
 value of eta * gamma on a generator g of degree n only involves eta in degree
 < n and gamma(g): eta(g) integrates ``convolve_at(eta, gamma, g)`` from 0,
-and products multiply.  ``evolution_pass`` asks for gamma(g) once the rest of
-eta(g) is known, so it also solves ``characters.char_log``.
+and products multiply.
 
 A ``Poly`` over Q[X]/X^w is one tuple of integer numerators over one common
 denominator, so the kernel's sum of polynomial products
@@ -233,34 +232,23 @@ class FunctionalCurve:
         return FunctionalCurve(TruncatedFunctional.from_json_dict(entry) for entry in coeffs)
 
 
-def evolution_pass(hopf: HopfStructure, ring, truncation: int, rate) -> tuple[dict, list]:
-    """Solve eta' = eta * gamma over R[t] in basis order.  At a generator g,
-    ``rest`` integrates ``convolve_at(eta, gamma, g)`` while gamma(g) is still
-    unknown (only the 1 (x) g term is missing), ``rate(g, rest)`` gives
-    gamma(g) as a ``Poly`` and eta(g) = rest + its integral; products multiply.
-    Returns the nonzero values of eta on the basis, and the values of gamma
-    as a list in basis order (None for zero and off the generators)."""
-    polys, table = PolyRing(ring), hopf.table(truncation)
-    gamma = [None] * len(table.basis)
-
-    def on_generator(i, eta):
-        rest = convolve_at(table, polys, eta, gamma, i).integrate()
-        value = rate(table.basis[i], rest)
-        if value.nums:
-            gamma[i] = value
-        return rest + value.integrate()
-
-    eta = _multiplicative(hopf, polys, truncation, on_generator).functional.values
-    return eta, gamma
-
-
 def evolve_polynomials(curve: FunctionalCurve) -> dict:
     """The full solution: for each basis element of degree <= N, the value of
-    eta as a ``Poly`` in t."""
-    eta, _gamma = evolution_pass(curve.hopf, curve.ring, curve.truncation,
-                                 lambda g, rest: curve.value_poly(g))
-    zero = Poly.zero(curve.ring)
-    return {b: eta.get(b, zero) for b in curve.hopf.all_basis_upto(curve.truncation)}
+    eta as a ``Poly`` in t.  gamma is listed on the generators up front.  At a
+    generator g, eta(g) is not yet known and gamma(1) = 0, so
+    ``convolve_at(eta, gamma, g)`` is all of eta'(g): its term eta(1) gamma(g)
+    brings in gamma(g)."""
+    hopf, ring, n = curve.hopf, curve.ring, curve.truncation
+    polys, table = PolyRing(ring), hopf.table(n)
+    gamma = [None] * len(table.basis)
+    for i in table.generators:
+        value = curve.value_poly(table.basis[i])
+        if value.nums:
+            gamma[i] = value
+    eta = _multiplicative(hopf, polys, n,
+                          lambda i, out: convolve_at(table, polys, out, gamma, i).integrate())
+    values, zero = eta.functional.values, Poly.zero(ring)
+    return {b: values.get(b, zero) for b in table.basis}
 
 
 def evolve(curve: FunctionalCurve, t_end) -> TruncatedFunctional:

@@ -203,7 +203,8 @@ class IndexTable:
     number of elements of degree <= d, so ``basis[:ends[d]]`` is that degree
     prefix.  ``first[i]`` and ``rest[i]`` index the split
     b = first * rest of ``basis[i]``; ``rest[i] == 0`` exactly on the unit and
-    on generators.  ``coproduct[i]`` holds Delta(basis[i]) as integer triples
+    on generators, whose indices ``generators`` lists in basis order.
+    ``coproduct[i]`` holds Delta(basis[i]) as integer triples
     ``(c, left, right)`` with equal pairs combined, built on ``hopf.ids`` in
     basis order: a generator b = B+(f) grafts the row of f by the cocycle
     Delta(B+(f)) = B+(f) x 1 + (id x B+) Delta(f), and a product takes
@@ -213,7 +214,7 @@ class IndexTable:
     ``series.apply_series`` run on them alone.
     """
 
-    __slots__ = ("basis", "index", "ends", "first", "rest", "coproduct")
+    __slots__ = ("basis", "index", "ends", "first", "rest", "generators", "coproduct")
 
     def __init__(self, hopf: "HopfStructure", max_degree: int):
         self.basis = basis = tuple(hopf.all_basis_upto(max_degree))
@@ -226,6 +227,7 @@ class IndexTable:
         at = {key: i for i, key in enumerate(keys)}
         self.first = first = tuple(at[key[:1]] for key in keys)
         self.rest = rest = tuple(at[key[1:]] for key in keys)
+        self.generators = tuple(i for i in range(1, len(basis)) if not rest[i])
         graft, products = {}, [{} for _ in basis]  # products[a][b]: index of a * b
         rows = [((1, 0, 0),)]
         for i in range(1, len(basis)):
@@ -314,7 +316,7 @@ class HopfStructure:
     def generators(self, max_degree: int) -> list:
         """The generators of degree 1..max_degree, in basis order."""
         table = self.table(max_degree)
-        return [b for b, r in zip(table.basis[1:], table.rest[1:]) if not r]
+        return [table.basis[i] for i in table.generators]
 
     def coproduct(self, basis) -> tuple:
         """Delta(basis) as ``(Fraction, left, right)`` from ``table(basis.degree)``."""

@@ -13,8 +13,8 @@ Horner on value dicts are test oracles).
 On top of this sit ``exp``, ``log`` (mutually inverse between the ideal and
 its unit translate) and the truncated BCH ``log(exp(x) * exp(y))``, for any
 such functionals.  ``apply_series`` can also run on a set of basis indices
-closed under right factors, as ``characters.char_exp`` does on the
-generators; ``char_log`` is solved on generators by the evolution kernel.
+closed under right factors, as ``characters.char_exp`` and ``char_log`` do
+on the unit and the generators.
 """
 
 from __future__ import annotations

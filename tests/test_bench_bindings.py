@@ -58,25 +58,9 @@ def test_evolution_multiplies_through_the_poly_class(monkeypatch):
     assert calls
 
 
-def test_char_log_multiplies_through_the_poly_class(monkeypatch):
-    """``char_log`` runs the evolution kernel, so its products are counted
-    by ``evolution.poly_mul.calls`` too."""
-    calls = []
-    original = Poly.__mul__
-
-    def counting(self, other):
-        calls.append(1)
-        return original(self, other)
-
-    monkeypatch.setattr(Poly, "__mul__", counting)
-    char_log(random_character(ck_hopf(), RATIONAL, 3, random.Random(78)))
-    assert calls
-
-
-def test_char_exp_calls_apply_series_through_the_module(monkeypatch):
-    """The layer gate of ``--trace 1`` wants ``series.apply_series.calls`` on
-    every workload, and that span wraps the module attribute, so ``char_exp``
-    must look ``apply_series`` up on ``hopfchar.series``."""
+def _count_apply_series(monkeypatch) -> list:
+    """Patch ``series.apply_series`` with a wrapper that appends to the
+    returned list on each call."""
     calls = []
     original = series.apply_series
 
@@ -85,5 +69,21 @@ def test_char_exp_calls_apply_series_through_the_module(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(series, "apply_series", counting)
+    return calls
+
+
+def test_char_exp_calls_apply_series_through_the_module(monkeypatch):
+    """The layer gate of ``--trace 1`` wants ``series.apply_series.calls`` on
+    every workload, and that span wraps the module attribute, so ``char_exp``
+    must look ``apply_series`` up on ``hopfchar.series``."""
+    calls = _count_apply_series(monkeypatch)
     char_exp(random_infinitesimal(ck_hopf(), RATIONAL, 3, random.Random(79)))
+    assert calls
+
+
+def test_char_log_calls_apply_series_through_the_module(monkeypatch):
+    """As for ``char_exp``: ``char_log`` runs Horner on the generators, so it
+    must look ``apply_series`` up on ``hopfchar.series`` for the span to see it."""
+    calls = _count_apply_series(monkeypatch)
+    char_log(random_character(ck_hopf(), RATIONAL, 3, random.Random(78)))
     assert calls

@@ -32,7 +32,7 @@ from hopfchar.sampling import (
     random_infinitesimal,
     random_tree_values,
 )
-from hopfchar.series import exp
+from hopfchar.series import exp, log
 from hopfchar.trees import Forest, LEAF, enumerate_trees, parse_tree
 
 CK = ck_hopf()
@@ -164,7 +164,8 @@ def test_exp_log_bijection_randomized(hopf, ring):
 def test_generator_rows_have_generator_right_factors():
     """The unit and the generators are closed under right factors: in the
     coproduct row of a generator, each triple (c, l, r) with l off the unit
-    has r the unit or a generator.  ``char_exp`` runs Horner on that set."""
+    has r the unit or a generator.  ``char_exp`` and ``char_log`` run Horner
+    on that set."""
     for hopf, top in ((CK, 8), (T2, 7), (tensor_hopf(3), 5)):
         for n in range(top + 1):
             table = hopf.table(n)
@@ -177,7 +178,9 @@ def test_generator_rows_have_generator_right_factors():
 def test_char_exp_equals_the_full_basis_exponential():
     """exp on the unit and generators, extended multiplicatively, equals the
     series exponential over the whole basis, on ck N = 0-7, tensor(2) N = 0-6,
-    tensor(3) N = 4 and ck over series:2 N = 0-5, for random x and x = 0."""
+    tensor(3) N = 4 and ck over series:2 N = 0-5, for random x and x = 0; and
+    log on the unit and generators inverts it and equals the series
+    logarithm over the whole basis."""
     rng = random.Random(49)
     spaces = ([(CK, RATIONAL, n) for n in range(8)] + [(T2, RATIONAL, n) for n in range(7)]
               + [(tensor_hopf(3), RATIONAL, 4)] + [(CK, SERIES_RING, n) for n in range(6)])
@@ -186,8 +189,11 @@ def test_char_exp_equals_the_full_basis_exponential():
         for x in (random_infinitesimal(hopf, ring, n, rng),
                   random_infinitesimal(hopf, ring, n, rng), zero):
             image = char_exp(x)
-            assert image == Character(exp(x.functional)), f"{hopf.key}/{ring.key} N={n} x={x}"
+            where = f"{hopf.key}/{ring.key} N={n} x={x}"
+            assert image == Character(exp(x.functional)), where
             assert is_character(image.functional)
+            assert char_log(image) == x, where
+            assert char_log(image).functional == log(image.functional), where
 
 
 def test_infinitesimal_antipode_negation():

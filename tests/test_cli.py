@@ -163,9 +163,12 @@ def test_char_apply_series_literal(tmp_path, capsys):
 
 @pytest.mark.parametrize("op, option, value", [("evolve", "--t", "-1/2"),
                                                ("apply", "--series", "-1,1"),
-                                               ("apply", "--ser", "-1,1")])
+                                               ("apply", "--ser", "-1,1"),
+                                               ("exp", "--out", "-o.json"),
+                                               ("exp", "--o", "-o.json")])
 def test_negative_option_value_in_both_spellings(tmp_path, capsys, monkeypatch, op, option,
                                                   value):
+    monkeypatch.chdir(tmp_path)  # --out writes a relative path
     d = delta(CK, RATIONAL, 4, F_LEAF)
     f = tmp_path / "in.json"
     f.write_text(json.dumps(FunctionalCurve([d]).to_json_dict()) if op == "evolve"
@@ -173,11 +176,18 @@ def test_negative_option_value_in_both_spellings(tmp_path, capsys, monkeypatch, 
     outputs = []
     for argv in (["char", op, str(f), option, value], ["char", op, str(f), f"{option}={value}"]):
         monkeypatch.setattr(sys, "argv", ["hopfchar"] + argv)  # as the console script runs
-        outputs.append(run(capsys, None))
+        code, out = run(capsys, None)
+        if op == "exp":  # the output went to the file named by --out
+            assert out == ""
+            target = tmp_path / value
+            out = target.read_text()
+            target.unlink()
+        outputs.append((code, out))
     assert outputs[0] == outputs[1]
     code, out = outputs[0]
     assert code == 0
-    want = exp(d.scale(Fraction(-1, 2))) if op == "evolve" else d - conv_unit(CK, RATIONAL, 4)
+    want = {"evolve": exp(d.scale(Fraction(-1, 2))), "apply": d - conv_unit(CK, RATIONAL, 4),
+            "exp": exp(d)}[op]
     assert TruncatedFunctional.from_json(out) == want
 
 
