@@ -126,6 +126,14 @@ class InfinitesimalCharacter:
             )
         self.functional = functional
 
+    @classmethod
+    def _wrap(cls, functional: TruncatedFunctional) -> "InfinitesimalCharacter":
+        """Wrap without re-checking; for constructions that vanish on the
+        unit and on products by design."""
+        phi = cls.__new__(cls)
+        phi.functional = functional
+        return phi
+
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, InfinitesimalCharacter)
@@ -207,9 +215,9 @@ def char_exp(phi: InfinitesimalCharacter) -> Character:
 def char_log(psi: Character) -> InfinitesimalCharacter:
     """The convolution logarithm log1p(psi - 1), back in the infinitesimal
     characters: Horner on the unit and the generators, as in ``char_exp``,
-    and zero on products."""
+    and zero on products, so the result is not re-checked."""
     f = psi.functional
-    return InfinitesimalCharacter(series.apply_series(
+    return InfinitesimalCharacter._wrap(series.apply_series(
         series.log1p_series(f.truncation), f.drop_degree0(),
         (0,) + f.hopf.table(f.truncation).generators))
 

@@ -7,7 +7,10 @@ values in the polynomial algebra R[t] (``PolyRing``) and is fixed by its
 generator values.  Because gamma vanishes in degree 0 and on products, the
 value of eta * gamma on a generator g of degree n only involves eta in degree
 < n and gamma(g): eta(g) integrates ``convolve_at(eta, gamma, g)`` from 0,
-and products multiply.
+and products multiply.  So no generator reads eta on a product of degree N,
+and these products are the largest: ``evolve`` leaves them out of the solve
+and extends its generator values at t_end multiplicatively, while
+``evolve_polynomials`` multiplies them out in t.
 
 A ``Poly`` over Q[X]/X^w is one tuple of integer numerators over one common
 denominator, so the kernel's sum of polynomial products
@@ -20,12 +23,11 @@ that the result is a character.
 
 from __future__ import annotations
 
-import operator
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable
 
-from .characters import (Character, InfinitesimalCharacter, _multiplicative,
+from .characters import (Character, InfinitesimalCharacter,
                          char_from_generator_values, character_violation)
 from .convolution import TruncatedFunctional, convolve_at, json_entries
 from .errors import InternalError, ParseError
@@ -41,7 +43,7 @@ class Poly:
     gcd(den, *nums) = 1), so equal polynomials have equal fields.
     ``coefficients`` gives the ring elements, built on read."""
 
-    __slots__ = ("ring", "nums", "den")
+    __slots__ = ("ring", "nums", "den", "_below")
 
     def __init__(self, ring, coefficients: Iterable = ()):
         ratios = [x.as_integer_ratio() for c in coefficients for x in ring.coordinates(c)]
@@ -89,6 +91,19 @@ class Poly:
     def __mul__(self, other: "Poly") -> "Poly":
         return _sum_products(self.ring, ((1, self, other),))
 
+    def _masked(self) -> list:
+        """below[r]: the nonzero entries (j, nums_j) with j mod w <= r, the
+        ones a factor entry at X^(w-1-r) meets; memoized, as a ``Poly`` is
+        immutable."""
+        try:
+            return self._below
+        except AttributeError:
+            w = self.ring.width
+            entries = [(j, y) for j, y in enumerate(self.nums) if y]
+            self._below = [[(j, y) for j, y in entries if j % w <= r] for r in range(w - 1)]
+            self._below.append(entries)
+            return self._below
+
     def scale(self, q) -> "Poly":
         return self.shift_scale(q, 0)
 
@@ -113,18 +128,20 @@ class Poly:
         return Poly._of(self.ring, [x * (i // w) for i, x in enumerate(self.nums)][w:], self.den)
 
     def __call__(self, t):
-        """Evaluate at a rational time p/q: Horner on the integers
-        sum_k nums_k p^k q^(K-k), one ``Fraction`` per coordinate over
-        den q^K at the end."""
-        ring, w = self.ring, self.ring.width
+        """Evaluate at a rational time p/q: for each X-coordinate, one integer
+        Horner sum_k nums_k p^k q^(K-k), K the top degree, and one
+        ``Fraction`` over den q^K."""
+        w, nums = self.ring.width, self.nums
         p, q = Fraction(t).as_integer_ratio()
-        nums = self.nums + (0,) * (-len(self.nums) % w)
-        acc, q_power = [0] * w, 1
-        for k in range(len(nums) - w, -1, -w):
-            acc = [a * p + x * q_power for a, x in zip(acc, nums[k:k + w])]
-            q_power *= q
-        den = self.den * q ** max(len(nums) // w - 1, 0)
-        return ring.from_coordinates([Fraction(a, den) for a in acc])
+        top = max(len(nums) - 1, 0) // w
+        q_powers = [q ** k for k in range(top + 1)]
+        den, coords = self.den * q_powers[-1], []
+        for m in range(w):
+            row, acc = nums[m::w], 0
+            for x, q_power in zip(row[::-1], q_powers[top + 1 - len(row):]):
+                acc = acc * p + x * q_power
+            coords.append(Fraction(acc, den))
+        return self.ring.from_coordinates(coords)
 
     def __repr__(self) -> str:
         return f"Poly({list(self.coefficients)})"
@@ -144,38 +161,29 @@ def _sum_products(ring, terms) -> Poly:
     """The sum of c * p * q over ``(c, p, q)`` in terms, for polynomials over
     Q[X]/X^w: one integer convolution of the numerators over the lcm of the
     products' denominators, keeping a pair of entries t^i X^m1, t^j X^m2
-    only when m1 + m2 < w."""
-    w = ring.width
-    out, den = [], 1
+    only when m1 + m2 < w.  The shorter factor is the outer loop; the longer
+    one gives its entries from ``Poly._masked``."""
+    w, live, dens = ring.width, [], []
     for c, p, q in terms:
-        a, b = p.nums, q.nums
-        if not a or not b:
-            continue
-        d = p.den * q.den
-        if den % d:
-            common = lcm(den, d)
-            scale = common // den
-            out = [x * scale for x in out]
-            den = common
+        if p.nums and q.nums:
+            live.append((c, p, q) if len(p.nums) <= len(q.nums) else (c, q, p))
+            dens.append(p.den * q.den)
+    den, out = lcm(*dens), []
+    for (c, p, q), d in zip(live, dens):
         c *= den // d
-        out.extend([0] * (len(a) + len(b) - 1 - len(out)))
-        # below[r]: the nonzero entries (j, b_j) of q with j mod w <= r
-        entries = [(j, y) for j, y in enumerate(b) if y]
-        below = [[(j, y) for j, y in entries if j % w <= r] for r in range(w - 1)]
-        below.append(entries)
-        for i, x in enumerate(a):
+        out.extend([0] * (len(p.nums) + len(q.nums) - 1 - len(out)))
+        masked = q._masked()
+        for i, x in enumerate(p.nums):
             if x:
                 x *= c
-                for j, y in below[w - 1 - i % w]:
+                for j, y in masked[w - 1 - i % w]:
                     out[i + j] += x * y
     return Poly._of(ring, out, den)
 
 
 class PolyRing:
-    """R[t] as a coefficient ring for ``convolve_at`` and ``_multiplicative``;
-    the sum and product are ``Poly``'s own."""
-
-    add, mul = operator.add, operator.mul
+    """R[t] as a coefficient ring for ``convolve_at``: the sum of products is
+    ``_sum_products``."""
 
     def __init__(self, ring):
         self.base = ring
@@ -184,14 +192,6 @@ class PolyRing:
 
     def sum_products(self, terms) -> Poly:
         return _sum_products(self.base, terms)
-
-    @staticmethod
-    def scale(p: Poly, q) -> Poly:
-        return p.scale(q)
-
-    @staticmethod
-    def is_zero(p: Poly) -> bool:
-        return not p.nums
 
 
 class FunctionalCurve:
@@ -232,31 +232,47 @@ class FunctionalCurve:
         return FunctionalCurve(TruncatedFunctional.from_json_dict(entry) for entry in coeffs)
 
 
-def evolve_polynomials(curve: FunctionalCurve) -> dict:
-    """The full solution: for each basis element of degree <= N, the value of
-    eta as a ``Poly`` in t.  gamma is listed on the generators up front.  At a
-    generator g, eta(g) is not yet known and gamma(1) = 0, so
-    ``convolve_at(eta, gamma, g)`` is all of eta'(g): its term eta(1) gamma(g)
-    brings in gamma(g)."""
-    hopf, ring, n = curve.hopf, curve.ring, curve.truncation
-    polys, table = PolyRing(ring), hopf.table(n)
-    gamma = [None] * len(table.basis)
+def _solve(curve: FunctionalCurve, full: bool) -> tuple:
+    """The index table at N and eta's values in its order (None for zero);
+    unless ``full``, the products of degree N stay None.  At a generator g,
+    eta(g) is not yet known and gamma(1) = 0, so ``convolve_at(eta, gamma, g)``
+    is all of eta'(g): its term eta(1) gamma(g) brings in gamma(g)."""
+    ring, n = curve.ring, curve.truncation
+    polys, table = PolyRing(ring), curve.hopf.table(n)
+    gamma, eta = [None] * len(table.basis), [None] * len(table.basis)
     for i in table.generators:
         value = curve.value_poly(table.basis[i])
         if value.nums:
             gamma[i] = value
-    eta = _multiplicative(hopf, polys, n,
-                          lambda i, out: convolve_at(table, polys, out, gamma, i).integrate())
-    values, zero = eta.functional.values, Poly.zero(ring)
-    return {b: values.get(b, zero) for b in table.basis}
+    eta[0] = polys.one
+    end = len(eta) if full else table.ends[max(n - 1, 0)]
+    for i in range(1, len(eta)):
+        first, rest = table.first[i], table.rest[i]
+        if not rest:
+            value = convolve_at(table, polys, eta, gamma, i).integrate()
+        elif i < end and eta[first] is not None and eta[rest] is not None:
+            value = eta[first] * eta[rest]
+        else:
+            continue
+        if value.nums:
+            eta[i] = value
+    return table, eta
+
+
+def evolve_polynomials(curve: FunctionalCurve) -> dict:
+    """The full solution: for each basis element of degree <= N, the value of
+    eta as a ``Poly`` in t."""
+    table, eta = _solve(curve, True)
+    zero = Poly.zero(curve.ring)
+    return {b: zero if value is None else value for b, value in zip(table.basis, eta)}
 
 
 def evolve(curve: FunctionalCurve, t_end) -> TruncatedFunctional:
-    """eta(t_end), exactly."""
-    hopf, truncation = curve.hopf, curve.truncation
-    eta = evolve_polynomials(curve)
-    values = {g: eta[g](t_end) for g in hopf.generators(truncation)}
-    return char_from_generator_values(values, hopf, truncation, curve.ring).functional
+    """eta(t_end), exactly: eta at t_end on the generators, extended
+    multiplicatively."""
+    table, eta = _solve(curve, False)
+    values = {table.basis[i]: eta[i](t_end) for i in table.generators if eta[i] is not None}
+    return char_from_generator_values(values, curve.hopf, curve.truncation, curve.ring).functional
 
 
 def evol(curve: FunctionalCurve) -> Character:

@@ -87,7 +87,7 @@ def parse_word(text: str) -> Word:
             raise ParseError("expected 'v'", pos)
         pos += 1
         start = pos
-        while pos < len(text) and text[pos].isdigit():
+        while pos < len(text) and text[pos] in "0123456789":  # ASCII digits only
             pos += 1
         if pos == start:
             raise ParseError("expected generator index", pos)

@@ -80,6 +80,11 @@ def test_structure_parse_error(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("word", ["v\u00b2", "v\u0661"], ids=["superscript", "arabic-indic"])
+def test_structure_word_with_non_ascii_digit_is_parse_error(capsys, word):
+    assert run_error(capsys, ["structure", word, "--which", "antipode", "--hopf", "tensor(2)"]) == 1
+
+
 def test_char_mul_matches_butcher_compose(tmp_path, capsys):
     a = char_from_tree_values({LEAF: Fraction(1), CHAIN: Fraction(1, 2)}, 4)
     b = char_from_tree_values({LEAF: Fraction(-2), CHAIN: Fraction(1, 3)}, 4)
@@ -361,6 +366,13 @@ def test_unread_options_are_refused(tmp_path, capsys):
 )
 def test_non_string_id_is_parse_error(tmp_path, capsys, op, data):
     assert run_error(capsys, ["char", op, write_payload(tmp_path, data)]) == 1
+
+
+@pytest.mark.parametrize("key", ["v\u00b2", "v\u0661"], ids=["superscript", "arabic-indic"])
+def test_char_word_key_with_non_ascii_digit_is_parse_error(tmp_path, capsys, key):
+    data = {"hopf": "tensor(2)", "ring": "rational", "truncation": 1,
+            "values": {"1": "1", key: "1"}}
+    assert run_error(capsys, ["char", "inv", write_payload(tmp_path, data)]) == 1
 
 
 @pytest.mark.parametrize("t", ["abc", "1/0"])

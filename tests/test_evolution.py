@@ -3,11 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import FractionPoly
+from helpers import FractionPoly, evolve_polynomials_by_dict, poly_coefficients, split
 from hopfchar.characters import InfinitesimalCharacter, char_exp, char_unit
-from hopfchar.convolution import conv_unit, convolve, delta
+from hopfchar.convolution import TruncatedFunctional, conv_unit, convolve, delta
 from hopfchar.errors import IncompatibleError, MembershipError
-from hopfchar.evolution import FunctionalCurve, Poly, evol, evolve, evolve_polynomials
+from hopfchar.evolution import (FunctionalCurve, Poly, _sum_products, evol, evolve,
+                                evolve_polynomials)
 from hopfchar.hopf import ck_hopf, tensor_hopf
 from hopfchar.rings import RATIONAL, TruncatedSeriesRing
 from hopfchar.sampling import random_infinitesimal, random_ring_element
@@ -90,6 +91,133 @@ def test_poly_form_is_canonical(ring):
     assert p + p.scale(-1) == Poly(ring, []) == Poly(ring, [ring.zero, ring.zero])
     assert Poly(ring, [ring.zero]).coefficients == ()
     assert (p.shift_scale(Fraction(1, 6), 1) + p.shift_scale(Fraction(-1, 6), 1)).coefficients == ()
+
+
+SERIES3 = TruncatedSeriesRing(3)
+
+
+def test_poly_call_on_partial_top_rows_matches_fraction_poly():
+    """series:3 polynomials whose top t-row stops short of X^3, so the
+    X-coordinates of the top degree are trimmed and each coordinate's Horner
+    runs over a different number of t-degrees."""
+    ring, x = SERIES3, Fraction
+    cases = [
+        [ring.element([x(1, 2), x(-3), x(5, 7), x(2)]), ring.element([x(4, 9), x(1, 3)])],
+        [ring.zero, ring.element([x(0), x(0), x(-7, 5)]), ring.element([x(3, 8)])],
+        [ring.element([x(0), x(2, 3)]), ring.zero, ring.element([x(-1, 6), x(0), x(5, 4)])],
+        [ring.element([x(0), x(0), x(0), x(9, 2)])],
+    ]
+    for coeffs in cases:
+        p, want = Poly(ring, coeffs), FractionPoly(ring, coeffs)
+        if len(coeffs) > 1:
+            assert len(p.nums) % ring.width, coeffs  # the top row is partial
+        for t in (0, 1, -2, Fraction(7, 3)):
+            assert p(t) == want(t), (coeffs, t)
+
+
+@pytest.mark.parametrize("ring", [RATIONAL, TruncatedSeriesRing(2)], ids=lambda r: r.key)
+def test_sum_products_of_unequal_lengths_in_both_orders(ring):
+    """Factors of different lengths, in either order, with denominators
+    that differ from term to term, against the ``FractionPoly`` fold."""
+    rng = random.Random(87)
+
+    def element(den):
+        return ring.scale(random_ring_element(ring, rng), Fraction(1, den))
+
+    short = [element(3), element(5)]
+    long = [element(4), ring.zero, element(9), element(7), element(2)]
+    longer = [element(11), element(6), ring.zero, ring.zero, element(25), element(1), element(8)]
+    pairs = [(short, long), (long, short), (short, longer), (longer, long), (long, longer)]
+    terms, want = [], FractionPoly(ring)
+    for c, (a, b) in zip((1, 3, 2, 7, 5), pairs):
+        p, q = Poly(ring, a), Poly(ring, b)
+        product = (FractionPoly(ring, a) * FractionPoly(ring, b)).scale(c)
+        assert _sum_products(ring, [(c, p, q)]).coefficients == product.coefficients
+        assert _sum_products(ring, [(c, q, p)]).coefficients == product.coefficients
+        terms.append((c, p, q))
+        want = want + product
+    assert _sum_products(ring, terms).coefficients == want.coefficients
+    assert _sum_products(ring, terms[::-1]).coefficients == want.coefficients
+
+
+def _count_poly_mul(monkeypatch) -> list:
+    calls = []
+    original = Poly.__mul__
+
+    def counting(self, other):
+        calls.append(1)
+        return original(self, other)
+
+    monkeypatch.setattr(Poly, "__mul__", counting)
+    return calls
+
+
+def _sparse_curve(hopf, truncation):
+    """A curve that vanishes on some generators, so that some products have
+    a zero factor: on ck it lives on the chain and the cherry, on tensor(2)
+    on the letter v0."""
+    if hopf is CK:
+        chain, cherry = (delta(CK, RATIONAL, truncation, Forest([t])) for t in (CHAIN, CHERRY))
+        return FunctionalCurve([chain.scale(Fraction(2, 3)), cherry.scale(-3)])
+    v0 = delta(hopf, RATIONAL, truncation, hopf.parse_basis("v0"))
+    return FunctionalCurve([v0.scale(Fraction(-5, 4)), v0])
+
+
+SOLVER_CASES = [(CK, 5, "random"), (CK, 5, "sparse"), (T2, 4, "random"), (T2, 4, "sparse")]
+
+
+@pytest.mark.parametrize("hopf, truncation, kind", SOLVER_CASES,
+                         ids=[f"{h.key}/N={n}/{k}" for h, n, k in SOLVER_CASES])
+def test_evolve_multiplies_only_products_below_the_truncation(monkeypatch, hopf, truncation,
+                                                                kind):
+    """``evolve`` reads eta on generators only, and a left factor in a
+    generator's coproduct row has degree < N, so the solver multiplies the
+    products of degree < N whose two factors are nonzero, and no product of
+    degree N."""
+    if kind == "random":
+        rng = random.Random(88)
+        curve = FunctionalCurve([random_infinitesimal(hopf, RATIONAL, truncation, rng).functional
+                                 for _ in range(2)])
+    else:
+        curve = _sparse_curve(hopf, truncation)
+    oracle = evolve_polynomials_by_dict(curve)
+    want = 0
+    for basis in hopf.all_basis_upto(truncation - 1):
+        first, rest = split(basis)
+        if rest.degree and oracle[first].coefficients and oracle[rest].coefficients:
+            want += 1
+    calls = _count_poly_mul(monkeypatch)
+    evolve(curve, Fraction(5, 3))
+    assert len(calls) == want
+    if kind == "sparse":
+        assert any(not p.coefficients for b, p in oracle.items() if split(b)[1].degree)
+
+
+@pytest.mark.parametrize("hopf", [CK, T2], ids=lambda h: h.key)
+@pytest.mark.parametrize("truncation", [0, 1])
+def test_evolution_at_the_lowest_truncations(hopf, truncation):
+    rng = random.Random(89)
+    curve = FunctionalCurve([random_infinitesimal(hopf, RATIONAL, truncation, rng).functional,
+                             random_infinitesimal(hopf, RATIONAL, truncation, rng).functional])
+    oracle = evolve_polynomials_by_dict(curve)
+    polys = evolve_polynomials(curve)
+    assert list(polys) == hopf.all_basis_upto(truncation)
+    assert poly_coefficients(polys) == poly_coefficients(oracle)
+    for t in (0, Fraction(-2, 5), 3):
+        assert evolve(curve, t) == TruncatedFunctional(
+            hopf, RATIONAL, truncation, {b: p(t) for b, p in oracle.items()})
+
+
+@pytest.mark.parametrize("hopf", [CK, T2], ids=lambda h: h.key)
+def test_zero_curve_solves_without_products(monkeypatch, hopf):
+    curve = FunctionalCurve([zero_functional(hopf, RATIONAL, 4)] * 2)
+    calls = _count_poly_mul(monkeypatch)
+    assert evolve(curve, Fraction(7, 2)) == conv_unit(hopf, RATIONAL, 4)
+    assert not calls
+    polys = evolve_polynomials(curve)
+    assert list(polys) == hopf.all_basis_upto(4)
+    assert polys[hopf.unit_basis] == Poly(RATIONAL, [1])
+    assert all(p == Poly.zero(RATIONAL) for b, p in polys.items() if b.degree)
 
 
 def test_zero_curve_gives_unit_at_all_times():

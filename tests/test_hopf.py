@@ -50,6 +50,20 @@ def test_word_basics():
         parse_word("v")
 
 
+@pytest.mark.parametrize("text, offset", [("v\u00b2", 1), ("v1\u00b2", 2), ("v\u0661", 1),
+                                          ("v0v\u0661\u0662", 3)],
+                         ids=["superscript", "superscript-after-index", "arabic-indic",
+                              "arabic-indic-second-letter"])
+def test_parse_word_takes_only_ascii_digits(text, offset):
+    """``str.isdigit`` also holds for superscripts, which ``int`` refuses,
+    and for other scripts' decimal digits, which ``int`` reads."""
+    with pytest.raises(ParseError) as info:
+        parse_word(text)
+    assert info.value.offset == offset
+    with pytest.raises(ParseError):
+        T2.parse_basis(text)
+
+
 def test_graded_vector_arithmetic():
     v = vector_of(F_LEAF) * 2 + vector_of(F_CHAIN)
     w = v - vector_of(F_CHAIN)
