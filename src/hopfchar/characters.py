@@ -22,8 +22,8 @@ from __future__ import annotations
 from typing import Mapping
 
 from . import series
-from .convolution import (TruncatedFunctional, conv_unit, convolve_at, json_entries,
-                          json_field, parse_truncation)
+from .convolution import (TruncatedFunctional, conv_unit, convolve_at, json_field,
+                          json_values, parse_truncation)
 from .errors import MembershipError
 from .hopf import HopfStructure, ck_hopf
 from .rings import RATIONAL, resolve_ring
@@ -282,10 +282,7 @@ def tree_values_from_json_dict(data: dict):
     """Inverse codec; returns (values, truncation, ring)."""
     truncation = parse_truncation(json_field(data, "truncation"))
     ring = resolve_ring(data.get("ring", "rational"))
-    values = {
-        parse_tree(key): ring.parse_element(text)
-        for key, text in json_entries(data, "trees", dict, str, {}).items()
-    }
+    values = json_values(data, "trees", parse_tree, ring.parse_element)
     return values, truncation, ring
 
 

@@ -211,10 +211,7 @@ class TruncatedFunctional:
         hopf = resolve_hopf(json_field(data, "hopf"))
         ring = resolve_ring(json_field(data, "ring"))
         truncation = parse_truncation(json_field(data, "truncation"))
-        values = {
-            hopf.parse_basis(key): ring.parse_element(text)
-            for key, text in json_entries(data, "values", dict, str, {}).items()
-        }
+        values = json_values(data, "values", hopf.parse_basis, ring.parse_element)
         try:
             return TruncatedFunctional(hopf, ring, truncation, values)
         except ValueError as err:  # a value above the truncation
@@ -253,6 +250,20 @@ def json_entries(data: dict, field: str, container: type, item: type, default=No
     ):
         raise ParseError(f"{field} must be a JSON {container.__name__} of {item.__name__}", 0)
     return value
+
+
+def json_values(data: dict, field: str, parse_key, parse_value) -> dict:
+    """The JSON object ``data[field]`` of strings (empty when absent) as
+    ``{parse_key(key): parse_value(text)}``; two keys that parse to one
+    element are a ``ParseError`` naming both."""
+    values, keys = {}, {}
+    for key, text in json_entries(data, field, dict, str, {}).items():
+        element = parse_key(key)
+        if element in keys:
+            raise ParseError(f"{field} keys {keys[element]!r} and {key!r} both name {element}", 0)
+        keys[element] = key
+        values[element] = parse_value(text)
+    return values
 
 
 def conv_unit(hopf: HopfStructure, ring, truncation: int) -> TruncatedFunctional:

@@ -18,8 +18,10 @@ from a lower one through the Connes-Kreimer 1-cocycle B+.
 ``IndexTable``: the basis in basis order, the index of each element, the
 indices of its first generator and of the rest, and its coproduct as positive
 integer triples ``(c, i, j)``.  The convolution kernel works on these indices
-only.  Instances are stateless apart from memo dicts: racing threads may each
-build a whole, equal table, and one is kept.
+only.  Each table also indexes its basis by serial, so ``parse_basis`` looks a
+key up among the tables built so far and otherwise parses it; it builds no
+table of its own.  Instances are stateless apart from memo dicts: racing
+threads may each build a whole, equal table, and one is kept.
 """
 
 from __future__ import annotations
@@ -257,15 +259,17 @@ class IndexTable:
 class HopfStructure:
     """Common driver for a graded connected Hopf algebra with a chosen basis.
 
-    Subclasses provide the basis per degree, the product and ``ids``: the int
-    key of each basis element (its generators, first generator first), the key
-    of f on each generator B+(f), and the merge of two keys into their product's.
+    Subclasses provide the basis per degree, the product, the grammar of keys
+    (``_parse_basis``) and ``ids``: the int key of each basis element (its
+    generators, first generator first), the key of f on each generator B+(f),
+    and the merge of two keys into their product's.
     """
 
     key: str
 
     def __init__(self):
         self._tables: dict[int, IndexTable] = {}
+        self._serials: dict[str, object] = {}  # serial -> element of a built table
 
     def basis(self, degree: int) -> tuple:
         raise NotImplementedError
@@ -303,7 +307,9 @@ class HopfStructure:
         """The ``IndexTable`` of the basis of degree <= max_degree, memoized."""
         table = self._tables.get(max_degree)
         if table is None:
-            table = self._tables[max_degree] = IndexTable(self, max_degree)
+            table = IndexTable(self, max_degree)
+            self._serials.update((b.serial, b) for b in table.basis)
+            self._tables[max_degree] = table
         return table
 
     def factored(self, max_degree: int) -> tuple:
@@ -331,6 +337,13 @@ class HopfStructure:
         raise NotImplementedError
 
     def parse_basis(self, text: str):
+        """The basis element that ``text`` names.  A canonical serial of an
+        element of a built table is that element; other text goes to the
+        algebra's grammar, which raises ``ParseError`` on malformed input."""
+        element = self._serials.get(text)
+        return self._parse_basis(text) if element is None else element
+
+    def _parse_basis(self, text: str):
         raise NotImplementedError
 
     def _product_basis(self, b1, b2):
@@ -383,7 +396,7 @@ class CKHopf(HopfStructure):
             out = self.multiply(out, self._tree_antipode(tree))
         return out
 
-    def parse_basis(self, text: str) -> Forest:
+    def _parse_basis(self, text: str) -> Forest:
         return parse_forest(text)
 
     def __repr__(self) -> str:
@@ -423,7 +436,7 @@ class TensorHopf(HopfStructure):
     def antipode(self, basis: Word) -> GradedVector:
         return GradedVector([(Word(reversed(basis.letters)), (-1) ** basis.degree)])
 
-    def parse_basis(self, text: str) -> Word:
+    def _parse_basis(self, text: str) -> Word:
         word = parse_word(text)
         if any(i >= self.dimension for i in word.letters):
             raise ParseError(f"generator index out of range for {self.key}", 0)

@@ -22,9 +22,10 @@ from hopfchar.characters import (
     tensor_char_from_vector,
     tensor_char_group_iso,
     tree_values,
+    tree_values_from_json_dict,
 )
 from hopfchar.convolution import TruncatedFunctional, conv_inverse, conv_unit, convolve, delta
-from hopfchar.errors import MembershipError
+from hopfchar.errors import MembershipError, ParseError
 from hopfchar.hopf import ck_hopf, tensor_hopf
 from hopfchar.rings import RATIONAL, TruncatedSeriesRing
 from hopfchar.sampling import (
@@ -343,3 +344,12 @@ def test_infinitesimal_from_tree_values():
     assert phi.functional.value(F_LEAF) == 2
     assert phi.functional.value(Forest([LEAF, LEAF])) == 0
     assert is_infinitesimal(phi.functional)
+
+
+def test_two_spellings_of_one_tree_are_a_parse_error():
+    data = {"truncation": 3, "trees": {"[]": "1", "[[][]]": "1/2", "[[] []]": "1/3"}}
+    with pytest.raises(ParseError) as err:
+        tree_values_from_json_dict(data)
+    assert "'[[][]]'" in str(err.value) and "'[[] []]'" in str(err.value)
+    del data["trees"]["[[][]]"]
+    assert tree_values_from_json_dict(data)[0] == {LEAF: 1, CHERRY: Fraction(1, 3)}

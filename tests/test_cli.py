@@ -375,6 +375,11 @@ def test_char_word_key_with_non_ascii_digit_is_parse_error(tmp_path, capsys, key
     assert run_error(capsys, ["char", "inv", write_payload(tmp_path, data)]) == 1
 
 
+def test_char_two_spellings_of_one_key_is_parse_error(tmp_path, capsys):
+    data = dict(LEAF_CHAR, truncation=3, values={"1": "1", "[[]] []": "1", "[] [[]]": "2"})
+    assert run_error(capsys, ["char", "inv", write_payload(tmp_path, data)]) == 1
+
+
 @pytest.mark.parametrize("t", ["abc", "1/0"])
 def test_evolve_bad_end_time_is_parse_error(tmp_path, capsys, t):
     curve = FunctionalCurve([delta(CK, RATIONAL, 2, F_LEAF)])

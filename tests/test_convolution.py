@@ -15,7 +15,7 @@ from hopfchar.convolution import (
 )
 from hopfchar.errors import IncompatibleError, NotInvertibleError, ParseError
 from hopfchar.evolution import FunctionalCurve
-from hopfchar.hopf import Word, ck_hopf, tensor_hopf
+from hopfchar.hopf import CKHopf, TensorHopf, Word, ck_hopf, tensor_hopf
 from hopfchar.ideals import HopfIdealSpec
 from hopfchar.rings import RATIONAL, TruncatedSeriesRing
 from hopfchar.sampling import (
@@ -240,3 +240,60 @@ def test_json_roundtrip_series_and_tensor():
 def test_codecs_refuse_non_objects(decode, payload):
     with pytest.raises(ParseError, match="^expected a JSON object"):
         decode(payload)
+
+
+@pytest.mark.parametrize("hopf, first, second", [
+    ("ck", "[[]] []", "[] [[]]"),
+    ("tensor(2)", "v0v1", " v0v1"),
+], ids=["ck", "tensor(2)"])
+def test_two_spellings_of_one_element_are_a_parse_error(hopf, first, second):
+    data = {"hopf": hopf, "ring": "rational", "truncation": 3,
+            "values": {"1": "1", first: "1", second: "2"}}
+    with pytest.raises(ParseError) as err:
+        TruncatedFunctional.from_json_dict(data)
+    assert repr(first) in str(err.value) and repr(second) in str(err.value)
+
+
+@pytest.mark.parametrize("hopf, make, truncation", [(CK, CKHopf, 5),
+                                                    (T2, lambda: TensorHopf(2), 4)],
+                         ids=["ck", "tensor(2)"])
+def test_warm_decoding_never_calls_the_grammar(monkeypatch, hopf, make, truncation):
+    # With table(N) built, every key of a dense character is the serial of
+    # one of its elements, so the grammar parser is never called; a fresh
+    # instance with no table parses each key once.
+    from hopfchar import hopf as hopf_module
+
+    calls = []
+
+    def counting(parse):
+        def wrapped(text):
+            calls.append(text)
+            return parse(text)
+        return wrapped
+
+    monkeypatch.setattr(hopf_module, "parse_forest", counting(hopf_module.parse_forest))
+    monkeypatch.setattr(hopf_module, "parse_word", counting(hopf_module.parse_word))
+    phi = random_character(hopf, RATIONAL, truncation, random.Random(14)).functional
+    text = phi.to_json()
+    keys = list(json.loads(text)["values"])
+    hopf.table(truncation)
+    del calls[:]
+    assert TruncatedFunctional.from_json(text) == phi
+    assert calls == []
+    fresh = make()
+    assert [fresh.parse_basis(key) for key in keys] == [hopf.parse_basis(key) for key in keys]
+    assert calls == keys
+
+
+@pytest.mark.parametrize("hopf, truncation, key", [("ck", 50, "[[]] []"),
+                                                   ("tensor(2)", 40, "v1v0")],
+                         ids=["ck", "tensor(2)"])
+def test_sparse_payload_beyond_any_table_loads(hopf, truncation, key):
+    # Parsing builds no table: one at this truncation would exceed its cap.
+    data = {"hopf": hopf, "ring": "rational", "truncation": truncation,
+            "values": {"1": "1", key: "-1/2"}}
+    phi = TruncatedFunctional.from_json_dict(data)
+    assert phi.truncation == truncation and len(phi.values) == 2
+    assert truncation not in phi.hopf._tables
+    with pytest.raises(ParseError, match="expected"):
+        TruncatedFunctional.from_json_dict(dict(data, values={"1": "1", "x": "1"}))

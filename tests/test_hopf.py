@@ -279,6 +279,53 @@ def test_parse_basis():
         T2.parse_basis("v2")  # out of range for d=2
 
 
+LOOKUP_CASES = [
+    (CKHopf, 7, {" [] [[]] ": "[] [[]]", "[[]] []": "[] [[]]", "[[[]] []]": "[[] [[]]]",
+                 "\t1\n": "1"}),
+    (lambda: TensorHopf(2), 6, {" v0v1 ": "v0v1", "v1v0\n": "v1v0", " 1": "1"}),
+    (lambda: TensorHopf(3), 4, {" v2v0 ": "v2v0"}),
+]
+MALFORMED_KEYS = ["[[", "[]]", "", "v", "v²", "1 []"]
+
+
+def _parse_outcome(hopf, text):
+    try:
+        return hopf.parse_basis(text)
+    except ParseError as err:
+        return str(err), err.offset
+
+
+@pytest.mark.parametrize("make, truncation, spellings", LOOKUP_CASES,
+                         ids=["ck", "tensor(2)", "tensor(3)"])
+def test_parse_basis_lookup_equals_the_grammar(make, truncation, spellings):
+    # A fresh instance has no table, so it parses every key and builds none;
+    # once table(N) is built, a serial of its basis is that very element.
+    cold, warm = make(), make()
+    basis = make().all_basis_upto(truncation)
+    assert [cold.parse_basis(b.serial) for b in basis] == basis
+    assert not cold._tables
+    table = warm.table(truncation)
+    assert all(warm.parse_basis(b.serial) is b for b in table.basis)
+    assert list(table.basis) == basis
+    for text, canonical in spellings.items():
+        for hopf in (cold, warm):
+            assert hopf.parse_basis(text) == hopf.parse_basis(canonical)
+            assert hopf.parse_basis(text).serial == canonical
+    for text in MALFORMED_KEYS:
+        outcome = _parse_outcome(cold, text)
+        assert _parse_outcome(warm, text) == outcome
+        # tensor reads "" as the empty word; every other key here is refused
+        assert isinstance(outcome, tuple) or (text == "" and outcome == warm.unit_basis)
+
+
+def test_parse_basis_lookup_keeps_the_dimension_check():
+    tensor_hopf(3).table(4)
+    T2.table(4)
+    assert tensor_hopf(3).parse_basis("v2") == Word([2])
+    with pytest.raises(ParseError, match="out of range for tensor\\(2\\)"):
+        T2.parse_basis("v2")
+
+
 def test_resolve_hopf():
     assert resolve_hopf("ck") is CK
     assert resolve_hopf("tensor(2)") is T2
@@ -307,11 +354,23 @@ def _first_product(hopf):
     return char_mul(phi, phi).functional
 
 
+def _parse_around_first_table(hopf, serials):
+    """Every serial parsed, half before and half after the first table(6), so
+    that parsing races another thread's first build."""
+    half = len(serials) // 2
+    parsed = [hopf.parse_basis(s) for s in serials[:half]]
+    basis = hopf.table(6).basis
+    parsed += [hopf.parse_basis(s) for s in serials[half:]]
+    assert parsed == list(basis)
+    return parsed
+
+
 def test_concurrent_first_factor_table_calls_agree():
     # Four threads make the first call to factored(6), to the coproduct of a
-    # top-degree element, or to a character product at degree 6, on a fresh
-    # instance while the interpreter switches threads as often as it can.
-    # The table memo is unlocked: racing threads may each build a whole
+    # top-degree element, to a character product at degree 6, or parse every
+    # serial of degree <= 6 around their first table(6), on a fresh instance
+    # while the interpreter switches threads as often as it can.  The table
+    # and serial memos are unlocked: racing threads may each build a whole
     # table, all equal, and one of them is kept, so every caller sees one.
     import sys
     import threading
@@ -321,8 +380,9 @@ def test_concurrent_first_factor_table_calls_agree():
         sys.setswitchinterval(1e-6)
         for make in (CKHopf, lambda: TensorHopf(2)):
             top = make().basis(6)[-1]
+            serials = [b.serial for b in make().all_basis_upto(6)]
             for call in (lambda hopf: hopf.factored(6), lambda hopf: hopf.coproduct(top),
-                         _first_product):
+                         _first_product, lambda hopf: _parse_around_first_table(hopf, serials)):
                 expected = call(make())
                 for _ in range(5):
                     hopf, results = make(), []
