@@ -1,31 +1,25 @@
 """Graded connected Hopf algebra structures.
 
-Two instances share one interface:
+``CKHopf`` (rooted forests, commutative) and ``TensorHopf(d)`` (words in d
+letters) are free, and ``Rows`` defines the coproduct and the antipode of both:
+Delta(first * rest) = Delta(first) Delta(rest), and a generator B+(f) (a tree
+over the forest f of its root's children, or a letter over f = 1) takes the
+Connes-Kreimer cocycle Delta(B+(f)) = B+(f) x 1 + (id x B+) Delta(f).  So each
+right factor in the coproduct of a generator g is the unit or a lower
+generator, and m (id x S) Delta = 0 gives S(g) = -sum c l S(r) over the terms
+c l x r of Delta(g) but 1 x g, with S(uv) = S(v) S(u).
 
-* ``CKHopf`` — the commutative algebra of rooted forests.  The coproduct of a
-  tree sums (cut forest) x (kept subtree) over its root-containing subtrees;
-  the antipode of a tree sums signed cut forests over edge subsets, with sign
-  ``(-1)^(number of components)``; it extends multiplicatively to forests.
-* ``TensorHopf(d)`` — the tensor algebra on d generators with word basis,
-  concatenation product, unshuffle coproduct (letters are primitive) and
-  antipode ``w -> (-1)^|w| reversed(w)``.
-
-Both algebras are free, and the coproduct is an algebra morphism, hence the
-multiplicative extension of its generator values; a generator's value follows
-from a lower one through the Connes-Kreimer 1-cocycle B+.
-
-``HopfStructure.table(N)`` compiles the basis of degree <= N once into an
-``IndexTable``: the basis in basis order, the index of each element, the
-indices of its first generator and of the rest, and its coproduct as positive
-integer triples ``(c, i, j)``.  The convolution kernel works on these indices
-only.  Each table also indexes its basis by serial, so ``parse_basis`` looks a
-key up among the tables built so far and otherwise parses it; it builds no
-table of its own.  Instances are stateless apart from memo dicts: racing
-threads may each build a whole, equal table, and one is kept.
+``HopfStructure.table(N)`` runs ``Rows`` over the basis of degree <= N into an
+``IndexTable``, on whose indices the convolution kernel works; ``coproduct(b)``
+and ``antipode(b)`` run it on the keys b needs and build no table.  Each table
+indexes its basis by serial, so ``parse_basis`` looks a key up among the tables
+built so far and otherwise parses it.  Instances are stateless apart from memo
+dicts: racing threads may each build a whole, equal table or value.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import operator
@@ -33,13 +27,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator
 
 from .errors import SIZE_BUDGET, ParseError, ResourceLimitError, TruncationOverflowError
-from .trees import (
-    EMPTY_FOREST,
-    Forest,
-    edge_partitions,
-    enumerate_forests,
-    parse_forest,
-)
+from .trees import DEFAULT_ORDER_CAP, Forest, RootedTree, enumerate_forests, parse_forest
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -82,6 +70,8 @@ def parse_word(text: str) -> Word:
     text = text.strip()
     if text == "1":
         return EMPTY_WORD
+    if not text:
+        raise ParseError("empty word input (use '1')", 0)
     letters: list[int] = []
     pos = 0
     while pos < len(text):
@@ -197,23 +187,113 @@ def vector_of(basis) -> GradedVector:
     return GradedVector([(basis, 1)])
 
 
+class Rows:
+    """Delta and S on keys, built when first asked for; each table and each
+    one-element call builds its own, forming at most ``SIZE_BUDGET`` terms.  A
+    key is the tuple of ids of an element's generators, sorted if the algebra
+    commutes; ``id`` numbers keys as met, the unit () as 0, a generator as its
+    one-term key.  ``row(i)`` is Delta(keys[i]) and ``antipode(i)`` is
+    S(keys[i]) as integer triples ``(c, left, right)``, right = 0 in S.
+    """
+
+    def __init__(self, hopf: "HopfStructure"):
+        self.hopf, self.keys, self.at, self.budget = hopf, [()], {(): 0}, SIZE_BUDGET
+        self.rows, self.antipodes = {0: ((1, 0, 0),)}, {0: ((1, 0, 0),)}
+        self.products, self.graft = collections.defaultdict(dict), {}
+        self.generators, self.generator_ids = {}, {}  # id <-> tree or letter
+        self.arrange = sorted if hopf.commutative else tuple  # keys are tuple(arrange(ids))
+
+    def id(self, key: tuple) -> int:
+        i = self.at.setdefault(key, len(self.keys))
+        if i == len(self.keys):
+            self.keys.append(key)
+        return i
+
+    def id_of(self, generators) -> int:
+        """The id of the product of ``generators``, numbering new ones."""
+        key = tuple(map(self.generator_ids.get, generators))  # ids > 0, None if new
+        key = key if all(key) else map(self.generator_id, generators)
+        return self.id(tuple(self.arrange(key)))
+
+    def generator_id(self, generator) -> int:
+        i = self.generator_ids.get(generator)
+        if i is None:
+            i = self.generator_ids[generator] = self.id((len(self.keys),))
+            self.generators[i] = generator
+        return i
+
+    def element(self, i: int):
+        return self.hopf.element(map(self.generators.get, self.keys[i]))
+
+    def times(self, a: int, b: int) -> int:
+        """The id of keys[a] * keys[b], memoized in ``products``."""
+        ab = self.products[a].get(b)
+        if ab is None:
+            ab = self.products[a][b] = self.id(tuple(self.arrange(self.keys[a] + self.keys[b])))
+        return ab
+
+    def spend(self, terms: int) -> None:
+        self.budget -= terms
+        if self.budget < 0:
+            raise ResourceLimitError(f"structure map exceeds {SIZE_BUDGET} terms")
+
+    def sum_products(self, factors) -> tuple:
+        """Sum row1 * row2 over the pairs of rows in ``factors``."""
+        pairs, products, times = {}, self.products, self.times
+        for row1, row2 in factors:
+            self.spend(len(row1) * len(row2))
+            for c1, l1, r1 in row1:
+                times_l, times_r = products[l1], products[r1]
+                for c2, l2, r2 in row2:  # get() is 0 only for 1 * 1
+                    pair = times_l.get(l2) or times(l1, l2), times_r.get(r2) or times(r1, r2)
+                    pairs[pair] = pairs.get(pair, 0) + c1 * c2
+        return tuple([(c, left, right) for (left, right), c in pairs.items() if c])
+
+    def row(self, i: int) -> tuple:
+        row = self.rows.get(i)
+        if row is None:
+            key = self.keys[i]
+            if len(key) > 1:
+                row = self.sum_products([(self.row(key[0]), self.row(self.id(key[1:])))])
+            else:
+                # keys[i] = B+(f), graft[f] = B+(f) for each f met, so for each
+                # right factor of Delta(f); letters share f = 1, read at once.
+                f = self.id_of(getattr(self.generators[key[0]], "children", ()))
+                below, graft = self.row(f), self.graft
+                graft[f] = i
+                self.spend(len(below) + 1)
+                row = ((1, i, 0),) + tuple([(c, left, graft.get(r) or self.grafted(r))
+                                            for c, left, r in below])
+            self.rows[i] = row
+        return row
+
+    def grafted(self, f: int) -> int:  # the tree B+(keys[f])
+        self.graft[f] = self.generator_id(RootedTree(map(self.generators.get, self.keys[f])))
+        return self.graft[f]
+
+    def antipode(self, i: int) -> tuple:
+        s = self.antipodes.get(i)
+        if s is None:
+            key, half = self.keys[i], len(self.keys[i]) // 2
+            if half:  # S(uv) = S(v) S(u), u the first half of the key
+                s = self.sum_products([(self.antipode(self.id(key[half:])),
+                                        self.antipode(self.id(key[:half])))])
+            else:  # m (id x S) Delta = 0 solved for S of its 1 x keys[i] term
+                s = self.sum_products((((-c, left, 0),), self.antipode(right))
+                                      for c, left, right in self.row(i) if right != i)
+            self.antipodes[i] = s
+        return s
+
+
 class IndexTable:
     """The basis of degree <= N of one Hopf algebra, compiled to indices.
 
     ``basis`` lists the elements in basis order (the unit first, degrees
-    ascending) and ``index`` maps each to its position; ``ends[d]`` is the
-    number of elements of degree <= d, so ``basis[:ends[d]]`` is that degree
-    prefix.  ``first[i]`` and ``rest[i]`` index the split
-    b = first * rest of ``basis[i]``; ``rest[i] == 0`` exactly on the unit and
-    on generators, whose indices ``generators`` lists in basis order.
-    ``coproduct[i]`` holds Delta(basis[i]) as integer triples
-    ``(c, left, right)`` with equal pairs combined, built on ``hopf.ids`` in
-    basis order: a generator b = B+(f) grafts the row of f by the cocycle
-    Delta(B+(f)) = B+(f) x 1 + (id x B+) Delta(f), and a product takes
-    Delta(first) Delta(rest) through a memo of key merges.  So the right
-    factor of each triple in a generator's row is the unit or a generator:
-    the unit and the generators are closed under right factors, which lets
-    ``series.apply_series`` run on them alone.
+    ascending), ``index`` maps each to its position, and ``basis[:ends[d]]`` is
+    the prefix of degree <= d.  ``first[i]`` and ``rest[i]`` index the split
+    b = first * rest of ``basis[i]``, first its generator of least index;
+    ``rest[i] == 0`` exactly on the unit and on ``generators``.  ``coproduct[i]``
+    is the ``Rows`` row of basis[i]: keys met in basis order have its indices.
     """
 
     __slots__ = ("basis", "index", "ends", "first", "rest", "generators", "coproduct")
@@ -221,48 +301,24 @@ class IndexTable:
     def __init__(self, hopf: "HopfStructure", max_degree: int):
         self.basis = basis = tuple(hopf.all_basis_upto(max_degree))
         self.index = {b: i for i, b in enumerate(basis)}
-        counts = [0] * (max_degree + 1)
+        counts = collections.Counter(b.degree for b in basis)
+        self.ends = tuple(itertools.accumulate(counts[d] for d in range(max_degree + 1)))
+        rows = Rows(hopf)
         for b in basis:
-            counts[b.degree] += 1
-        self.ends = tuple(itertools.accumulate(counts))
-        keys, children, merge = hopf.ids(basis)
-        at = {key: i for i, key in enumerate(keys)}
-        self.first = first = tuple(at[key[:1]] for key in keys)
-        self.rest = rest = tuple(at[key[1:]] for key in keys)
+            rows.id_of(hopf.factors(b))
+        self.first = tuple(rows.at[key[:1]] for key in rows.keys)
+        self.rest = rest = tuple(rows.at[key[1:]] for key in rows.keys)
         self.generators = tuple(i for i in range(1, len(basis)) if not rest[i])
-        graft, products = {}, [{} for _ in basis]  # products[a][b]: index of a * b
-        rows = [((1, 0, 0),)]
-        for i in range(1, len(basis)):
-            if rest[i]:
-                pairs, rest_row = {}, rows[rest[i]]
-                for c1, l1, r1 in rows[first[i]]:
-                    times_l, times_r = products[l1], products[r1]
-                    for c2, l2, r2 in rest_row:
-                        left = times_l.get(l2)
-                        if left is None:
-                            left = times_l[l2] = at[merge(keys[l1], keys[l2])]
-                        right = times_r.get(r2)
-                        if right is None:
-                            right = times_r[r2] = at[merge(keys[r1], keys[r2])]
-                        pairs[left, right] = pairs.get((left, right), 0) + c1 * c2
-                rows.append(tuple((c, left, right) for (left, right), c in pairs.items()))
-            else:
-                # graft[f] = B+(f) for each f so far, so for each right factor
-                # of Delta(f); letters share f = 1 and read it at once.
-                f = at[children[i]]
-                graft[f] = i
-                rows.append(((1, i, 0),) + tuple((c, left, graft[right])
-                                                 for c, left, right in rows[f]))
-        self.coproduct = tuple(rows)
+        self.coproduct = tuple(map(rows.row, range(len(basis))))
 
 
 class HopfStructure:
     """Common driver for a graded connected Hopf algebra with a chosen basis.
 
     Subclasses provide the basis per degree, the product, the grammar of keys
-    (``_parse_basis``) and ``ids``: the int key of each basis element (its
-    generators, first generator first), the key of f on each generator B+(f),
-    and the merge of two keys into their product's.
+    (``_parse_basis``), ``element`` and ``factors`` (a basis element from and
+    to its generators), ``commutative`` and ``coproduct_cap``, the top degree
+    of ``coproduct``.
     """
 
     key: str
@@ -270,6 +326,7 @@ class HopfStructure:
     def __init__(self):
         self._tables: dict[int, IndexTable] = {}
         self._serials: dict[str, object] = {}  # serial -> element of a built table
+        self._coproducts, self._antipodes = {}, {}  # element -> its coproduct, antipode
 
     def basis(self, degree: int) -> tuple:
         raise NotImplementedError
@@ -325,16 +382,28 @@ class HopfStructure:
         return [table.basis[i] for i in table.generators]
 
     def coproduct(self, basis) -> tuple:
-        """Delta(basis) as ``(Fraction, left, right)`` from ``table(basis.degree)``."""
-        table = self.table(basis.degree)
-        return tuple((Fraction(c), table.basis[left], table.basis[right])
-                     for c, left, right in table.coproduct[table.index[basis]])
+        """Delta(basis) as ``(Fraction, left, right)`` terms; builds no table."""
+        terms = self._coproducts.get(basis)
+        if terms is None:
+            if basis.degree > self.coproduct_cap:
+                raise ResourceLimitError(f"degree {basis.degree} exceeds cap {self.coproduct_cap}")
+            rows = Rows(self)
+            terms = self._coproducts[basis] = tuple(
+                (Fraction(c), rows.element(left), rows.element(right))
+                for c, left, right in rows.row(rows.id_of(self.factors(basis))))
+        return terms
 
     def counit(self, basis) -> Fraction:
         return _ONE if basis.degree == 0 else _ZERO
 
     def antipode(self, basis) -> GradedVector:
-        raise NotImplementedError
+        """S(basis); builds no table."""
+        vec = self._antipodes.get(basis)
+        if vec is None:
+            rows = Rows(self)
+            vec = self._antipodes[basis] = GradedVector(
+                (rows.element(i), c) for c, i, _ in rows.antipode(rows.id_of(self.factors(basis))))
+        return vec
 
     def parse_basis(self, text: str):
         """The basis element that ``text`` names.  A canonical serial of an
@@ -354,10 +423,8 @@ class CKHopf(HopfStructure):
     """The rooted-forest Hopf algebra, graded by total node count."""
 
     key = "ck"
-
-    def __init__(self):
-        super().__init__()
-        self._antipode_cache: dict = {}
+    element, factors, commutative = Forest, operator.attrgetter("trees"), True
+    coproduct_cap = DEFAULT_ORDER_CAP
 
     def basis(self, degree: int) -> tuple[Forest, ...]:
         return tuple(enumerate_forests(degree))
@@ -365,36 +432,8 @@ class CKHopf(HopfStructure):
     def _product_basis(self, b1: Forest, b2: Forest) -> Forest:
         return b1.union(b2)
 
-    def ids(self, basis: tuple[Forest, ...]) -> tuple:
-        # A forest is the sorted tuple of its trees' generator indices, so keys
-        # merge by sorting; a tree is B+ of the forest of its root's children.
-        generator = {b.trees[0]: i for i, b in enumerate(basis) if len(b.trees) == 1}
-
-        def key(trees):
-            return tuple(sorted(generator[t] for t in trees))
-        return ([key(b.trees) for b in basis],
-                [key(b.trees[0].children) if len(b.trees) == 1 else None for b in basis],
-                lambda key1, key2: tuple(sorted(key1 + key2)))
-
     coproduct = HopfStructure.coproduct  # on each class: perfbench traces it there
-
-    def _tree_antipode(self, tree) -> GradedVector:
-        cached = self._antipode_cache.get(tree)
-        if cached is None:
-            cached = GradedVector(
-                (forest, (-1) ** len(forest.trees))
-                for forest, _skeleton in edge_partitions(tree)
-            )
-            self._antipode_cache[tree] = cached
-        return cached
-
-    def antipode(self, basis: Forest) -> GradedVector:
-        # Algebra anti-morphism; the target is commutative, so a plain
-        # product of the per-tree antipodes.
-        out = vector_of(EMPTY_FOREST)
-        for tree in basis.trees:
-            out = self.multiply(out, self._tree_antipode(tree))
-        return out
+    antipode = HopfStructure.antipode
 
     def _parse_basis(self, text: str) -> Forest:
         return parse_forest(text)
@@ -405,6 +444,9 @@ class CKHopf(HopfStructure):
 
 class TensorHopf(HopfStructure):
     """The tensor algebra on d generators, graded by word length."""
+
+    element, factors, commutative = Word, operator.attrgetter("letters"), False
+    coproduct_cap = SIZE_BUDGET.bit_length() - 1  # a word's 2^n terms before pairs combine
 
     def __init__(self, dimension: int = 2):
         if dimension < 1:
@@ -426,15 +468,8 @@ class TensorHopf(HopfStructure):
     def _product_basis(self, b1: Word, b2: Word) -> Word:
         return Word(b1.letters + b2.letters)
 
-    def ids(self, basis: tuple[Word, ...]) -> tuple:
-        # A word is its letter tuple, so keys merge by concatenation; a letter
-        # is B+ of the unit (one B+ per letter).
-        return [w.letters for w in basis], [()] * len(basis), operator.add
-
     coproduct = HopfStructure.coproduct
-
-    def antipode(self, basis: Word) -> GradedVector:
-        return GradedVector([(Word(reversed(basis.letters)), (-1) ** basis.degree)])
+    antipode = HopfStructure.antipode
 
     def _parse_basis(self, text: str) -> Word:
         word = parse_word(text)

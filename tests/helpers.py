@@ -4,8 +4,10 @@ Everything here recomputes expected values along a different route than the
 library: graph-level isomorphism instead of canonical serialization, raw
 vertex-subset enumeration instead of the child recursion, the componentwise
 product over a forest's trees and the unshuffle over letter masks instead of
-the multiplicative extension of the coproduct, the antipode axiom instead of
-the partition formula, the per-degree composition sum and Horner on
+the multiplicative extension of the coproduct, the antipode axiom, the
+signed sum over edge subsets of each tree (multiplied out over a forest's
+trees) and the signed reversal of a word instead of the recursion on
+coproduct rows, the per-degree composition sum and Horner on
 value dicts over the whole basis instead of Horner on degree prefixes of value
 lists, a linear-span ideal membership test instead of
 generator-only evaluation, the product rule on every pair of basis elements
@@ -32,7 +34,7 @@ from hopfchar.convolution import TruncatedFunctional, conv_unit, convolve
 from hopfchar.hopf import GradedVector, Word
 from hopfchar.linalg import in_span
 from hopfchar.rings import TruncatedSeriesRing
-from hopfchar.trees import Forest, RootedTree, enumerate_trees, ordered_subtrees
+from hopfchar.trees import Forest, RootedTree, edge_partitions, enumerate_trees, ordered_subtrees
 
 
 # -- rooted trees -------------------------------------------------------------
@@ -195,6 +197,21 @@ def antipode_by_axiom(hopf, basis) -> GradedVector:
             antipode_by_axiom(hopf, left), GradedVector([(right, coeff)])
         )
     return -total
+
+
+def antipode_by_edge_partitions(hopf, forest: Forest) -> GradedVector:
+    """S(forest): the product over its trees of the sum, over edge subsets, of
+    (-1)^(number of components) times the forest of components."""
+    out = GradedVector([(Forest(), 1)])
+    for tree in forest.trees:
+        out = hopf.multiply(out, GradedVector(
+            (cut, (-1) ** len(cut.trees)) for cut, _skeleton in edge_partitions(tree)))
+    return out
+
+
+def antipode_by_reversal(word: Word) -> GradedVector:
+    """S(word) = (-1)^|word| reversed(word)."""
+    return GradedVector([(Word(reversed(word.letters)), (-1) ** word.degree)])
 
 
 def antipode_vector(hopf, vec: GradedVector) -> GradedVector:

@@ -14,6 +14,8 @@ from hopfchar.rings import RATIONAL
 from hopfchar.series import exp
 from hopfchar.trees import Forest, LEAF, parse_tree
 
+from helpers import antipode_by_edge_partitions
+
 CK = ck_hopf()
 CHAIN = parse_tree("[[]]")
 F_LEAF = Forest([LEAF])
@@ -83,6 +85,52 @@ def test_structure_parse_error(capsys):
 @pytest.mark.parametrize("word", ["v\u00b2", "v\u0661"], ids=["superscript", "arabic-indic"])
 def test_structure_word_with_non_ascii_digit_is_parse_error(capsys, word):
     assert run_error(capsys, ["structure", word, "--which", "antipode", "--hopf", "tensor(2)"]) == 1
+
+
+@pytest.mark.parametrize("hopf", ["ck", "tensor(2)"])
+def test_structure_of_the_empty_key_is_parse_error(capsys, hopf):
+    assert run_error(capsys, ["structure", "", "--hopf", hopf, "--which", "coproduct"]) == 1
+
+
+BUSHY12, CHAIN12 = "[" + "[]" * 11 + "]", "[" * 12 + "]" * 12
+
+
+def traced(argv):
+    """Exit code and traced peak of Python allocations of one CLI run."""
+    tracemalloc.start()
+    try:
+        code = cli.main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return code, peak
+
+
+def test_structure_of_one_element_builds_only_its_rows(capsys):
+    # The tensor(2) table of degree 11 is over the size budget, but the
+    # 11-letter word's coproduct has 1,104 terms; an order-12 tree needs the
+    # rows of its own keys, not the 20,299 forests of degree <= 12.
+    argv = ["structure", "v0v1" * 5 + "v0", "--hopf", "tensor(2)", "--which", "coproduct"]
+    code, out = run(capsys, argv)
+    assert code == 0 and len(out.splitlines()) == 1104
+    for tree in (BUSHY12, CHAIN12):
+        code, peak = traced(["structure", tree, "--which", "coproduct"])
+        assert code == 0 and len(capsys.readouterr().out.splitlines()) == 13
+        assert peak < 8 << 20, (tree, peak)
+
+
+def test_antipode_has_no_degree_cap(capsys):
+    # The order cap and the 20-letter limit bound coproduct only.
+    bushy13 = "[" + "[]" * 12 + "]"
+    code, out = run(capsys, ["structure", bushy13, "--which", "antipode", "--format", "json"])
+    expected = antipode_by_edge_partitions(CK, CK.parse_basis(bushy13))
+    assert code == 0 and json.loads(out) == {b.serial: str(c) for b, c in expected}
+    chain16 = "[" * 16 + "]" * 16
+    code, out = run(capsys, ["structure", chain16, "--which", "antipode", "--format", "json"])
+    assert code == 0 and len(json.loads(out)) == 231  # a forest of chains per partition of 16
+    argv = ["structure", "v0v1" * 32, "--hopf", "tensor(2)", "--which", "antipode"]
+    code, out = run(capsys, argv)
+    assert code == 0 and out.strip() == "v1v0" * 32
 
 
 def test_char_mul_matches_butcher_compose(tmp_path, capsys):
@@ -227,13 +275,9 @@ def test_oversized_inputs_hit_the_size_budget(tmp_path, capsys):
         {"hopf": "ck", "ring": "series:1000000000", "truncation": 2, "values": {}}))
     order13 = "[" + "[]" * 12 + "]"
     for argv in (["char", "inv", str(tensor)], ["char", "inv", str(series)],
-                 ["structure", order13, "--which", "coproduct"]):
-        tracemalloc.start()
-        try:
-            code = cli.main(argv)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+                 ["structure", order13, "--which", "coproduct"],
+                 ["structure", "v0v1" * 32, "--hopf", "tensor(2)", "--which", "coproduct"]):
+        code, peak = traced(argv)
         err = capsys.readouterr().err
         assert code == 2, argv
         assert "exceeds" in err
@@ -372,6 +416,11 @@ def test_non_string_id_is_parse_error(tmp_path, capsys, op, data):
 def test_char_word_key_with_non_ascii_digit_is_parse_error(tmp_path, capsys, key):
     data = {"hopf": "tensor(2)", "ring": "rational", "truncation": 1,
             "values": {"1": "1", key: "1"}}
+    assert run_error(capsys, ["char", "inv", write_payload(tmp_path, data)]) == 1
+
+
+def test_char_empty_word_key_is_parse_error(tmp_path, capsys):
+    data = {"hopf": "tensor(2)", "ring": "rational", "truncation": 1, "values": {"": "1"}}
     assert run_error(capsys, ["char", "inv", write_payload(tmp_path, data)]) == 1
 
 

@@ -3,11 +3,13 @@ inputs with fields missing, mistyped or nested wrong.  Every run either
 succeeds or exits 1 or 2 with exactly one ``error:`` line on stderr, never a
 traceback.
 
-Valid payloads stay small (truncation <= 3, tensor dimension <= 2).  The
-junk ids ``tensor(1000)`` and ``series:2000000`` ask for more than
-``SIZE_BUDGET`` allows, so they must end in ``ResourceLimitError`` (exit 2)
-before anything that size is allocated.  The junk value ``1e999999999`` must
-be a parse error (exit 1) before 10**999999999 is computed."""
+Valid payloads are ck at truncation 6 over the rationals and 4 over
+``series:2``, tensor(2) at 5, tensor(3) at 3 and ck at 0, all within
+``SIZE_BUDGET``.  The junk ids ``tensor(1000)`` and ``series:2000000`` ask for
+more than ``SIZE_BUDGET`` allows, so they must end in ``ResourceLimitError``
+(exit 2) before anything that size is allocated.  The junk value
+``1e999999999`` must be a parse error (exit 1) before 10**999999999 is
+computed."""
 
 import contextlib
 import io
@@ -28,8 +30,8 @@ from hopfchar.sampling import random_character, random_infinitesimal, random_tre
 
 FUZZ = settings(derandomize=True, max_examples=200, deadline=None, database=None)
 
-SPACES = [(ck_hopf(), RATIONAL, 3), (tensor_hopf(2), RATIONAL, 3),
-          (ck_hopf(), TruncatedSeriesRing(2), 2), (ck_hopf(), RATIONAL, 0)]
+SPACES = [(ck_hopf(), RATIONAL, 6), (tensor_hopf(2), RATIONAL, 5), (tensor_hopf(3), RATIONAL, 3),
+          (ck_hopf(), TruncatedSeriesRing(2), 4), (ck_hopf(), RATIONAL, 0)]
 _rng = random.Random(77)
 CHARACTERS = [random_character(*space, _rng).functional.to_json_dict() for space in SPACES]
 INFINITESIMALS = [random_infinitesimal(*space, _rng).functional.to_json_dict()

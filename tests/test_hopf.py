@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,13 @@ from hopfchar.hopf import (
 )
 from hopfchar.trees import EMPTY_FOREST, LEAF, Forest, parse_tree
 
-from helpers import antipode_by_axiom, as_multiset, coproduct_triple
+from helpers import (
+    antipode_by_axiom,
+    antipode_by_edge_partitions,
+    antipode_by_reversal,
+    as_multiset,
+    coproduct_triple,
+)
 
 CK = ck_hopf()
 T2 = tensor_hopf(2)
@@ -48,6 +55,9 @@ def test_word_basics():
         parse_word("w0")
     with pytest.raises(ParseError):
         parse_word("v")
+    for blank in ("", " ", "\t\n"):
+        with pytest.raises(ParseError, match="empty word input"):
+            parse_word(blank)
 
 
 @pytest.mark.parametrize("text, offset", [("v\u00b2", 1), ("v1\u00b2", 2), ("v\u0661", 1),
@@ -239,6 +249,22 @@ def test_size_budget_is_checked_before_allocation():
         CK.coproduct(Forest([parse_tree("[" + "[]" * 12 + "]")]))
 
 
+def test_terms_formed_count_against_the_size_budget(monkeypatch):
+    # With the budget at 1,000 terms, one element's structure and a table
+    # that form a few thousand are refused; at the real budget they work.
+    import hopfchar.hopf as hopf_module
+
+    chain16, word11 = Forest([parse_tree("[" * 16 + "]" * 16)]), Word([0, 1] * 5 + [0])
+    monkeypatch.setattr(hopf_module, "SIZE_BUDGET", 1000)
+    for call in (lambda: CKHopf().antipode(chain16), lambda: CKHopf().table(7),
+                 lambda: TensorHopf(2).coproduct(word11)):
+        with pytest.raises(ResourceLimitError, match="exceeds 1000 terms"):
+            call()
+    monkeypatch.undo()
+    assert len(CKHopf().antipode(chain16)) == 231
+    assert len(TensorHopf(2).coproduct(word11)) == 1104
+
+
 @pytest.mark.parametrize("hopf", [CK, T2], ids=lambda h: h.key)
 def test_connectedness(hopf):
     assert len(hopf.basis(0)) == 1
@@ -314,8 +340,42 @@ def test_parse_basis_lookup_equals_the_grammar(make, truncation, spellings):
     for text in MALFORMED_KEYS:
         outcome = _parse_outcome(cold, text)
         assert _parse_outcome(warm, text) == outcome
-        # tensor reads "" as the empty word; every other key here is refused
-        assert isinstance(outcome, tuple) or (text == "" and outcome == warm.unit_basis)
+        assert isinstance(outcome, tuple)  # refused on both algebras
+
+
+ONE_ELEMENT_CASES = [pytest.param(make, truncation, id=name) for (make, truncation, _), name
+                     in zip(LOOKUP_CASES, ["ck", "tensor(2)", "tensor(3)"])]
+
+
+@pytest.mark.parametrize("make, truncation", ONE_ELEMENT_CASES)
+def test_one_element_structure_builds_no_table(make, truncation):
+    # A fresh instance builds the rows of one element's own keys: its
+    # coproduct is the row of that element in another instance's table(N),
+    # and its antipode is the edge-subset sum (ck) or the signed reversal.
+    hopf, table = make(), make().table(truncation)
+    for basis in hopf.all_basis_upto(truncation):
+        row = table.coproduct[table.index[basis]]
+        assert Counter((c, l.serial, r.serial) for c, l, r in hopf.coproduct(basis)) == Counter(
+            (c, table.basis[l].serial, table.basis[r].serial) for c, l, r in row)
+        expected = (antipode_by_reversal(basis) if isinstance(basis, Word)
+                    else antipode_by_edge_partitions(hopf, basis))
+        assert hopf.antipode(basis) == expected
+    assert not hopf._tables
+
+
+@pytest.mark.parametrize("make, truncation", ONE_ELEMENT_CASES)
+def test_first_and_rest_follow_their_definition(make, truncation):
+    # b = first * rest with first the tree of b of least basis index, or the
+    # first letter of a word: the pair that character_violation reports.
+    table = make().table(truncation)
+    basis, index = table.basis, table.index
+    for i, b in enumerate(basis):
+        if isinstance(b, Word):
+            first, rest = Word(b.letters[:1]), Word(b.letters[1:])
+        else:
+            trees = sorted(b.trees, key=lambda tree: index[Forest([tree])])
+            first, rest = Forest(trees[:1]), Forest(trees[1:])
+        assert (basis[table.first[i]], basis[table.rest[i]]) == (first, rest)
 
 
 def test_parse_basis_lookup_keeps_the_dimension_check():
