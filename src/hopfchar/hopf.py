@@ -14,8 +14,7 @@ c l x r of Delta(g) but 1 x g, with S(uv) = S(v) S(u).
 and ``antipode(b)`` run it on the keys b needs and build no table.  Each table
 indexes its basis by serial, so ``parse_basis`` looks a key up among the tables
 built so far and otherwise parses it.  Instances are stateless apart from memo
-dicts: racing threads may each build a whole, equal table or value.
-"""
+dicts: racing threads may each build a whole, equal table or value."""
 
 from __future__ import annotations
 
@@ -187,50 +186,52 @@ def vector_of(basis) -> GradedVector:
     return GradedVector([(basis, 1)])
 
 
+class Memo(dict):
+    """A dict that makes, stores and returns the value of a missing key."""
+
+    def __init__(self, make, items=()):
+        super().__init__(items)
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
 class Rows:
     """Delta and S on keys, built when first asked for; each table and each
     one-element call builds its own, forming at most ``SIZE_BUDGET`` terms.  A
     key is the tuple of ids of an element's generators, sorted if the algebra
-    commutes; ``id`` numbers keys as met, the unit () as 0, a generator as its
-    one-term key.  ``row(i)`` is Delta(keys[i]) and ``antipode(i)`` is
-    S(keys[i]) as integer triples ``(c, left, right)``, right = 0 in S.
-    """
+    commutes, and ``at`` numbers keys as met: the unit () as 0, a generator as
+    its one-term key.  ``row(i)`` and ``antipode(i)`` are Delta and S of
+    keys[i] as integer triples ``(c, left, right)``, right = 0 in S."""
 
     def __init__(self, hopf: "HopfStructure"):
-        self.hopf, self.keys, self.at, self.budget = hopf, [()], {(): 0}, SIZE_BUDGET
-        self.rows, self.antipodes = {0: ((1, 0, 0),)}, {0: ((1, 0, 0),)}
-        self.products, self.graft = collections.defaultdict(dict), {}
-        self.generators, self.generator_ids = {}, {}  # id <-> tree or letter
+        self.hopf, self.keys, self.graft = hopf, [()], Memo(self._grafted)  # graft[f] = B+(f)
+        self.at = Memo(self._append, {(): 0})  # key -> id
+        self.rows, self.antipodes, self.budget = {0: ((1, 0, 0),)}, {0: ((1, 0, 0),)}, SIZE_BUDGET
+        self.products = Memo(lambda a: Memo(functools.partial(self._times, a)))  # [a][b]: a * b
+        self.generators, self.generator_ids = {}, Memo(self._number)  # id <-> tree or letter
         self.arrange = sorted if hopf.commutative else tuple  # keys are tuple(arrange(ids))
 
-    def id(self, key: tuple) -> int:
-        i = self.at.setdefault(key, len(self.keys))
-        if i == len(self.keys):
-            self.keys.append(key)
+    def _append(self, key: tuple) -> int:
+        self.keys.append(key)
+        return len(self.keys) - 1
+
+    def _number(self, generator) -> int:
+        i = self.at[(len(self.keys),)]
+        self.generators[i] = generator
         return i
 
     def id_of(self, generators) -> int:
         """The id of the product of ``generators``, numbering new ones."""
-        key = tuple(map(self.generator_ids.get, generators))  # ids > 0, None if new
-        key = key if all(key) else map(self.generator_id, generators)
-        return self.id(tuple(self.arrange(key)))
-
-    def generator_id(self, generator) -> int:
-        i = self.generator_ids.get(generator)
-        if i is None:
-            i = self.generator_ids[generator] = self.id((len(self.keys),))
-            self.generators[i] = generator
-        return i
+        return self.at[tuple(self.arrange(map(self.generator_ids.__getitem__, generators)))]
 
     def element(self, i: int):
         return self.hopf.element(map(self.generators.get, self.keys[i]))
 
-    def times(self, a: int, b: int) -> int:
-        """The id of keys[a] * keys[b], memoized in ``products``."""
-        ab = self.products[a].get(b)
-        if ab is None:
-            ab = self.products[a][b] = self.id(tuple(self.arrange(self.keys[a] + self.keys[b])))
-        return ab
+    def _times(self, a: int, b: int) -> int:
+        return self.at[tuple(self.arrange(self.keys[a] + self.keys[b]))]
 
     def spend(self, terms: int) -> None:
         self.budget -= terms
@@ -239,45 +240,44 @@ class Rows:
 
     def sum_products(self, factors) -> tuple:
         """Sum row1 * row2 over the pairs of rows in ``factors``."""
-        pairs, products, times = {}, self.products, self.times
+        pairs, products = {}, self.products
         for row1, row2 in factors:
             self.spend(len(row1) * len(row2))
             for c1, l1, r1 in row1:
                 times_l, times_r = products[l1], products[r1]
-                for c2, l2, r2 in row2:  # get() is 0 only for 1 * 1
-                    pair = times_l.get(l2) or times(l1, l2), times_r.get(r2) or times(r1, r2)
+                for c2, l2, r2 in row2:
+                    pair = times_l[l2], times_r[r2]
                     pairs[pair] = pairs.get(pair, 0) + c1 * c2
         return tuple([(c, left, right) for (left, right), c in pairs.items() if c])
 
     def row(self, i: int) -> tuple:
         row = self.rows.get(i)
         if row is None:
-            key = self.keys[i]
-            if len(key) > 1:
-                row = self.sum_products([(self.row(key[0]), self.row(self.id(key[1:])))])
+            key, rows = self.keys[i], self.rows
+            if len(key) > 1:  # built rows are never empty: `or` builds a missing one
+                first, rest = key[0], self.at[key[1:]]
+                row = self.sum_products([(rows.get(first) or self.row(first),
+                                          rows.get(rest) or self.row(rest))])
             else:
-                # keys[i] = B+(f), graft[f] = B+(f) for each f met, so for each
-                # right factor of Delta(f); letters share f = 1, read at once.
+                # keys[i] = B+(f), graft[r] = B+(r); letters share f = 1, read at once
                 f = self.id_of(getattr(self.generators[key[0]], "children", ()))
-                below, graft = self.row(f), self.graft
+                below, graft = rows.get(f) or self.row(f), self.graft
                 graft[f] = i
                 self.spend(len(below) + 1)
-                row = ((1, i, 0),) + tuple([(c, left, graft.get(r) or self.grafted(r))
-                                            for c, left, r in below])
+                row = ((1, i, 0),) + tuple([(c, left, graft[r]) for c, left, r in below])
             self.rows[i] = row
         return row
 
-    def grafted(self, f: int) -> int:  # the tree B+(keys[f])
-        self.graft[f] = self.generator_id(RootedTree(map(self.generators.get, self.keys[f])))
-        return self.graft[f]
+    def _grafted(self, f: int) -> int:  # the tree B+(keys[f])
+        return self.generator_ids[RootedTree(map(self.generators.get, self.keys[f]))]
 
     def antipode(self, i: int) -> tuple:
         s = self.antipodes.get(i)
         if s is None:
             key, half = self.keys[i], len(self.keys[i]) // 2
             if half:  # S(uv) = S(v) S(u), u the first half of the key
-                s = self.sum_products([(self.antipode(self.id(key[half:])),
-                                        self.antipode(self.id(key[:half])))])
+                s = self.sum_products([(self.antipode(self.at[key[half:]]),
+                                        self.antipode(self.at[key[:half]]))])
             else:  # m (id x S) Delta = 0 solved for S of its 1 x keys[i] term
                 s = self.sum_products((((-c, left, 0),), self.antipode(right))
                                       for c, left, right in self.row(i) if right != i)
