@@ -128,9 +128,10 @@ def test_antipode_has_no_degree_cap(capsys):
     chain16 = "[" * 16 + "]" * 16
     code, out = run(capsys, ["structure", chain16, "--which", "antipode", "--format", "json"])
     assert code == 0 and len(json.loads(out)) == 231  # a forest of chains per partition of 16
-    argv = ["structure", "v0v1" * 32, "--hopf", "tensor(2)", "--which", "antipode"]
-    code, out = run(capsys, argv)
-    assert code == 0 and out.strip() == "v1v0" * 32
+    for pairs in (32, 500):  # 64 and 1,000 letters
+        argv = ["structure", "v0v1" * pairs, "--hopf", "tensor(2)", "--which", "antipode"]
+        code, out = run(capsys, argv)
+        assert code == 0 and out.strip() == "v1v0" * pairs
 
 
 def test_char_mul_matches_butcher_compose(tmp_path, capsys):
