@@ -248,7 +248,7 @@ class Rows:
                 for c2, l2, r2 in row2:
                     pair = times_l[l2], times_r[r2]
                     pairs[pair] = pairs.get(pair, 0) + c1 * c2
-        return tuple([(c, left, right) for (left, right), c in pairs.items() if c])
+        return tuple([(c, left, right) for (left, right), c in pairs.items()])
 
     def row(self, i: int) -> tuple:
         row = self.rows.get(i)
