@@ -25,7 +25,7 @@ from .convolution import TruncatedFunctional
 from .errors import AlgebraError, DomainError, ParseError
 from .evolution import FunctionalCurve, evolve
 from .hopf import resolve_hopf
-from .ideals import is_symplectic, tree_pairs
+from .ideals import is_symplectic, pair_table
 from .rings import RATIONAL
 from .series import FormalSeries, apply_series
 from .trees import enumerate_trees
@@ -160,7 +160,7 @@ def _cmd_char(args) -> str:
     # symplectic: tree-value map JSON {"truncation": N, "trees": {...}}
     values, truncation, ring = tree_values_from_json_dict(_load_json(args.inputs[0]))
     verdict = is_symplectic(values, truncation, ring)
-    count = sum(1 for _ in tree_pairs(truncation))
+    count = len(pair_table(truncation))
     if args.format == "json":
         return json.dumps({"symplectic": verdict, "generators": count}, indent=2)
     return f"{'true' if verdict else 'false'} (generators checked: {count})"

@@ -26,7 +26,7 @@ from typing import Mapping
 from .errors import (AugmentationError, DomainError, IncompatibleError, ParseError,
                      TruncationOverflowError)
 from .hopf import GradedVector, HopfStructure, IndexTable, resolve_hopf
-from .rings import resolve_ring
+from .rings import RATIONAL, resolve_ring
 
 
 class TruncatedFunctional:
@@ -62,15 +62,17 @@ class TruncatedFunctional:
         return self.values.get(basis, self.ring.zero)
 
     def evaluate(self, vec: GradedVector):
-        """Linear extension to rational combinations of basis elements."""
-        ring = self.ring
-        total = ring.zero
-        for basis, coeff in vec:
-            if basis.degree <= self.truncation:
-                value = self.values.get(basis)
-                if value is not None:
-                    total = ring.add(total, ring.scale(value, coeff))
-        return total
+        """Linear extension to rational combinations of basis elements; terms
+        above the truncation or off the stored values count zero.  Each ring
+        coordinate of the sum of coeff * value is one integer sum over the lcm
+        of the term denominators and one ``Fraction`` (``RATIONAL.sum_products``),
+        the ring read only through ``width``, ``coordinates`` and
+        ``from_coordinates``."""
+        ring, get, n = self.ring, self.values.get, self.truncation
+        terms = [(coeff, ring.coordinates(value)) for basis, coeff in vec
+                 if basis.degree <= n and (value := get(basis)) is not None]
+        return ring.from_coordinates([RATIONAL.sum_products([(1, c, cs[k]) for c, cs in terms])
+                                      for k in range(ring.width)])
 
     @property
     def degree0(self):

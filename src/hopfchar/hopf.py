@@ -100,12 +100,10 @@ class GradedVector:
         items = terms.items() if isinstance(terms, dict) else terms
         for basis, coeff in items:
             c = Fraction(coeff)
+            if c and basis in data:  # a repeated basis: merge, dropping a cancelled term
+                c += data.pop(basis)
             if c:
-                c += data.pop(basis, _ZERO)
-                if c:
-                    data[basis] = c
-                else:
-                    data.pop(basis, None)
+                data[basis] = c
         self.terms: dict = data
 
     def __eq__(self, other) -> bool:

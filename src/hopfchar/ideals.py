@@ -10,12 +10,16 @@ validate this shortcut against a per-degree linear-span oracle.
 
 The flagship instance is the ideal of the symplectic tree maps, generated in
 each degree by  graft(t,u) + graft(u,t) - t*u  over unordered tree pairs.
+``pair_table(N)`` grafts each pair once and is memoized per N, and
+``symplectic_generators(N)`` builds one spec from it, memoized per N and
+shared by every caller (a spec and its vectors are immutable).  Threads racing
+on a first call may each build one; they build equal values, and one is kept.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Iterator, Mapping, Union
+from typing import Mapping, Union
 
 from .characters import (
     Character,
@@ -25,32 +29,37 @@ from .characters import (
 )
 from .convolution import json_entries, json_field
 from .errors import IdealError, MembershipError
-from .hopf import GradedVector, HopfStructure, ck_hopf, resolve_hopf, vector_of
+from .hopf import GradedVector, HopfStructure, ck_hopf, resolve_hopf
 from .rings import RATIONAL
-from .trees import RootedTree, butcher_product, enumerate_trees, single_tree_forest
+from .trees import Forest, RootedTree, butcher_product, enumerate_trees
 
 
 class HopfIdealSpec:
-    """A finite list of homogeneous generators of degree >= 1."""
+    """A finite list of homogeneous generators of degree >= 1, with their
+    degrees (``degrees``, in generator order)."""
 
-    __slots__ = ("hopf", "generators")
+    __slots__ = ("hopf", "generators", "degrees")
 
     def __init__(self, hopf: HopfStructure, generators):
         gens = tuple(generators)
+        degrees = []
         for gen in gens:
-            if gen.is_zero() or not gen.is_homogeneous():
+            degs = gen.degrees()
+            if len(degs) != 1:
                 raise IdealError("generators must be nonzero and homogeneous")
-            if gen.degree() < 1:  # so the counit kills every generator
+            degrees.extend(degs)
+            if degrees[-1] < 1:  # so the counit kills every generator
                 raise IdealError("generators must have degree >= 1")
         self.hopf = hopf
         self.generators = gens
+        self.degrees = tuple(degrees)
 
     @property
     def max_degree(self) -> int:
-        return max((gen.degree() for gen in self.generators), default=0)
+        return max(self.degrees, default=0)
 
     def generators_upto(self, degree: int) -> tuple[GradedVector, ...]:
-        return tuple(g for g in self.generators if g.degree() <= degree)
+        return tuple(g for g, d in zip(self.generators, self.degrees) if d <= degree)
 
     def to_json_dict(self) -> dict:
         return {
@@ -119,29 +128,40 @@ def annihilates(phi: Union[Character, InfinitesimalCharacter], ideal: HopfIdealS
     return annihilator_violation(phi, ideal) is None
 
 
-def tree_pairs(truncation: int) -> Iterator[tuple[RootedTree, RootedTree]]:
-    """Each unordered pair of trees with total order <= N once, as
-    ``(tau, upsilon)`` in tree enumeration order; none below N = 2."""
-    trees = [t for level in enumerate_trees(max(truncation - 1, 1)) for t in level]
-    for i, tau in enumerate(trees):
-        for upsilon in trees[i:]:
-            if tau.order + upsilon.order <= truncation:
-                yield tau, upsilon
+_pair_tables: dict[int, tuple] = {}
+_symplectic_specs: dict[int, HopfIdealSpec] = {}
+
+
+def pair_table(truncation: int) -> tuple:
+    """``(tau, upsilon, graft(tau, upsilon), graft(upsilon, tau))`` for each
+    unordered pair of trees with total order <= N once, in tree enumeration
+    order: memoized for each N >= 2, empty below."""
+    if truncation < 2:
+        return ()
+    table = _pair_tables.get(truncation)
+    if table is None:
+        trees = [t for level in enumerate_trees(truncation - 1) for t in level]
+        table = _pair_tables.setdefault(truncation, tuple(
+            (tau, upsilon, butcher_product(tau, upsilon), butcher_product(upsilon, tau))
+            for i, tau in enumerate(trees) for upsilon in trees[i:]
+            if tau.order + upsilon.order <= truncation))
+    return table
 
 
 def symplectic_generators(truncation: int) -> HopfIdealSpec:
     """Generators of the symplectic ideal: for each unordered pair of trees
-    with total order <= N,  graft(t,u) + graft(u,t) - t*u.  Each generator is
-    homogeneous (grafting preserves the node count)."""
-    if truncation < 2:
-        raise IdealError(f"symplectic generators need truncation >= 2, got {truncation}")
-    generators = [
-        vector_of(single_tree_forest(butcher_product(tau, upsilon)))
-        + vector_of(single_tree_forest(butcher_product(upsilon, tau)))
-        - vector_of(single_tree_forest(tau).union(single_tree_forest(upsilon)))
-        for tau, upsilon in tree_pairs(truncation)
-    ]
-    return HopfIdealSpec(ck_hopf(), generators)
+    with total order <= N,  graft(t,u) + graft(u,t) - t*u, in ``pair_table``
+    order.  Each generator is homogeneous (grafting preserves the node count).
+    The spec is memoized per N and shared by every caller."""
+    spec = _symplectic_specs.get(truncation)
+    if spec is None:
+        if truncation < 2:
+            raise IdealError(f"symplectic generators need truncation >= 2, got {truncation}")
+        spec = _symplectic_specs.setdefault(truncation, HopfIdealSpec(ck_hopf(), [
+            GradedVector([(Forest((tu,)), 1), (Forest((ut,)), 1), (Forest((tau, upsilon)), -1)])
+            for tau, upsilon, tu, ut in pair_table(truncation)
+        ]))
+    return spec
 
 
 def is_symplectic(
@@ -151,12 +171,8 @@ def is_symplectic(
     a(graft(t,u)) + a(graft(u,t)) = a(t) a(u) for all pairs with total order <= N.
     Missing trees count as zero.  Agrees with ``annihilates`` through the
     tree-map/character correspondence."""
-    for tau, upsilon in tree_pairs(truncation):
-        lhs = ring.add(
-            values.get(butcher_product(tau, upsilon), ring.zero),
-            values.get(butcher_product(upsilon, tau), ring.zero),
-        )
-        rhs = ring.mul(values.get(tau, ring.zero), values.get(upsilon, ring.zero))
-        if lhs != rhs:
+    zero, get = ring.zero, values.get
+    for tau, upsilon, tu, ut in pair_table(truncation):
+        if ring.add(get(tu, zero), get(ut, zero)) != ring.mul(get(tau, zero), get(upsilon, zero)):
             return False
     return True

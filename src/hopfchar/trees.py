@@ -128,18 +128,22 @@ def _skip_ws(text: str, pos: int) -> int:
 
 
 def _parse_tree_at(text: str, pos: int) -> tuple[RootedTree, int]:
-    if pos >= len(text) or text[pos] != "[":
-        raise ParseError("expected '['", pos)
-    pos += 1
-    children: list[RootedTree] = []
+    """The tree whose '[' is at pos and the offset after its ']'.  An explicit
+    stack holds the children of each open '[', so depth costs no frames."""
+    stack: list[list[RootedTree]] = []
     while True:
-        pos = _skip_ws(text, pos)
+        if pos >= len(text) or text[pos] != "[":
+            raise ParseError("expected '['", pos)
+        stack.append([])
+        pos = _skip_ws(text, pos + 1)
+        while pos < len(text) and text[pos] == "]":
+            tree = RootedTree(stack.pop())
+            if not stack:
+                return tree, pos + 1
+            stack[-1].append(tree)
+            pos = _skip_ws(text, pos + 1)
         if pos >= len(text):
             raise ParseError("unclosed '['", pos)
-        if text[pos] == "]":
-            return RootedTree(children), pos + 1
-        child, pos = _parse_tree_at(text, pos)
-        children.append(child)
 
 
 def parse_tree(text: str) -> RootedTree:

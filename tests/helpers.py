@@ -22,19 +22,26 @@ the schoolbook truncated product of coefficient lists instead of the
 degree-bucketed ``poly_products``, two full-basis convolutions instead
 of the generator values for the Lie bracket, the coproduct recursion on
 basis objects, with root-containing subtrees as tree values, instead of the
-index table's cocycle on ids, and polynomials in t as tuples of ring
+index table's cocycle on ids, polynomials in t as tuples of ring
 elements (``FractionPoly``) instead of ``Poly``'s integer numerators over one
-denominator.
+denominator, a parser that recurses once per nesting level instead of the
+explicit stack, the symplectic generators grafted afresh from re-enumerated
+tree pairs instead of the memoized pair table, and a fold of ``scale`` and
+``add`` per term instead of one integer sum per coordinate for evaluating a
+functional on a vector.
 """
 
 import operator
 from fractions import Fraction
 
 from hopfchar.convolution import TruncatedFunctional, conv_unit, convolve
-from hopfchar.hopf import GradedVector, Word
+from hopfchar.errors import IdealError, ParseError
+from hopfchar.hopf import GradedVector, Word, ck_hopf, vector_of
+from hopfchar.ideals import HopfIdealSpec
 from hopfchar.linalg import in_span
 from hopfchar.rings import TruncatedSeriesRing
-from hopfchar.trees import Forest, RootedTree, edge_partitions, enumerate_trees, ordered_subtrees
+from hopfchar.trees import (Forest, RootedTree, butcher_product, edge_partitions,
+                            enumerate_trees, ordered_subtrees, single_tree_forest)
 
 
 # -- rooted trees -------------------------------------------------------------
@@ -57,6 +64,24 @@ def trees_isomorphic(a: RootedTree, b: RootedTree) -> bool:
         else:
             return False
     return True
+
+
+def parse_tree_at_by_recursion(text: str, pos: int) -> tuple[RootedTree, int]:
+    """The tree whose '[' is at pos and the offset after its ']', one Python
+    frame per nesting level; a stand-in for ``trees._parse_tree_at``."""
+    if pos >= len(text) or text[pos] != "[":
+        raise ParseError("expected '['", pos)
+    pos += 1
+    children: list[RootedTree] = []
+    while True:
+        while pos < len(text) and text[pos].isspace():
+            pos += 1
+        if pos >= len(text):
+            raise ParseError("unclosed '['", pos)
+        if text[pos] == "]":
+            return RootedTree(children), pos + 1
+        child, pos = parse_tree_at_by_recursion(text, pos)
+        children.append(child)
 
 
 def grow_trees(max_order: int) -> list[list[RootedTree]]:
@@ -597,6 +622,31 @@ def evolve_polynomials_by_basis(curve) -> dict:
 
 
 # -- ideals -------------------------------------------------------------------
+
+
+def symplectic_generators_by_pairs(truncation: int) -> HopfIdealSpec:
+    """graft(t,u) + graft(u,t) - t*u for each unordered pair of trees with
+    total order <= N, in tree enumeration order, grafted afresh on every call."""
+    if truncation < 2:
+        raise IdealError(f"symplectic generators need truncation >= 2, got {truncation}")
+    trees = [t for level in enumerate_trees(truncation - 1) for t in level]
+    return HopfIdealSpec(ck_hopf(), [
+        vector_of(single_tree_forest(butcher_product(tau, upsilon)))
+        + vector_of(single_tree_forest(butcher_product(upsilon, tau)))
+        - vector_of(single_tree_forest(tau).union(single_tree_forest(upsilon)))
+        for i, tau in enumerate(trees) for upsilon in trees[i:]
+        if tau.order + upsilon.order <= truncation
+    ])
+
+
+def evaluate_by_fold(phi: TruncatedFunctional, vec: GradedVector):
+    """phi(vec) as ``ring.add(total, ring.scale(value, coeff))`` per term of
+    degree <= N, from ``ring.zero``."""
+    ring, total = phi.ring, phi.ring.zero
+    for basis, coeff in vec:
+        if basis.degree <= phi.truncation:
+            total = ring.add(total, ring.scale(phi.value(basis), coeff))
+    return total
 
 
 def ideal_degree_span(ideal, degree: int) -> tuple[list, list[list[Fraction]]]:

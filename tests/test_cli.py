@@ -466,6 +466,21 @@ def test_symplectic_below_truncation_two_checks_no_pairs(tmp_path, capsys, trunc
     assert out.strip() == "true (generators checked: 0)"
 
 
+DEEP = "[" * 3000 + "]" * 3000  # nested past the interpreter's recursion limit
+
+
+def test_key_nested_3000_deep_is_a_domain_error(tmp_path, capsys):
+    # parsed without a frame per level, then refused as any order-3000 tree is
+    path = write_payload(tmp_path, dict(LEAF_CHAR, values={"1": "1", DEEP: "1"}))
+    for argv, message in (
+        (["structure", DEEP, "--which", "coproduct"], "degree 3000 exceeds cap 12"),
+        (["char", "inv", path], "value on degree-3000 element exceeds truncation 2"),
+    ):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"error: {message}"] and captured.out == ""
+
+
 INFINITESIMAL = {"hopf": "ck", "ring": "rational", "truncation": 3, "values": {"[]": "1"}}
 HUGE = "1e9999999"  # 10**9999999 alone takes 4 MB
 

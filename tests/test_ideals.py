@@ -1,9 +1,12 @@
 import json
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 
+from hopfchar import cli, ideals
 from hopfchar.characters import (
     InfinitesimalCharacter,
     char_exp,
@@ -15,8 +18,8 @@ from hopfchar.characters import (
     lie_bracket,
     tree_values,
 )
-from hopfchar.convolution import conv_unit, delta
-from hopfchar.errors import IdealError, MembershipError, ParseError
+from hopfchar.convolution import TruncatedFunctional, conv_unit, delta
+from hopfchar.errors import IdealError, MembershipError, ParseError, ResourceLimitError
 from hopfchar.hopf import GradedVector, ck_hopf, vector_of
 from hopfchar.ideals import (
     HopfIdealSpec,
@@ -30,6 +33,8 @@ from hopfchar.sampling import (
     annihilating_tree_value_basis,
     random_annihilating_character,
     random_annihilating_infinitesimal,
+    random_functional,
+    random_ring_element,
     random_tree_values,
 )
 from hopfchar.trees import Forest, LEAF, enumerate_trees, parse_tree
@@ -37,7 +42,9 @@ from hopfchar.trees import Forest, LEAF, enumerate_trees, parse_tree
 from helpers import (
     antipode_vector,
     coproduct_in_coideal,
+    evaluate_by_fold,
     ideal_degree_span,
+    symplectic_generators_by_pairs,
     vector_in_ideal_degree,
 )
 
@@ -260,3 +267,150 @@ def test_json_roundtrip():
 def test_malformed_ideal_payload_is_parse_error(payload):
     with pytest.raises(ParseError):
         HopfIdealSpec.from_json(json.dumps(payload))
+
+
+# -- the memoized pair table and spec ------------------------------------------
+
+
+def test_memoized_generators_equal_a_fresh_construction():
+    for truncation in range(2, 10):
+        spec, fresh = symplectic_generators(truncation), symplectic_generators_by_pairs(truncation)
+        assert spec.generators == fresh.generators  # generator by generator, in order
+        assert spec.degrees == fresh.degrees == tuple(g.degree() for g in fresh.generators)
+        assert spec.hopf is fresh.hopf
+        assert symplectic_generators(truncation) is spec
+
+
+def test_refusals_are_not_memoized():
+    for _ in range(2):
+        with pytest.raises(IdealError):
+            symplectic_generators(1)
+        with pytest.raises(ResourceLimitError):
+            symplectic_generators(14)
+        with pytest.raises(ResourceLimitError):
+            is_symplectic({}, 14)
+    assert is_symplectic({}, 0) and is_symplectic({}, -3)
+    assert set(ideals._symplectic_specs) <= set(range(2, 14))
+    assert set(ideals._pair_tables) <= set(range(2, 14))
+
+
+def test_racing_first_calls_get_equal_specs(monkeypatch):
+    # Four threads make the first call on a cleared memo while the interpreter
+    # switches threads as often as it can; each may build a spec, one is kept.
+    fresh = symplectic_generators_by_pairs(7)
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        for _ in range(5):
+            monkeypatch.setattr(ideals, "_pair_tables", {})
+            monkeypatch.setattr(ideals, "_symplectic_specs", {})
+            barrier, specs = threading.Barrier(4), []
+
+            def first_call():
+                barrier.wait()
+                specs.append(symplectic_generators(7))
+
+            threads = [threading.Thread(target=first_call) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert len(specs) == 4 and all(spec.generators == fresh.generators for spec in specs)
+            assert all(spec is symplectic_generators(7) for spec in specs)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_cli_generator_count_equals_the_pairs(tmp_path, capsys):
+    counts = []
+    for truncation in range(8):
+        path = tmp_path / "map.json"
+        path.write_text(json.dumps({"truncation": truncation, "trees": {"[]": "1"}}))
+        assert cli.main(["char", "symplectic", str(path), "--format", "json"]) == 0
+        counts.append(json.loads(capsys.readouterr().out)["generators"])
+    assert counts == [0, 0] + [len(symplectic_generators_by_pairs(n).generators)
+                               for n in range(2, 8)]
+    assert counts == [0, 0, 1, 2, 5, 11, 27, 64]  # as the parent commit reports them
+
+
+def _count_calls(monkeypatch, module, name) -> list:
+    """Patch ``module.name`` with a wrapper that appends to the returned list
+    on each call."""
+    calls, original = [], getattr(module, name)
+
+    def counting(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_warm_memo_grafts_nothing(monkeypatch):
+    monkeypatch.setattr(ideals, "_pair_tables", {})
+    monkeypatch.setattr(ideals, "_symplectic_specs", {})
+    grafts = _count_calls(monkeypatch, ideals, "butcher_product")
+    vectors = _count_calls(monkeypatch, ideals, "GradedVector")
+    values = random_tree_values(7, random.Random(65))
+    spec = symplectic_generators(7)
+    assert len(grafts) == 2 * len(spec.generators)  # each pair grafted both ways, once
+    assert len(vectors) == len(spec.generators)
+    grafts.clear()
+    vectors.clear()
+    assert symplectic_generators(7) is spec
+    is_symplectic(values, 7)
+    assert grafts == [] and vectors == []
+
+
+# -- evaluate against the fold of scale and add --------------------------------
+
+
+LARGE_COPRIME = (10**19 + 51, 2**64 - 59, 3**41, 7**23)  # pairwise coprime denominators
+
+
+def _coefficient(rng, large: bool) -> Fraction:
+    if large:
+        return Fraction(rng.randint(-10**20, 10**20), rng.choice(LARGE_COPRIME))
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+
+
+@pytest.mark.parametrize("ring", [RATIONAL, TruncatedSeriesRing(3)], ids=["rational", "series3"])
+def test_evaluate_agrees_with_the_fold(ring):
+    rng = random.Random(66)
+    truncation = 4
+    above = list(CK.all_basis_upto(truncation + 2))  # terms up to two degrees above N
+    for trial in range(60):
+        phi = random_functional(CK, ring, truncation, rng, density=0.5)  # absent bases too
+        vec = GradedVector((b, _coefficient(rng, trial % 2))
+                           for b in rng.sample(above, rng.randint(1, 12)))
+        assert phi.evaluate(vec) == evaluate_by_fold(phi, vec)
+    phi = random_functional(CK, ring, truncation, rng)
+    assert phi.evaluate(GradedVector()) == ring.zero
+    # terms that cancel: equal values on two bases, coefficients c and -c
+    value = random_ring_element(ring, rng)
+    a, b = CK.basis(3)[:2]
+    phi = TruncatedFunctional(CK, ring, truncation, {a: value, b: value})
+    vec = GradedVector([(a, Fraction(7, LARGE_COPRIME[0])), (b, Fraction(-7, LARGE_COPRIME[0]))])
+    assert phi.evaluate(vec) == evaluate_by_fold(phi, vec) == ring.zero
+
+
+@pytest.mark.parametrize("ring", [RATIONAL, TruncatedSeriesRing(3)], ids=["rational", "series3"])
+def test_violation_is_the_first_violated_generator(ring):
+    rng = random.Random(67)
+    truncation = 5
+    ideal = symplectic_generators(truncation)
+    trees = [t for level in enumerate_trees(truncation) for t in level]
+    found = set()
+    for trial in range(20):
+        # a member nudged on one tree, as an infinitesimal character or its exp
+        member = random_annihilating_infinitesimal(ideal, ring, truncation, rng).functional
+        nudge = delta(CK, ring, truncation, Forest([rng.choice(trees)])).scale(rng.randint(1, 3))
+        phi = InfinitesimalCharacter(member + nudge)
+        if trial % 2:
+            phi = char_exp(phi)
+        first = next((g for g in ideal.generators
+                      if not ring.is_zero(evaluate_by_fold(phi.functional, g))), None)
+        assert annihilator_violation(phi, ideal) is first
+        found.add(ideal.generators.index(first) if first is not None else None)
+    assert len(found) > 5  # violations spread over many generators

@@ -1,5 +1,8 @@
+import itertools
+
 import pytest
 
+from hopfchar import trees
 from hopfchar.errors import ParseError, ResourceLimitError
 from hopfchar.trees import (
     EMPTY_FOREST,
@@ -17,6 +20,7 @@ from hopfchar.trees import (
 from helpers import (
     as_multiset,
     grow_trees,
+    parse_tree_at_by_recursion,
     subtree_pairs_by_vertex_subsets,
     trees_isomorphic,
 )
@@ -56,6 +60,38 @@ def test_parse_errors_carry_offsets():
         parse_tree("x")
     with pytest.raises(ParseError):
         parse_tree("")
+
+
+def _parse_outcomes(texts) -> list:
+    """What ``parse_tree`` and ``parse_forest`` make of each text: the
+    result's repr, or the ``ParseError`` message and offset."""
+    out = []
+    for text in texts:
+        for parse in (parse_tree, parse_forest):
+            try:
+                out.append(repr(parse(text)))
+            except ParseError as err:
+                out.append((str(err), err.offset))
+    return out
+
+
+def test_stack_parser_agrees_with_the_recursive_parser(monkeypatch):
+    # every string of length <= 7 over "[", "]", " ", "1": results, messages
+    # and offsets as the parser that recurses once per nesting level gives them
+    texts = ["".join(chars) for n in range(8) for chars in itertools.product("[] 1", repeat=n)]
+    got = _parse_outcomes(texts)
+    monkeypatch.setattr(trees, "_parse_tree_at", parse_tree_at_by_recursion)
+    assert got == _parse_outcomes(texts)
+
+
+def test_parse_nesting_deeper_than_the_recursion_limit():
+    depth = 3000
+    chain = parse_tree("[" * depth + "]" * depth)
+    assert chain.order == depth
+    assert parse_forest("[] " + "[" * depth + " ]" * depth).degree == depth + 1
+    with pytest.raises(ParseError) as err:
+        parse_tree("[" * depth + "]" * (depth - 1))
+    assert err.value.offset == 2 * depth - 1 and "unclosed" in str(err.value)
 
 
 def test_parse_serialize_roundtrip_up_to_order_6():
