@@ -6,8 +6,9 @@ malformed textual input.  The CLI maps these to distinct exit codes.
 """
 
 
-#: The most coproduct terms one table, or coefficients one series element, may
-#: hold; larger requests raise ``ResourceLimitError`` before any allocation.
+#: The most coproduct terms one table, coefficients one series element, or
+#: serial bytes one parsed tree key or forest may hold; larger requests raise
+#: ``ResourceLimitError`` before any allocation.
 SIZE_BUDGET = 2_000_000
 
 

@@ -14,6 +14,8 @@ each degree by  graft(t,u) + graft(u,t) - t*u  over unordered tree pairs.
 ``symplectic_generators(N)`` builds one spec from it, memoized per N and
 shared by every caller (a spec and its vectors are immutable).  Threads racing
 on a first call may each build one; they build equal values, and one is kept.
+Only N <= ``MEMO_MAX_TRUNCATION`` is kept, about 2.5 MB for all of them; a
+larger N is built per call (N = 12 would keep 10 MB, N = 13 27 MB).
 """
 
 from __future__ import annotations
@@ -128,6 +130,7 @@ def annihilates(phi: Union[Character, InfinitesimalCharacter], ideal: HopfIdealS
     return annihilator_violation(phi, ideal) is None
 
 
+MEMO_MAX_TRUNCATION = 10
 _pair_tables: dict[int, tuple] = {}
 _symplectic_specs: dict[int, HopfIdealSpec] = {}
 
@@ -135,16 +138,18 @@ _symplectic_specs: dict[int, HopfIdealSpec] = {}
 def pair_table(truncation: int) -> tuple:
     """``(tau, upsilon, graft(tau, upsilon), graft(upsilon, tau))`` for each
     unordered pair of trees with total order <= N once, in tree enumeration
-    order: memoized for each N >= 2, empty below."""
+    order: memoized for 2 <= N <= ``MEMO_MAX_TRUNCATION``, empty below 2."""
     if truncation < 2:
         return ()
     table = _pair_tables.get(truncation)
     if table is None:
         trees = [t for level in enumerate_trees(truncation - 1) for t in level]
-        table = _pair_tables.setdefault(truncation, tuple(
+        table = tuple(
             (tau, upsilon, butcher_product(tau, upsilon), butcher_product(upsilon, tau))
             for i, tau in enumerate(trees) for upsilon in trees[i:]
-            if tau.order + upsilon.order <= truncation))
+            if tau.order + upsilon.order <= truncation)
+        if truncation <= MEMO_MAX_TRUNCATION:
+            table = _pair_tables.setdefault(truncation, table)
     return table
 
 
@@ -152,15 +157,18 @@ def symplectic_generators(truncation: int) -> HopfIdealSpec:
     """Generators of the symplectic ideal: for each unordered pair of trees
     with total order <= N,  graft(t,u) + graft(u,t) - t*u, in ``pair_table``
     order.  Each generator is homogeneous (grafting preserves the node count).
-    The spec is memoized per N and shared by every caller."""
+    The spec is memoized for N <= ``MEMO_MAX_TRUNCATION`` and shared by every
+    caller."""
     spec = _symplectic_specs.get(truncation)
     if spec is None:
         if truncation < 2:
             raise IdealError(f"symplectic generators need truncation >= 2, got {truncation}")
-        spec = _symplectic_specs.setdefault(truncation, HopfIdealSpec(ck_hopf(), [
+        spec = HopfIdealSpec(ck_hopf(), [
             GradedVector([(Forest((tu,)), 1), (Forest((ut,)), 1), (Forest((tau, upsilon)), -1)])
             for tau, upsilon, tu, ut in pair_table(truncation)
-        ]))
+        ])
+        if truncation <= MEMO_MAX_TRUNCATION:
+            spec = _symplectic_specs.setdefault(truncation, spec)
     return spec
 
 

@@ -22,7 +22,7 @@ import itertools
 import threading
 from typing import Iterable, Iterator
 
-from .errors import ParseError, ResourceLimitError
+from .errors import SIZE_BUDGET, ParseError, ResourceLimitError
 
 #: Largest tree order the enumerator will materialize by default.
 DEFAULT_ORDER_CAP = 12
@@ -127,19 +127,27 @@ def _skip_ws(text: str, pos: int) -> int:
     return pos
 
 
-def _parse_tree_at(text: str, pos: int) -> tuple[RootedTree, int]:
-    """The tree whose '[' is at pos and the offset after its ']'.  An explicit
-    stack holds the children of each open '[', so depth costs no frames."""
+def _parse_tree_at(text: str, pos: int, spent: int = 0) -> tuple[RootedTree, int, int]:
+    """The tree whose '[' is at pos, the offset after its ']', and ``spent``
+    plus the bytes of the serials built for it.  An explicit stack holds the
+    children of each open '[', so depth costs no frames.  Every subtree keeps
+    its serial, so d open brackets will cost about d^2 bytes; the parse is
+    refused once that plus ``spent`` passes ``SIZE_BUDGET``."""
     stack: list[list[RootedTree]] = []
     while True:
         if pos >= len(text) or text[pos] != "[":
             raise ParseError("expected '['", pos)
         stack.append([])
         pos = _skip_ws(text, pos + 1)
-        while pos < len(text) and text[pos] == "]":
+        while True:
+            if spent + len(stack) ** 2 > SIZE_BUDGET:
+                raise ResourceLimitError(f"tree serials exceed {SIZE_BUDGET} bytes")
+            if pos >= len(text) or text[pos] != "]":
+                break
             tree = RootedTree(stack.pop())
+            spent += len(tree.serial)
             if not stack:
-                return tree, pos + 1
+                return tree, pos + 1, spent
             stack[-1].append(tree)
             pos = _skip_ws(text, pos + 1)
         if pos >= len(text):
@@ -149,10 +157,11 @@ def _parse_tree_at(text: str, pos: int) -> tuple[RootedTree, int]:
 def parse_tree(text: str) -> RootedTree:
     """Parse a bracket serialization into a canonical tree.
 
-    Raises ``ParseError`` (with byte offset) on malformed input.
+    Raises ``ParseError`` (with byte offset) on malformed input, and
+    ``ResourceLimitError`` past the serial budget (a chain ~1,400 deep).
     """
     pos = _skip_ws(text, 0)
-    tree, pos = _parse_tree_at(text, pos)
+    tree, pos, _ = _parse_tree_at(text, pos)
     pos = _skip_ws(text, pos)
     if pos != len(text):
         raise ParseError("trailing input after tree", pos)
@@ -168,8 +177,9 @@ def parse_forest(text: str) -> Forest:
             raise ParseError("trailing input after '1'", rest)
         return EMPTY_FOREST
     trees: list[RootedTree] = []
+    spent = 0  # serial bytes over all the trees (see ``_parse_tree_at``)
     while pos < len(text):
-        tree, pos = _parse_tree_at(text, pos)
+        tree, pos, spent = _parse_tree_at(text, pos, spent)
         trees.append(tree)
         pos = _skip_ws(text, pos)
     if not trees:

@@ -66,9 +66,10 @@ def trees_isomorphic(a: RootedTree, b: RootedTree) -> bool:
     return True
 
 
-def parse_tree_at_by_recursion(text: str, pos: int) -> tuple[RootedTree, int]:
-    """The tree whose '[' is at pos and the offset after its ']', one Python
-    frame per nesting level; a stand-in for ``trees._parse_tree_at``."""
+def parse_tree_at_by_recursion(text: str, pos: int, spent: int = 0) -> tuple[RootedTree, int, int]:
+    """The tree whose '[' is at pos, the offset after its ']' and ``spent``
+    unchanged, one Python frame per nesting level and no byte budget; a
+    stand-in for ``trees._parse_tree_at``."""
     if pos >= len(text) or text[pos] != "[":
         raise ParseError("expected '['", pos)
     pos += 1
@@ -79,8 +80,8 @@ def parse_tree_at_by_recursion(text: str, pos: int) -> tuple[RootedTree, int]:
         if pos >= len(text):
             raise ParseError("unclosed '['", pos)
         if text[pos] == "]":
-            return RootedTree(children), pos + 1
-        child, pos = parse_tree_at_by_recursion(text, pos)
+            return RootedTree(children), pos + 1, spent
+        child, pos, _ = parse_tree_at_by_recursion(text, pos)
         children.append(child)
 
 

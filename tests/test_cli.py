@@ -466,19 +466,33 @@ def test_symplectic_below_truncation_two_checks_no_pairs(tmp_path, capsys, trunc
     assert out.strip() == "true (generators checked: 0)"
 
 
-DEEP = "[" * 3000 + "]" * 3000  # nested past the interpreter's recursion limit
+DEEP = "[" * 1200 + "]" * 1200  # nested past the interpreter's recursion limit
 
 
-def test_key_nested_3000_deep_is_a_domain_error(tmp_path, capsys):
-    # parsed without a frame per level, then refused as any order-3000 tree is
+def test_key_nested_1200_deep_is_a_domain_error(tmp_path, capsys):
+    # parsed without a frame per level, then refused as any order-1200 tree is
     path = write_payload(tmp_path, dict(LEAF_CHAR, values={"1": "1", DEEP: "1"}))
     for argv, message in (
-        (["structure", DEEP, "--which", "coproduct"], "degree 3000 exceeds cap 12"),
-        (["char", "inv", path], "value on degree-3000 element exceeds truncation 2"),
+        (["structure", DEEP, "--which", "coproduct"], "degree 1200 exceeds cap 12"),
+        (["char", "inv", path], "value on degree-1200 element exceeds truncation 2"),
     ):
         assert cli.main(argv) == 2
         captured = capsys.readouterr()
         assert captured.err.splitlines() == [f"error: {message}"] and captured.out == ""
+
+
+@pytest.mark.parametrize("depth", [3000, 100_000])
+def test_key_nested_past_the_serial_budget_is_refused_while_parsing(tmp_path, capsys, depth):
+    # every subtree keeps its serial, so a chain d deep would hold ~d^2 bytes
+    # (10 GB at 100,000); the parse stops near depth 1,400, about 2 MB in
+    deep = "[" * depth + "]" * depth
+    path = write_payload(tmp_path, dict(LEAF_CHAR, values={"1": "1", deep: "1"}))
+    for argv in (["structure", deep, "--which", "coproduct"], ["char", "inv", path]):
+        code, peak = traced(argv)
+        assert code == 2 and peak < 8_000_000
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == ["error: tree serials exceed 2000000 bytes"]
+        assert captured.out == ""
 
 
 INFINITESIMAL = {"hopf": "ck", "ring": "rational", "truncation": 3, "values": {"[]": "1"}}

@@ -290,8 +290,20 @@ def test_refusals_are_not_memoized():
         with pytest.raises(ResourceLimitError):
             is_symplectic({}, 14)
     assert is_symplectic({}, 0) and is_symplectic({}, -3)
-    assert set(ideals._symplectic_specs) <= set(range(2, 14))
-    assert set(ideals._pair_tables) <= set(range(2, 14))
+    kept = set(range(2, ideals.MEMO_MAX_TRUNCATION + 1))
+    assert set(ideals._symplectic_specs) <= kept and set(ideals._pair_tables) <= kept
+
+
+def test_truncations_past_the_memo_are_built_per_call(monkeypatch):
+    # N = 11 keeps 4 MB and N = 13 27 MB; such an N is built afresh each call
+    monkeypatch.setattr(ideals, "_pair_tables", {})
+    monkeypatch.setattr(ideals, "_symplectic_specs", {})
+    truncation = ideals.MEMO_MAX_TRUNCATION + 1
+    spec = symplectic_generators(truncation)
+    again = symplectic_generators(truncation)
+    assert again is not spec and again.generators == spec.generators
+    assert is_symplectic({}, truncation)
+    assert ideals._pair_tables == {} and ideals._symplectic_specs == {}
 
 
 def test_racing_first_calls_get_equal_specs(monkeypatch):

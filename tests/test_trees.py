@@ -1,9 +1,10 @@
 import itertools
+import tracemalloc
 
 import pytest
 
 from hopfchar import trees
-from hopfchar.errors import ParseError, ResourceLimitError
+from hopfchar.errors import SIZE_BUDGET, ParseError, ResourceLimitError
 from hopfchar.trees import (
     EMPTY_FOREST,
     LEAF,
@@ -85,13 +86,30 @@ def test_stack_parser_agrees_with_the_recursive_parser(monkeypatch):
 
 
 def test_parse_nesting_deeper_than_the_recursion_limit():
-    depth = 3000
+    depth = 1200
     chain = parse_tree("[" * depth + "]" * depth)
     assert chain.order == depth
     assert parse_forest("[] " + "[" * depth + " ]" * depth).degree == depth + 1
     with pytest.raises(ParseError) as err:
         parse_tree("[" * depth + "]" * (depth - 1))
     assert err.value.offset == 2 * depth - 1 and "unclosed" in str(err.value)
+
+
+@pytest.mark.parametrize("text", [
+    "[" * 100_000 + "]" * 100_000,  # open brackets alone would need ~10 GB
+    "[" * 1000 + "[]" * 10_000 + "]" * 1000,  # each of 1,000 ancestors holds 20 KB
+    "[" * 1100 + "]" * 1100 + " [" * 1100 + " ]" * 1100,  # two chains, one forest
+], ids=["deep-chain", "wide-bottom", "two-chains"])
+def test_parse_refuses_serials_past_the_size_budget(text):
+    # a chain d deep keeps d(d+1) bytes of serials; the budget allows ~1,400
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match=f"exceed {SIZE_BUDGET} bytes"):
+            parse_forest(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * SIZE_BUDGET
 
 
 def test_parse_serialize_roundtrip_up_to_order_6():
