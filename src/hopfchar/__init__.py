@@ -46,7 +46,6 @@ from .errors import (
     ParseError,
     ResourceLimitError,
     TruncationOverflowError,
-    UnsupportedRingError,
 )
 from .evolution import FunctionalCurve, Poly, evol, evolve, evolve_polynomials
 from .hopf import (

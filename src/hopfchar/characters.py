@@ -84,64 +84,51 @@ def is_infinitesimal(phi: TruncatedFunctional) -> bool:
     return infinitesimal_violation(phi) is None
 
 
-class Character:
+class _Checked:
+    """A functional that passed its class's membership predicate at
+    construction: ``_check`` returns None or the ``Violation`` to report.  It
+    looks the predicate up in this module on every call, so that a wrapper set
+    on the module attribute sees every membership check."""
+
+    __slots__ = ("functional",)
+    _noun: str
+
+    def __init__(self, functional: TruncatedFunctional):
+        violation = self._check(functional)
+        if violation is not None:
+            raise MembershipError(
+                f"not {self._noun}: violated at {violation.describe(functional.ring)}")
+        self.functional = functional
+
+    @classmethod
+    def _wrap(cls, functional: TruncatedFunctional):
+        """Wrap without re-checking; for constructions that obey the predicate
+        by design (multiplicative extension, a series on the generators)."""
+        checked = cls.__new__(cls)
+        checked.functional = functional
+        return checked
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self.functional == other.functional
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.functional!r})"
+
+
+class Character(_Checked):
     """A functional that passed the character predicate at construction."""
 
-    __slots__ = ("functional",)
-
-    def __init__(self, functional: TruncatedFunctional):
-        violation = character_violation(functional)
-        if violation is not None:
-            raise MembershipError(
-                f"not a character: violated at {violation.describe(functional.ring)}"
-            )
-        self.functional = functional
-
-    @classmethod
-    def _wrap(cls, functional: TruncatedFunctional) -> "Character":
-        """Wrap without re-checking; for constructions that are multiplicative
-        by design (multiplicative extension of generator values)."""
-        char = cls.__new__(cls)
-        char.functional = functional
-        return char
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Character) and self.functional == other.functional
-
-    def __repr__(self) -> str:
-        return f"Character({self.functional!r})"
+    __slots__ = ()
+    _noun = "a character"
+    _check = staticmethod(lambda phi: character_violation(phi))
 
 
-class InfinitesimalCharacter:
+class InfinitesimalCharacter(_Checked):
     """A functional that passed the infinitesimal-character predicate."""
 
-    __slots__ = ("functional",)
-
-    def __init__(self, functional: TruncatedFunctional):
-        violation = infinitesimal_violation(functional)
-        if violation is not None:
-            raise MembershipError(
-                "not an infinitesimal character: violated at"
-                f" {violation.describe(functional.ring)}"
-            )
-        self.functional = functional
-
-    @classmethod
-    def _wrap(cls, functional: TruncatedFunctional) -> "InfinitesimalCharacter":
-        """Wrap without re-checking; for constructions that vanish on the
-        unit and on products by design."""
-        phi = cls.__new__(cls)
-        phi.functional = functional
-        return phi
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, InfinitesimalCharacter)
-            and self.functional == other.functional
-        )
-
-    def __repr__(self) -> str:
-        return f"InfinitesimalCharacter({self.functional!r})"
+    __slots__ = ()
+    _noun = "an infinitesimal character"
+    _check = staticmethod(lambda phi: infinitesimal_violation(phi))
 
 
 # -- group and Lie-algebra operations ----------------------------------------

@@ -52,10 +52,6 @@ class MembershipError(DomainError):
     """A functional fails a character/infinitesimal-character predicate."""
 
 
-class UnsupportedRingError(DomainError):
-    """The coefficient ring lacks the rational structure an operation needs."""
-
-
 class IdealError(DomainError):
     """An ideal specification violates its construction requirements."""
 

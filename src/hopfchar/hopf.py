@@ -367,13 +367,6 @@ class HopfStructure:
             self._tables[max_degree] = table
         return table
 
-    def factored(self, max_degree: int) -> tuple:
-        """``(b, first, rest)`` for the basis elements b = first * rest of degree
-        <= max_degree in basis order, first a generator (or b = 1 = first)."""
-        table = self.table(max_degree)
-        basis = table.basis
-        return tuple((b, basis[f], basis[r]) for b, f, r in zip(basis, table.first, table.rest))
-
     def generators(self, max_degree: int) -> list:
         """The generators of degree 1..max_degree, in basis order."""
         table = self.table(max_degree)

@@ -24,9 +24,10 @@ element, and ``coordinates``/``from_coordinates`` convert an element to and
 from them.  The evolution solver's ``Poly`` reads a ring only through these
 and does its arithmetic on integer numerators.
 
-``poly_products`` is the product of coefficient sequences for series modulo
-X^(M+1) and formal series: each degree's products of nonzero coefficients are
-one ``sum_products``.
+``poly_products(terms, size)`` is the product of rational coefficient
+sequences truncated to ``size`` coefficients, for series modulo X^(M+1) and
+formal series: each degree's products of nonzero coefficients are one
+``sum_products``.
 
 Every rational literal read into a ring or a series goes through
 ``parse_rational``, and every ring element written out through
@@ -82,7 +83,6 @@ class RationalRing:
     """The field of rationals."""
 
     key = "rational"
-    has_rational_scaling = True
     width = 1
 
     zero = _ZERO
@@ -151,8 +151,6 @@ RATIONAL = RationalRing()
 class TruncatedSeriesRing:
     """Rational coefficients modulo X^(M+1); elements are tuples of length M+1."""
 
-    has_rational_scaling = True
-
     def __init__(self, modulus_degree: int):
         if modulus_degree < 1:
             raise ValueError(f"series modulus degree must be >= 1, got {modulus_degree}")
@@ -183,7 +181,7 @@ class TruncatedSeriesRing:
         return tuple(x * q for x in a)
 
     def sum_products(self, terms):
-        return tuple(poly_products(RATIONAL, terms, self.modulus_degree + 1))
+        return tuple(poly_products(terms, self.modulus_degree + 1))
 
     def is_zero(self, a) -> bool:
         return all(x == 0 for x in a)
@@ -219,25 +217,24 @@ class TruncatedSeriesRing:
         return f"TruncatedSeriesRing({self.modulus_degree})"
 
 
-def poly_products(base, terms, size: int | None = None) -> list:
-    """The coefficients of the sum of c * p * q over ``(c, p, q)``, for
-    coefficient sequences p, q over the ring ``base``: products of nonzero
-    coefficients are bucketed by degree, one ``base.sum_products`` per
-    nonempty bucket.  With ``size``, degrees >= size are dropped and the list
-    is padded to ``size``; without it, it ends at the highest degree reached."""
-    is_zero, buckets = base.is_zero, defaultdict(list)
-    top = sys.maxsize if size is None else size
+def poly_products(terms, size: int) -> list:
+    """The first ``size`` coefficients of the sum of c * p * q over
+    ``(c, p, q)``, for rational coefficient sequences p, q: products of
+    nonzero coefficients are bucketed by degree, one
+    ``RATIONAL.sum_products`` per nonempty bucket, and degrees >= size are
+    dropped."""
+    buckets = defaultdict(list)
     for c, p, q in terms:
-        right = [(j, b) for j, b in enumerate(q) if not is_zero(b)]
+        right = [(j, b) for j, b in enumerate(q) if b]
         for i, a in enumerate(p):
-            if not is_zero(a):
+            if a:
                 for j, b in right:
-                    if i + j >= top:
+                    if i + j >= size:
                         break
                     buckets[i + j].append((c, a, b))
-    out = [base.zero] * (max(buckets, default=-1) + 1 if size is None else size)
+    out = [_ZERO] * size
     for k, bucket in buckets.items():
-        out[k] = base.sum_products(bucket)
+        out[k] = RATIONAL.sum_products(bucket)
     return out
 
 

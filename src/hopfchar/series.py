@@ -1,7 +1,8 @@
 """Functional calculus on the augmentation ideal of the convolution algebra.
 
 ``FormalSeries`` holds the coefficients of a rational power series truncated
-at X^N; its Cauchy product is ``rings.poly_products`` over the rationals.
+at X^N; its Cauchy product is ``rings.poly_products(terms, size)``, with size
+one more than the larger of the two orders.
 ``apply_series(f, a)`` substitutes a functional with zero degree-0 part into
 such a series.  Since a lives in the augmentation ideal, its k-th
 convolution power has no components below degree k, so the series truncates
@@ -30,8 +31,7 @@ from .convolution import (
     require_augmentation,
     require_unit_normalized,
 )
-from .errors import UnsupportedRingError
-from .rings import RATIONAL, parse_rational, poly_products
+from .rings import parse_rational, poly_products
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -66,8 +66,7 @@ class FormalSeries:
     def __mul__(self, other: "FormalSeries") -> "FormalSeries":
         """Cauchy product truncated at the larger of the two orders."""
         return FormalSeries(poly_products(
-            RATIONAL, [(1, self.coefficients, other.coefficients)],
-            max(self.order, other.order) + 1))
+            [(1, self.coefficients, other.coefficients)], max(self.order, other.order) + 1))
 
     def padded(self, order: int) -> "FormalSeries":
         """The same series with coefficients listed up to X^order."""
@@ -124,8 +123,6 @@ def apply_series(f: FormalSeries, a: TruncatedFunctional, indices=None) -> Trunc
     """
     require_augmentation(a)
     ring, hopf, n = a.ring, a.hopf, a.truncation
-    if not ring.has_rational_scaling:
-        raise UnsupportedRingError(f"ring {ring.key} lacks rational scaling")
     table, values = hopf.table(n), a.value_list()
     order = range(len(table.basis)) if indices is None else sorted(indices)
     coeffs = f.padded(n).coefficients

@@ -38,7 +38,7 @@ from hopfchar.convolution import TruncatedFunctional, conv_unit, convolve
 from hopfchar.errors import IdealError, ParseError
 from hopfchar.hopf import GradedVector, Word, ck_hopf, vector_of
 from hopfchar.ideals import HopfIdealSpec
-from hopfchar.linalg import in_span
+from linalg import in_span
 from hopfchar.rings import TruncatedSeriesRing
 from hopfchar.trees import (Forest, RootedTree, butcher_product, edge_partitions,
                             enumerate_trees, ordered_subtrees, single_tree_forest)

@@ -12,19 +12,19 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .characters import (
+from hopfchar.characters import (
     Character,
     InfinitesimalCharacter,
     char_exp,
     char_from_generator_values,
     infinitesimal_from_tree_values,
 )
-from .convolution import TruncatedFunctional
-from .hopf import HopfStructure
-from .ideals import HopfIdealSpec
-from .linalg import nullspace
-from .rings import RATIONAL, TruncatedSeriesRing
-from .trees import RootedTree, enumerate_trees
+from hopfchar.convolution import TruncatedFunctional
+from hopfchar.hopf import HopfStructure
+from hopfchar.ideals import HopfIdealSpec
+from hopfchar.rings import RATIONAL, TruncatedSeriesRing
+from hopfchar.trees import RootedTree, enumerate_trees
+from linalg import nullspace
 
 
 def random_fraction(rng: random.Random, bound: int = 9) -> Fraction:

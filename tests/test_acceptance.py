@@ -30,9 +30,9 @@ from hopfchar.convolution import conv_inverse, conv_unit, convolve
 from hopfchar.evolution import FunctionalCurve, Poly, evol, evolve, evolve_polynomials
 from hopfchar.hopf import GradedVector, ck_hopf, tensor_hopf, vector_of
 from hopfchar.ideals import annihilates, is_symplectic, symplectic_generators
-from hopfchar.linalg import in_span
+from linalg import in_span
 from hopfchar.rings import RATIONAL, TruncatedSeriesRing
-from hopfchar.sampling import (
+from sampling import (
     random_annihilating_character,
     random_annihilating_infinitesimal,
     random_character,

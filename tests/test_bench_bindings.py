@@ -8,12 +8,12 @@ import importlib.util
 import random
 from pathlib import Path
 
-from hopfchar import series
-from hopfchar.characters import char_exp, char_log
+from hopfchar import characters, series
+from hopfchar.characters import Character, InfinitesimalCharacter, char_exp, char_log
 from hopfchar.evolution import FunctionalCurve, Poly, evolve
 from hopfchar.hopf import ck_hopf
 from hopfchar.rings import RATIONAL
-from hopfchar.sampling import random_character, random_infinitesimal
+from sampling import random_character, random_infinitesimal
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -87,3 +87,28 @@ def test_char_log_calls_apply_series_through_the_module(monkeypatch):
     calls = _count_apply_series(monkeypatch)
     char_log(random_character(ck_hopf(), RATIONAL, 3, random.Random(78)))
     assert calls
+
+
+def test_membership_checks_call_the_predicates_through_the_module(monkeypatch):
+    """``characters.character_violation.calls`` and
+    ``characters.infinitesimal_violation.calls`` count wrappers set on the
+    module attributes, so the checked constructors must look them up there."""
+    rng = random.Random(80)
+    f = random_character(ck_hopf(), RATIONAL, 3, rng).functional
+    g = random_infinitesimal(ck_hopf(), RATIONAL, 3, rng).functional
+    calls = []
+
+    def counting(name):
+        original = getattr(characters, name)
+
+        def wrapper(phi):
+            calls.append(name)
+            return original(phi)
+        return wrapper
+
+    for name in ("character_violation", "infinitesimal_violation"):
+        monkeypatch.setattr(characters, name, counting(name))
+    Character(f)
+    assert calls == ["character_violation"]
+    InfinitesimalCharacter(g)
+    assert calls == ["character_violation", "infinitesimal_violation"]

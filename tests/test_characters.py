@@ -28,7 +28,7 @@ from hopfchar.convolution import TruncatedFunctional, conv_inverse, conv_unit, c
 from hopfchar.errors import MembershipError, ParseError
 from hopfchar.hopf import ck_hopf, tensor_hopf
 from hopfchar.rings import RATIONAL, TruncatedSeriesRing
-from hopfchar.sampling import (
+from sampling import (
     random_character,
     random_infinitesimal,
     random_tree_values,
@@ -75,15 +75,29 @@ def test_exp_of_delta_is_character_exhaustively_at_n6():
 
 
 def test_wrappers_enforce_membership():
-    # the message names the pair, the value found and the value expected
-    with pytest.raises(MembershipError, match=r"at \(1, 1\): found 0, expected 1$"):
+    # the message names the predicate, the pair, the value found and the
+    # value expected
+    char = r"^not a character: violated at "
+    infinitesimal = r"^not an infinitesimal character: violated at "
+    with pytest.raises(MembershipError, match=char + r"\(1, 1\): found 0, expected 1$"):
         Character(delta(CK, RATIONAL, 3, F_LEAF))
-    with pytest.raises(MembershipError, match=r"at \(1, 1\): found 1, expected 0$"):
+    with pytest.raises(MembershipError, match=infinitesimal + r"\(1, 1\): found 1, expected 0$"):
         InfinitesimalCharacter(conv_unit(CK, RATIONAL, 3))
-    with pytest.raises(MembershipError, match=r"at \(\[\], \[\]\): found 0, expected 1$"):
+    with pytest.raises(MembershipError, match=char + r"\(\[\], \[\]\): found 0, expected 1$"):
         Character(conv_unit(CK, RATIONAL, 3) + delta(CK, RATIONAL, 3, F_LEAF))
-    with pytest.raises(MembershipError, match=r"at \(\[\], \[\]\): found 2/3, expected 0$"):
+    with pytest.raises(MembershipError, match=infinitesimal + r"\(\[\], \[\]\): found 2/3, expected 0$"):
         InfinitesimalCharacter(delta(CK, RATIONAL, 3, Forest([LEAF, LEAF])).scale(Fraction(2, 3)))
+
+
+def test_wrappers_repr_and_compare_by_class_and_functional():
+    unit, d = conv_unit(CK, RATIONAL, 3), delta(CK, RATIONAL, 3, F_LEAF)
+    assert repr(Character(unit)) == f"Character({unit!r})"
+    assert repr(InfinitesimalCharacter(d)) == f"InfinitesimalCharacter({d!r})"
+    assert Character(unit) == Character(conv_unit(CK, RATIONAL, 3))
+    assert InfinitesimalCharacter(d) != InfinitesimalCharacter(d.scale(Fraction(2)))
+    assert Character._wrap(d) != InfinitesimalCharacter(d)
+    assert InfinitesimalCharacter(d) != Character._wrap(d)
+    assert Character(unit) != unit
 
 
 def test_char_from_tree_values():

@@ -26,7 +26,7 @@ from hopfchar import cli
 from hopfchar.characters import tree_values_to_json_dict
 from hopfchar.hopf import ck_hopf, tensor_hopf
 from hopfchar.rings import RATIONAL, TruncatedSeriesRing
-from hopfchar.sampling import random_character, random_infinitesimal, random_tree_values
+from sampling import random_character, random_infinitesimal, random_tree_values
 
 FUZZ = settings(derandomize=True, max_examples=200, deadline=None, database=None)
 

@@ -18,7 +18,7 @@ from hopfchar.evolution import FunctionalCurve
 from hopfchar.hopf import CKHopf, TensorHopf, Word, ck_hopf, tensor_hopf
 from hopfchar.ideals import HopfIdealSpec
 from hopfchar.rings import RATIONAL, TruncatedSeriesRing
-from hopfchar.sampling import (
+from sampling import (
     random_character,
     random_functional,
     random_invertible,

@@ -11,7 +11,7 @@ from hopfchar.evolution import (FunctionalCurve, Poly, _sum_products, evol, evol
                                 evolve_polynomials)
 from hopfchar.hopf import ck_hopf, tensor_hopf
 from hopfchar.rings import RATIONAL, TruncatedSeriesRing
-from hopfchar.sampling import random_infinitesimal, random_ring_element
+from sampling import random_infinitesimal, random_ring_element
 from hopfchar.series import exp
 from hopfchar.trees import Forest, LEAF, parse_tree
 

@@ -34,7 +34,7 @@ from hopfchar.convolution import TruncatedFunctional, conv_inverse
 from hopfchar.evolution import FunctionalCurve, evolve, evolve_polynomials
 from hopfchar.hopf import CKHopf, TensorHopf, ck_hopf, tensor_hopf
 from hopfchar.rings import RATIONAL, TruncatedSeriesRing
-from hopfchar.sampling import (
+from sampling import (
     random_character,
     random_functional,
     random_infinitesimal,
@@ -245,7 +245,11 @@ def test_char_log_inverts_char_exp(hopf, ring, truncation):
 @pytest.mark.parametrize("hopf, ring, truncation", LOG_CASES)
 def test_factor_table_and_generators_match_split(hopf, ring, truncation):
     basis = hopf.all_basis_upto(truncation)
-    assert hopf.factored(truncation) == tuple((b, *split(b)) for b in basis)
+    table = hopf.table(truncation)
+    assert [(b, table.basis[f], table.basis[r])
+            for b, f, r in zip(table.basis, table.first, table.rest)] == [
+        (b, *split(b)) for b in basis
+    ]
     assert hopf.generators(truncation) == [
         b for b in basis if b.degree and not split(b)[1].degree
     ]

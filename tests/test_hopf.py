@@ -425,8 +425,14 @@ def _parse_around_first_table(hopf, serials):
     return parsed
 
 
+def _factor_table(hopf):
+    """The basis of table(6) with the first and rest index of each element."""
+    table = hopf.table(6)
+    return table.basis, table.first, table.rest
+
+
 def test_concurrent_first_factor_table_calls_agree():
-    # Four threads make the first call to factored(6), to the coproduct of a
+    # Four threads make the first call to table(6), to the coproduct of a
     # top-degree element, to a character product at degree 6, or parse every
     # serial of degree <= 6 around their first table(6), on a fresh instance
     # while the interpreter switches threads as often as it can.  The table
@@ -441,7 +447,7 @@ def test_concurrent_first_factor_table_calls_agree():
         for make in (CKHopf, lambda: TensorHopf(2)):
             top = make().basis(6)[-1]
             serials = [b.serial for b in make().all_basis_upto(6)]
-            for call in (lambda hopf: hopf.factored(6), lambda hopf: hopf.coproduct(top),
+            for call in (_factor_table, lambda hopf: hopf.coproduct(top),
                          _first_product, lambda hopf: _parse_around_first_table(hopf, serials)):
                 expected = call(make())
                 for _ in range(5):

@@ -29,7 +29,7 @@ from hopfchar.ideals import (
     symplectic_generators,
 )
 from hopfchar.rings import RATIONAL, TruncatedSeriesRing
-from hopfchar.sampling import (
+from sampling import (
     annihilating_tree_value_basis,
     random_annihilating_character,
     random_annihilating_infinitesimal,

@@ -27,7 +27,7 @@ from hopfchar.convolution import TruncatedFunctional, conv_inverse, convolve
 from hopfchar.evolution import FunctionalCurve, Poly, PolyRing, evolve, evolve_polynomials
 from hopfchar.hopf import ck_hopf, tensor_hopf
 from hopfchar.rings import RATIONAL, TruncatedSeriesRing
-from hopfchar.sampling import (
+from sampling import (
     random_character,
     random_functional,
     random_infinitesimal,

@@ -7,7 +7,7 @@ from hopfchar.convolution import conv_inverse, conv_unit, convolve, delta
 from hopfchar.errors import AugmentationError, ParseError
 from hopfchar.hopf import ck_hopf, tensor_hopf
 from hopfchar.rings import RATIONAL, TruncatedSeriesRing
-from hopfchar.sampling import random_ideal_element, random_invertible
+from sampling import random_ideal_element, random_invertible
 from hopfchar.series import (
     FormalSeries,
     apply_series,
@@ -96,21 +96,6 @@ def test_apply_series_square():
 def test_apply_series_requires_augmentation_ideal():
     with pytest.raises(AugmentationError):
         apply_series(x_series(3), conv_unit(CK, RATIONAL, 3))
-
-
-def test_apply_series_rejects_rings_without_rational_scaling():
-    from hopfchar.convolution import TruncatedFunctional
-    from hopfchar.errors import UnsupportedRingError
-    from hopfchar.rings import RationalRing
-
-    class IntegerLikeRing(RationalRing):
-        key = "integers"
-        has_rational_scaling = False
-
-    ring = IntegerLikeRing()
-    a = TruncatedFunctional(CK, ring, 2, {Forest([LEAF]): Fraction(1)})
-    with pytest.raises(UnsupportedRingError):
-        apply_series(x_series(2), a)
 
 
 def test_morphism_law_randomized():
