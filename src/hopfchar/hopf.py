@@ -313,10 +313,10 @@ class IndexTable:
 class HopfStructure:
     """Common driver for a graded connected Hopf algebra with a chosen basis.
 
-    Subclasses provide the basis per degree, the product, the grammar of keys
+    Subclasses provide the basis per degree, the grammar of keys
     (``_parse_basis``), ``element`` and ``factors`` (a basis element from and
-    to its generators), ``commutative`` and ``coproduct_cap``, the top degree
-    of ``coproduct``.
+    to its generators; a product joins the factors), ``commutative`` and
+    ``coproduct_cap``, the top degree of ``coproduct``.
     """
 
     key: str
@@ -407,7 +407,7 @@ class HopfStructure:
         raise NotImplementedError
 
     def _product_basis(self, b1, b2):
-        raise NotImplementedError
+        return self.element(self.factors(b1) + self.factors(b2))
 
 
 class CKHopf(HopfStructure):
@@ -419,9 +419,6 @@ class CKHopf(HopfStructure):
 
     def basis(self, degree: int) -> tuple[Forest, ...]:
         return tuple(enumerate_forests(degree))
-
-    def _product_basis(self, b1: Forest, b2: Forest) -> Forest:
-        return b1.union(b2)
 
     coproduct = HopfStructure.coproduct  # on each class: perfbench traces it there
     antipode = HopfStructure.antipode
@@ -455,9 +452,6 @@ class TensorHopf(HopfStructure):
             Word(letters)
             for letters in itertools.product(range(self.dimension), repeat=degree)
         )
-
-    def _product_basis(self, b1: Word, b2: Word) -> Word:
-        return Word(b1.letters + b2.letters)
 
     coproduct = HopfStructure.coproduct
     antipode = HopfStructure.antipode

@@ -11,20 +11,21 @@ trees are equal iff they are root-preserving graph isomorphic iff their
 serializations coincide.  Forests sort their trees by the same order and the
 empty forest serializes as ``"1"``.
 
-All values are immutable after construction.  The enumeration tables grow
-under a module lock; the subtree and partition memo dicts need none, since
-threads racing on one entry store equal values.
+All values are immutable after construction.  The trees and forests of each
+order, the subtrees and the edge partitions are memoized with
+``functools.cache`` and need no lock: threads racing on a new entry each
+build it, and they store equal values.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-import threading
 from typing import Iterable, Iterator
 
 from .errors import SIZE_BUDGET, ParseError, ResourceLimitError
 
-#: Largest tree order the enumerator will materialize by default.
+#: Largest tree order the enumerator will materialize.
 DEFAULT_ORDER_CAP = 12
 
 
@@ -191,85 +192,54 @@ def parse_forest(text: str) -> Forest:
 # Enumeration of canonical trees and forests by order.
 # ---------------------------------------------------------------------------
 
-_tree_table: list[list[RootedTree]] = [[]]  # _tree_table[n] = trees of order n
-_forest_table: list[list[Forest]] = [[EMPTY_FOREST]]
-_table_lock = threading.Lock()  # held while either table grows
+@functools.cache
+def _trees_of_order(n: int) -> tuple[RootedTree, ...]:
+    # A tree of order n is a root carrying a forest of degree n-1.
+    trees = [RootedTree(forest.trees) for forest in _forests_of_degree(n - 1)]
+    return tuple(sorted(trees, key=lambda t: t.serial))
 
 
-def _extend_tree_table(max_order: int) -> None:
-    while len(_tree_table) <= max_order:
-        n = len(_tree_table)
-        # A tree of order n is a root carrying a forest of degree n-1.
-        _extend_forest_table(n - 1)
-        trees = [RootedTree(forest.trees) for forest in _forest_table[n - 1]]
-        trees.sort(key=lambda t: t.serial)
-        _tree_table.append(trees)
+@functools.cache
+def _forests_of_degree(m: int) -> tuple[Forest, ...]:
+    if m == 0:
+        return (EMPTY_FOREST,)
+    # Each multiset comes out once, as its largest tree t over a forest of
+    # the remainder whose largest tree does not exceed t.
+    forests = [
+        Forest((t,) + rest.trees)
+        for k in range(1, m + 1)
+        for t in _trees_of_order(k)
+        for rest in _forests_of_degree(m - k)
+        if not rest.trees or rest.trees[0].serial <= t.serial
+    ]
+    return tuple(sorted(forests, key=lambda f: f.serial))
 
 
-def _extend_forest_table(max_degree: int) -> None:
-    while len(_forest_table) <= max_degree:
-        m = len(_forest_table)
-        _extend_tree_table(m)
-        # Build multisets as non-increasing sequences in the tree order:
-        # pick the largest tree first, then a forest of the remainder whose
-        # trees do not exceed it.
-        ranked: list[RootedTree] = []
-        for order in range(1, m + 1):
-            ranked.extend(_tree_table[order])
-        ranked.sort(key=lambda t: t.serial, reverse=True)
-        rank = {t: i for i, t in enumerate(ranked)}
-
-        forests: list[Forest] = []
-
-        def build(remaining: int, min_rank: int, acc: list[RootedTree]) -> None:
-            if remaining == 0:
-                forests.append(Forest(acc))
-                return
-            for t in ranked[min_rank:]:
-                if t.order <= remaining:
-                    acc.append(t)
-                    build(remaining - t.order, rank[t], acc)
-                    acc.pop()
-
-        build(m, 0, [])
-        forests.sort(key=lambda f: f.serial)
-        _forest_table.append(forests)
-
-
-def enumerate_trees(max_order: int, cap: int = DEFAULT_ORDER_CAP) -> list[list[RootedTree]]:
+def enumerate_trees(max_order: int) -> list[list[RootedTree]]:
     """All canonical trees of order 1..max_order, one list per order,
-    each sorted by serialization.  Orders beyond ``cap`` raise
+    each sorted by serialization.  Orders beyond ``DEFAULT_ORDER_CAP`` raise
     ``ResourceLimitError``."""
     if max_order < 1:
         raise ValueError(f"max_order must be >= 1, got {max_order}")
-    if max_order > cap:
-        raise ResourceLimitError(f"max_order {max_order} exceeds cap {cap}")
-    if len(_tree_table) <= max_order:
-        with _table_lock:
-            _extend_tree_table(max_order)
-    return [list(_tree_table[n]) for n in range(1, max_order + 1)]
+    if max_order > DEFAULT_ORDER_CAP:
+        raise ResourceLimitError(f"max_order {max_order} exceeds cap {DEFAULT_ORDER_CAP}")
+    return [list(_trees_of_order(n)) for n in range(1, max_order + 1)]
 
 
-def enumerate_forests(degree: int, cap: int = DEFAULT_ORDER_CAP) -> list[Forest]:
+def enumerate_forests(degree: int) -> list[Forest]:
     """All canonical forests of the given total degree, sorted by serialization."""
     if degree < 0:
         raise ValueError(f"degree must be >= 0, got {degree}")
-    if degree > cap:
-        raise ResourceLimitError(f"degree {degree} exceeds cap {cap}")
-    if len(_forest_table) <= degree:
-        with _table_lock:
-            _extend_forest_table(degree)
-    return list(_forest_table[degree])
+    if degree > DEFAULT_ORDER_CAP:
+        raise ResourceLimitError(f"degree {degree} exceeds cap {DEFAULT_ORDER_CAP}")
+    return list(_forests_of_degree(degree))
 
 
 # ---------------------------------------------------------------------------
 # Root-containing subtrees and edge partitions.
 # ---------------------------------------------------------------------------
 
-_subtree_cache: dict[RootedTree, tuple[tuple[Forest, Forest], ...]] = {}
-_partition_cache: dict[RootedTree, tuple[tuple[Forest, RootedTree], ...]] = {}
-
-
+@functools.cache
 def ordered_subtrees(tree: RootedTree) -> tuple[tuple[Forest, Forest], ...]:
     """All (cut forest, kept part) pairs of the tree, one per connected
     root-containing vertex subset (including the empty subset).
@@ -278,9 +248,6 @@ def ordered_subtrees(tree: RootedTree) -> tuple[tuple[Forest, Forest], ...]:
     single tree otherwise.  Distinct vertex subsets are separate entries even
     when they produce equal pairs.
     """
-    cached = _subtree_cache.get(tree)
-    if cached is not None:
-        return cached
     entries: list[tuple[Forest, Forest]] = [(single_tree_forest(tree), EMPTY_FOREST)]
     # Keeping the root: each child independently contributes either its full
     # tree to the cut forest or a kept sub-branch of its own.
@@ -292,11 +259,10 @@ def ordered_subtrees(tree: RootedTree) -> tuple[tuple[Forest, Forest], ...]:
             cut.extend(cut_forest.trees)
             kept_children.extend(kept.trees)
         entries.append((Forest(cut), single_tree_forest(RootedTree(kept_children))))
-    result = tuple(entries)
-    _subtree_cache[tree] = result
-    return result
+    return tuple(entries)
 
 
+@functools.cache
 def edge_partitions(tree: RootedTree) -> tuple[tuple[Forest, RootedTree], ...]:
     """All (cut forest, skeleton) pairs, one per subset of the edge set.
 
@@ -304,9 +270,6 @@ def edge_partitions(tree: RootedTree) -> tuple[tuple[Forest, RootedTree], ...]:
     components and re-installing the chosen edges gives the skeleton, whose
     order equals the number of components.
     """
-    cached = _partition_cache.get(tree)
-    if cached is not None:
-        return cached
     parents = tree.parent_array()
     n = tree.order
     edges = [(parents[v], v) for v in range(1, n)]
@@ -345,9 +308,7 @@ def edge_partitions(tree: RootedTree) -> tuple[tuple[Forest, RootedTree], ...]:
             return RootedTree(build_skeleton(c) for c in comp_children[root])
 
         entries.append((forest, build_skeleton(0)))
-    result = tuple(entries)
-    _partition_cache[tree] = result
-    return result
+    return tuple(entries)
 
 
 def butcher_product(tau: RootedTree, upsilon: RootedTree) -> RootedTree:

@@ -171,9 +171,31 @@ def test_order_8_from_principal_subtrees_of_order_9():
 
 def test_enumerate_resource_cap():
     with pytest.raises(ResourceLimitError):
-        enumerate_trees(7, cap=6)
+        enumerate_trees(trees.DEFAULT_ORDER_CAP + 1)
+    with pytest.raises(ResourceLimitError):
+        enumerate_forests(trees.DEFAULT_ORDER_CAP + 1)
     with pytest.raises(ValueError):
         enumerate_trees(0)
+
+
+def test_enumeration_at_the_cap():
+    cap = trees.DEFAULT_ORDER_CAP
+    levels = enumerate_trees(cap)
+    # OEIS A000081: rooted trees by number of nodes
+    assert [len(level) for level in levels] == [1, 1, 2, 4, 9, 20, 48, 115, 286, 719, 1842, 4766]
+    forests = [enumerate_forests(d) for d in range(cap)]
+    for d in range(cap):
+        # hanging a root over each forest of degree d gives each tree of order d + 1 once
+        serials = [f.serial for f in forests[d]]
+        assert serials == sorted(Forest(t.children).serial for t in levels[d])
+    for level in levels + forests:
+        serials = [x.serial for x in level]
+        assert all(a < b for a, b in zip(serials, serials[1:]))  # ascending, no duplicates
+    levels[3].clear()
+    levels.clear()
+    forests[4].clear()
+    assert len(enumerate_trees(cap)[3]) == 4
+    assert len(enumerate_forests(4)) == 9
 
 
 def test_forest_counts_shift_tree_counts():
@@ -221,6 +243,12 @@ def test_subtree_degree_bookkeeping():
             assert cut.degree + kept.degree == tree.order
 
 
+def test_subtrees_and_partitions_are_memoized():
+    tree = parse_tree("[[[]] []]")
+    assert ordered_subtrees(tree) is ordered_subtrees(parse_tree("[[] [[]]]"))
+    assert edge_partitions(tree) is edge_partitions(parse_tree("[[] [[]]]"))
+
+
 def test_edge_partitions_smallest_cases():
     assert list(edge_partitions(LEAF)) == [(Forest([LEAF]), LEAF)]
     chain_entries = as_multiset(edge_partitions(CHAIN))
@@ -266,24 +294,21 @@ def test_parent_array():
     assert CHERRY.parent_array() == [-1, 0, 0]
 
 
-def test_concurrent_first_enumeration_builds_each_level_once():
+def test_concurrent_first_enumeration_agrees():
     # Eight threads make the first call to enumerate_trees(9) on emptied
-    # tables while the interpreter switches threads as often as it can; an
-    # unguarded table grows duplicate or shifted levels.
+    # memos while the interpreter switches threads as often as it can.  Racing
+    # calls may each build a level, and every caller must see the same levels.
     import sys
     import threading
 
-    from hopfchar import trees
-
     expected_trees = [[t.serial for t in level] for level in enumerate_trees(9)]
     expected_forests = [[f.serial for f in enumerate_forests(d)] for d in range(9)]
-    saved = trees._tree_table[:], trees._forest_table[:]
     interval = sys.getswitchinterval()
     try:
         sys.setswitchinterval(1e-6)
         for _ in range(10):
-            del trees._tree_table[1:]
-            del trees._forest_table[1:]
+            trees._trees_of_order.cache_clear()
+            trees._forests_of_degree.cache_clear()
             results = []
 
             def first_call():
@@ -296,8 +321,6 @@ def test_concurrent_first_enumeration_builds_each_level_once():
                 thread.join(timeout=60)
             assert not any(thread.is_alive() for thread in threads)
             assert results == [expected_trees] * 8
-            assert len(trees._tree_table) == 10
-            assert [[f.serial for f in level] for level in trees._forest_table] == expected_forests
+            assert [[f.serial for f in enumerate_forests(d)] for d in range(9)] == expected_forests
     finally:
         sys.setswitchinterval(interval)
-        trees._tree_table[:], trees._forest_table[:] = saved
