@@ -287,18 +287,17 @@ class IndexTable:
     """The basis of degree <= N of one Hopf algebra, compiled to indices.
 
     ``basis`` lists the elements in basis order (the unit first, degrees
-    ascending), ``index`` maps each to its position, and ``basis[:ends[d]]`` is
-    the prefix of degree <= d.  ``first[i]`` and ``rest[i]`` index the split
-    b = first * rest of ``basis[i]``, first its generator of least index;
-    ``rest[i] == 0`` exactly on the unit and on ``generators``.  ``coproduct[i]``
-    is the ``Rows`` row of basis[i]: keys met in basis order have its indices.
+    ascending), and ``basis[:ends[d]]`` is the prefix of degree <= d.
+    ``first[i]`` and ``rest[i]`` index the split b = first * rest of
+    ``basis[i]``, first its generator of least index; ``rest[i] == 0`` exactly
+    on the unit and on ``generators``.  ``coproduct[i]`` is the ``Rows`` row of
+    basis[i]: keys met in basis order have its indices.
     """
 
-    __slots__ = ("basis", "index", "ends", "first", "rest", "generators", "coproduct")
+    __slots__ = ("basis", "ends", "first", "rest", "generators", "coproduct")
 
     def __init__(self, hopf: "HopfStructure", max_degree: int):
         self.basis = basis = tuple(hopf.all_basis_upto(max_degree))
-        self.index = {b: i for i, b in enumerate(basis)}
         counts = collections.Counter(b.degree for b in basis)
         self.ends = tuple(itertools.accumulate(counts[d] for d in range(max_degree + 1)))
         rows = Rows(hopf)

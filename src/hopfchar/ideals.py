@@ -30,7 +30,7 @@ from .characters import (
     infinitesimal_violation,
 )
 from .convolution import json_entries, json_field
-from .errors import IdealError, MembershipError
+from .errors import IdealError, IncompatibleError, MembershipError
 from .hopf import GradedVector, HopfStructure, ck_hopf, resolve_hopf
 from .rings import RATIONAL
 from .trees import Forest, RootedTree, butcher_product, enumerate_trees
@@ -107,7 +107,8 @@ def annihilator_violation(
 
     A raw functional is accepted if it passes one of the two membership
     predicates (that is what makes generator-only evaluation sufficient);
-    otherwise ``MembershipError`` is raised.
+    otherwise ``MembershipError`` is raised.  A functional and an ideal over
+    different Hopf algebras raise ``IncompatibleError``.
     """
     if isinstance(phi, (Character, InfinitesimalCharacter)):
         functional = phi.functional
@@ -118,6 +119,10 @@ def annihilator_violation(
             raise MembershipError(
                 "annihilator test needs a character or infinitesimal character"
             )
+    if functional.hopf.key != ideal.hopf.key:
+        raise IncompatibleError(
+            f"functional over {functional.hopf.key} vs ideal over {ideal.hopf.key}"
+        )
     ring = functional.ring
     for gen in ideal.generators_upto(functional.truncation):
         if not ring.is_zero(functional.evaluate(gen)):

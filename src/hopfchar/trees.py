@@ -1,6 +1,11 @@
 """Rooted trees and forests with a canonical form, plus the combinatorics
-that drive the rooted-tree Hopf algebra: root-containing subtrees, edge
-partitions, and the Butcher (root-grafting) product.
+of the rooted-tree Hopf algebra: root-containing subtrees, edge partitions,
+and the Butcher (root-grafting) product.
+
+``hopf.Rows`` builds the coproduct and the antipode, so the root-containing
+subtrees and the edge partitions feed only the test oracles.  Both come from
+a recursion over the root's children: a root-containing subtree keeps or cuts
+each child's branch, and an edge partition keeps or removes each child edge.
 
 Canonical form
 --------------
@@ -29,13 +34,32 @@ from .errors import SIZE_BUDGET, ParseError, ResourceLimitError
 DEFAULT_ORDER_CAP = 12
 
 
-class RootedTree:
+class _Canonical:
+    """A value named by its canonical serial: equal to another of the same
+    class with the same serial, hashed, printed and repr'd by the serial."""
+
+    __slots__ = ("serial", "_hash")
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self.serial == other.serial
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.serial!r})"
+
+    def __str__(self) -> str:
+        return self.serial
+
+
+class RootedTree(_Canonical):
     """An unlabeled rooted tree in canonical form.
 
     ``children`` may be given in any order; the constructor sorts them.
     """
 
-    __slots__ = ("children", "order", "serial", "_hash")
+    __slots__ = ("children", "order")
 
     def __init__(self, children: Iterable["RootedTree"] = ()):
         kids = sorted(children, key=lambda t: t.serial, reverse=True)
@@ -44,40 +68,16 @@ class RootedTree:
         self.serial: str = "[" + " ".join(c.serial for c in kids) + "]"
         self._hash = hash(self.serial)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, RootedTree) and self.serial == other.serial
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __repr__(self) -> str:
-        return f"RootedTree({self.serial!r})"
-
-    def __str__(self) -> str:
-        return self.serial
-
-    def parent_array(self) -> list[int]:
-        """Preorder parent indices; the root has parent -1."""
-        parents = [-1]
-
-        def visit(node: RootedTree, index: int) -> None:
-            for child in node.children:
-                parents.append(index)
-                visit(child, len(parents) - 1)
-
-        visit(self, 0)
-        return parents
-
 
 #: The one-node tree (the generator everything else is grafted from).
 LEAF = RootedTree()
 
 
-class Forest:
+class Forest(_Canonical):
     """A finite multiset of rooted trees; the monomial basis of the
     rooted-tree algebra.  Degree is the total node count (0 when empty)."""
 
-    __slots__ = ("trees", "degree", "serial", "_hash")
+    __slots__ = ("trees", "degree")
 
     def __init__(self, trees: Iterable[RootedTree] = ()):
         ts = sorted(trees, key=lambda t: t.serial, reverse=True)
@@ -85,18 +85,6 @@ class Forest:
         self.degree: int = sum(t.order for t in ts)
         self.serial: str = " ".join(t.serial for t in ts) if ts else "1"
         self._hash = hash(self.serial)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Forest) and self.serial == other.serial
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __repr__(self) -> str:
-        return f"Forest({self.serial!r})"
-
-    def __str__(self) -> str:
-        return self.serial
 
     def __len__(self) -> int:
         return len(self.trees)
@@ -270,45 +258,22 @@ def edge_partitions(tree: RootedTree) -> tuple[tuple[Forest, RootedTree], ...]:
     components and re-installing the chosen edges gives the skeleton, whose
     order equals the number of components.
     """
-    parents = tree.parent_array()
-    n = tree.order
-    edges = [(parents[v], v) for v in range(1, n)]
-    entries: list[tuple[Forest, RootedTree]] = []
-    for mask in range(1 << len(edges)):
-        removed = {edges[i] for i in range(len(edges)) if mask >> i & 1}
-        children_of: dict[int, list[int]] = {v: [] for v in range(n)}
-        for edge in edges:
-            if edge not in removed:
-                children_of[edge[0]].append(edge[1])
+    return tuple((Forest((root,) + apart), skeleton)
+                 for root, apart, skeleton in _components(tree))
 
-        # Each component's root is the tree root or the lower end of a
-        # removed edge; its component is everything reachable by kept edges.
-        comp_roots = [0] + sorted(b for _, b in removed)
-        comp_of = [-1] * n
 
-        def mark(v: int, root: int) -> None:
-            comp_of[v] = root
-            for c in children_of[v]:
-                mark(c, root)
-
-        for root in comp_roots:
-            mark(root, root)
-
-        def build_component(v: int) -> RootedTree:
-            return RootedTree(build_component(c) for c in children_of[v])
-
-        forest = Forest(build_component(root) for root in comp_roots)
-
-        # Skeleton: one node per component, edges re-installed from `removed`.
-        comp_children: dict[int, list[int]] = {root: [] for root in comp_roots}
-        for a, b in removed:
-            comp_children[comp_of[a]].append(b)
-
-        def build_skeleton(root: int) -> RootedTree:
-            return RootedTree(build_skeleton(c) for c in comp_children[root])
-
-        entries.append((forest, build_skeleton(0)))
-    return tuple(entries)
+def _components(tree: RootedTree) -> list[tuple[RootedTree, tuple[RootedTree, ...], RootedTree]]:
+    """(root's component, the other components, skeleton) per edge subset."""
+    # Keeping a child's edge merges the child's root component and skeleton
+    # node into the root's; removing it leaves that component apart, with its
+    # skeleton node hung below the root's.
+    partial = [((), (), ())]  # (root component's children, apart, skeleton's children)
+    for child in tree.children:
+        parts = _components(child)
+        partial = [entry for kept, apart, below in partial for root, rest, skeleton in parts
+                   for entry in ((kept + (root,), apart + rest, below + skeleton.children),
+                                 (kept, apart + (root,) + rest, below + (skeleton,)))]
+    return [(RootedTree(kept), apart, RootedTree(below)) for kept, apart, below in partial]
 
 
 def butcher_product(tau: RootedTree, upsilon: RootedTree) -> RootedTree:

@@ -2,33 +2,33 @@
 
 Everything here recomputes expected values along a different route than the
 library: graph-level isomorphism instead of canonical serialization, raw
-vertex-subset enumeration instead of the child recursion, the componentwise
-product over a forest's trees and the unshuffle over letter masks instead of
-the multiplicative extension of the coproduct, the antipode axiom, the
-signed sum over edge subsets of each tree (multiplied out over a forest's
-trees) and the signed reversal of a word instead of the recursion on
-coproduct rows, the per-degree composition sum and Horner on
-value dicts over the whole basis instead of Horner on degree prefixes of value
-lists, a linear-span ideal membership test instead of
+vertex-subset enumeration instead of the child recursion for root-containing
+subtrees, edge-subset bitmasks over a parent array instead of the child
+recursion for edge partitions, the componentwise product over a forest's trees
+and the unshuffle over letter masks instead of the multiplicative extension of
+the coproduct, the antipode axiom, the signed sum over edge subsets of each
+tree (multiplied out over a forest's trees) and the signed reversal of a word
+instead of the recursion on coproduct rows, the per-degree composition sum and
+Horner on value dicts over the whole basis instead of Horner on degree
+prefixes of value lists, a linear-span ideal membership test instead of
 generator-only evaluation, the product rule on every pair of basis elements
-instead of on (first generator, rest), the root-containing-subtree sum
-instead of the character product for Butcher composition, the geometric
-series instead of the triangular recursion for the convolution inverse,
-integration of the coproduct sum on every basis element instead of on
-generators only for the evolution equation, and a convolution kernel on
-value dicts keyed by basis objects, folding ``mul``/``scale``/``add`` term by
-term, instead of the index-table kernel with one ``sum_products`` per value,
-the schoolbook truncated product of coefficient lists instead of the
-degree-bucketed ``poly_products``, two full-basis convolutions instead
-of the generator values for the Lie bracket, the coproduct recursion on
-basis objects, with root-containing subtrees as tree values, instead of the
-index table's cocycle on ids, polynomials in t as tuples of ring
-elements (``FractionPoly``) instead of ``Poly``'s integer numerators over one
-denominator, a parser that recurses once per nesting level instead of the
-explicit stack, the symplectic generators grafted afresh from re-enumerated
-tree pairs instead of the memoized pair table, and a fold of ``scale`` and
-``add`` per term instead of one integer sum per coordinate for evaluating a
-functional on a vector.
+instead of on (first generator, rest), the root-containing-subtree sum instead
+of the character product for Butcher composition, the geometric series instead
+of the triangular recursion for the convolution inverse, integration of the
+coproduct sum on every basis element instead of on generators only for the
+evolution equation, and a convolution kernel on value dicts keyed by basis
+objects, folding ``mul``/``scale``/``add`` term by term, instead of the
+index-table kernel with one ``sum_products`` per value, the schoolbook
+truncated product of coefficient lists instead of the degree-bucketed
+``poly_products``, two full-basis convolutions instead of the generator values
+for the Lie bracket, the coproduct recursion on basis objects, with
+root-containing subtrees as tree values, instead of the index table's cocycle
+on ids, polynomials in t as tuples of ring elements (``FractionPoly``) instead
+of ``Poly``'s integer numerators over one denominator, a parser that recurses
+once per nesting level instead of the explicit stack, the symplectic
+generators grafted afresh from re-enumerated tree pairs instead of the
+memoized pair table, and a fold of ``scale`` and ``add`` per term instead of
+one integer sum per coordinate for evaluating a functional on a vector.
 """
 
 import operator
@@ -109,10 +109,49 @@ def grow_trees(max_order: int) -> list[list[RootedTree]]:
     return levels
 
 
+def parent_array(tree: RootedTree) -> list[int]:
+    """Preorder parent indices; the root has parent -1."""
+    parents = [-1]
+
+    def visit(node: RootedTree, index: int) -> None:
+        for child in node.children:
+            parents.append(index)
+            visit(child, len(parents) - 1)
+
+    visit(tree, 0)
+    return parents
+
+
+def edge_partitions_by_edge_masks(tree: RootedTree) -> list[tuple[Forest, RootedTree]]:
+    """All (cut forest, skeleton) pairs by enumerating the edge subsets as
+    bitmasks over the preorder parent array; vertex v > 0 names its edge to
+    parents[v]."""
+    parents = parent_array(tree)
+    n = tree.order
+    pairs = []
+    for mask in range(1 << (n - 1)):
+        removed = [v for v in range(1, n) if mask >> (v - 1) & 1]
+
+        def component_root(v: int) -> int:
+            while v and v not in removed:
+                v = parents[v]
+            return v
+
+        def component(v: int) -> RootedTree:
+            return RootedTree(component(c) for c in range(1, n)
+                              if parents[c] == v and c not in removed)
+
+        def skeleton(r: int) -> RootedTree:
+            return RootedTree(skeleton(b) for b in removed if component_root(parents[b]) == r)
+
+        pairs.append((Forest(component(r) for r in [0] + removed), skeleton(0)))
+    return pairs
+
+
 def subtree_pairs_by_vertex_subsets(tree: RootedTree) -> list[tuple[Forest, Forest]]:
     """All (cut forest, kept part) pairs by brute-force enumeration of vertex
     subsets, filtering for connectivity through the root."""
-    parents = tree.parent_array()
+    parents = parent_array(tree)
     n = tree.order
     children_of = [[] for _ in range(n)]
     for v in range(1, n):

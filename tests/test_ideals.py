@@ -1,5 +1,6 @@
 import json
 import random
+import re
 import sys
 import threading
 from fractions import Fraction
@@ -19,8 +20,9 @@ from hopfchar.characters import (
     tree_values,
 )
 from hopfchar.convolution import TruncatedFunctional, conv_unit, delta
-from hopfchar.errors import IdealError, MembershipError, ParseError, ResourceLimitError
-from hopfchar.hopf import GradedVector, ck_hopf, vector_of
+from hopfchar.errors import (IdealError, IncompatibleError, MembershipError, ParseError,
+                             ResourceLimitError)
+from hopfchar.hopf import GradedVector, Word, ck_hopf, tensor_hopf, vector_of
 from hopfchar.ideals import (
     HopfIdealSpec,
     annihilates,
@@ -33,6 +35,7 @@ from sampling import (
     annihilating_tree_value_basis,
     random_annihilating_character,
     random_annihilating_infinitesimal,
+    random_character,
     random_functional,
     random_ring_element,
     random_tree_values,
@@ -44,11 +47,13 @@ from helpers import (
     coproduct_in_coideal,
     evaluate_by_fold,
     ideal_degree_span,
+    parent_array,
     symplectic_generators_by_pairs,
     vector_in_ideal_degree,
 )
 
 CK = ck_hopf()
+T2 = tensor_hopf(2)
 CHAIN = parse_tree("[[]]")
 CHAIN3 = parse_tree("[[[]]]")
 CHERRY = parse_tree("[[] []]")
@@ -113,6 +118,22 @@ def test_annihilates_rejects_non_members():
         annihilates(bad, ideal)
     # raw functionals passing a predicate are fine
     assert annihilates(delta(CK, RATIONAL, 3, F_LEAF), ideal)
+
+
+def test_annihilates_refuses_an_ideal_over_another_algebra(monkeypatch):
+    # Lookups across algebras would all miss and count as zero, so a tensor
+    # character would "annihilate" the symplectic ideal.  The keys are compared
+    # before any generator is read: reading one would call None.
+    rng = random.Random(7)
+    commutator = HopfIdealSpec(T2, [GradedVector([(Word([0, 1]), 1), (Word([1, 0]), -1)])])
+    cases = [(random_character(T2, RATIONAL, 4, rng), symplectic_generators(4)),
+             (random_character(CK, RATIONAL, 4, rng), commutator)]
+    monkeypatch.setattr(HopfIdealSpec, "generators_upto", None)
+    for phi, ideal in cases:
+        message = f"functional over {phi.functional.hopf.key} vs ideal over {ideal.hopf.key}"
+        for candidate in (phi, phi.functional):
+            with pytest.raises(IncompatibleError, match=re.escape(message)):
+                annihilates(candidate, ideal)
 
 
 def test_is_symplectic_samples():
@@ -207,7 +228,7 @@ def _free_trees(n):
     found = {}
     for tree in enumerate_trees(n)[n - 1]:
         adjacent = [[] for _ in range(n)]
-        for node, parent in enumerate(tree.parent_array()):
+        for node, parent in enumerate(parent_array(tree)):
             if parent >= 0:
                 adjacent[node].append(parent)
                 adjacent[parent].append(node)

@@ -5,6 +5,7 @@ import pytest
 
 from hopfchar import trees
 from hopfchar.errors import SIZE_BUDGET, ParseError, ResourceLimitError
+from hopfchar.hopf import EMPTY_WORD
 from hopfchar.trees import (
     EMPTY_FOREST,
     LEAF,
@@ -20,7 +21,9 @@ from hopfchar.trees import (
 
 from helpers import (
     as_multiset,
+    edge_partitions_by_edge_masks,
     grow_trees,
+    parent_array,
     parse_tree_at_by_recursion,
     subtree_pairs_by_vertex_subsets,
     trees_isomorphic,
@@ -273,6 +276,13 @@ def test_edge_partition_bookkeeping():
             assert skeleton.order == len(forest.trees)
 
 
+def test_edge_partitions_match_edge_mask_oracle():
+    for tree in all_trees(7):
+        assert as_multiset(edge_partitions(tree)) == as_multiset(
+            edge_partitions_by_edge_masks(tree)
+        )
+
+
 def test_butcher_product_small_cases():
     assert butcher_product(LEAF, LEAF) == CHAIN
     assert butcher_product(LEAF, CHAIN) == CHAIN3
@@ -289,9 +299,37 @@ def test_butcher_product_order_additivity():
 
 
 def test_parent_array():
-    assert LEAF.parent_array() == [-1]
-    assert CHAIN.parent_array() == [-1, 0]
-    assert CHERRY.parent_array() == [-1, 0, 0]
+    assert parent_array(LEAF) == [-1]
+    assert parent_array(CHAIN) == [-1, 0]
+    assert parent_array(CHERRY) == [-1, 0, 0]
+    assert parent_array(parse_tree("[[[]] []]")) == [-1, 0, 0, 2]
+
+
+def test_tree_and_forest_compare_by_class_and_serial():
+    tree, forest = parse_tree("[]"), parse_forest("[]")
+    assert tree.serial == forest.serial
+    assert hash(tree) == hash(forest)
+    assert tree != forest
+    assert forest != tree
+    assert EMPTY_WORD != EMPTY_FOREST
+    assert EMPTY_FOREST != EMPTY_WORD
+
+
+@pytest.mark.parametrize("parse, text, respelled", [
+    (parse_tree, "[[[]] []]", " [ [] [ [ ] ] ] "),
+    (parse_forest, "[] [[]]", "[[ ]]  []"),
+])
+def test_two_spellings_parse_to_one_value(parse, text, respelled):
+    assert parse(text) == parse(respelled)
+    assert hash(parse(text)) == hash(parse(respelled))
+
+
+def test_repr_and_str():
+    assert repr(CHAIN) == "RootedTree('[[]]')"
+    assert repr(parse_forest("[] []")) == "Forest('[] []')"
+    assert str(CHAIN) == "[[]]"
+    assert str(parse_forest("[[]] []")) == "[] [[]]"
+    assert str(EMPTY_FOREST) == "1"
 
 
 def test_concurrent_first_enumeration_agrees():
