@@ -23,7 +23,7 @@ from typing import Mapping
 
 from . import series
 from .convolution import (TruncatedFunctional, conv_unit, convolve_at, json_field,
-                          json_values, parse_truncation)
+                          json_values, parse_truncation, require_value_budget)
 from .errors import MembershipError
 from .hopf import HopfStructure, ck_hopf
 from .rings import RATIONAL, resolve_ring
@@ -63,8 +63,8 @@ def infinitesimal_violation(phi: TruncatedFunctional):
 def _violation(phi: TruncatedFunctional, unit_value, expected):
     # Below the returned pair phi obeys the rule on every product, hence on
     # every pair (b1, b2): the pair has least degree among pairwise violations.
-    table, zero = phi.hopf.table(phi.truncation), phi.ring.zero
-    values = [zero if v is None else v for v in phi.value_list()]
+    table, zero, get = phi.hopf.table(phi.truncation), phi.ring.zero, phi.values.get
+    values = [get(b, zero) for b in table.basis]
     basis = table.basis
     if values[0] != unit_value:
         return Violation(basis[0], basis[0], values[0], unit_value)
@@ -142,20 +142,20 @@ def _multiplicative(hopf: HopfStructure, ring, truncation: int, on_generator) ->
     """The character with ``on_generator(i, out)`` on each generator basis[i]
     of ``hopf.table(truncation)``, where the list out holds the values found
     so far (None for zero and for not yet known), and out[first] * out[rest]
-    on each product."""
-    table = hopf.table(truncation)
+    on each product; every value in kernel form."""
+    table, zero, mul = hopf.table(truncation), ring.to_kernel(ring.zero), ring.kernel_mul
     out = [None] * len(table.basis)
-    out[0] = ring.one  # the unit comes first
+    out[0] = ring.to_kernel(ring.one)  # the unit comes first
     for i in range(1, len(out)):
         rest = table.rest[i]
         if rest:
             a, b = out[table.first[i]], out[rest]
             if a is None or b is None:
                 continue
-            value = ring.mul(a, b)
+            value = mul(a, b)
         else:
             value = on_generator(i, out)
-        if not ring.is_zero(value):
+        if value != zero:
             out[i] = value
     return Character._wrap(TruncatedFunctional.from_value_list(hopf, ring, truncation, out))
 
@@ -165,9 +165,11 @@ def char_from_generator_values(
 ) -> Character:
     """The unique character with the given values on generators (single-tree
     forests, one-letter words); missing generators count as zero."""
-    basis = hopf.table(truncation).basis
+    basis, to_kernel = hopf.table(truncation).basis, ring.to_kernel
+    zero = to_kernel(ring.zero)
     return _multiplicative(hopf, ring, truncation,
-                           lambda i, out: values.get(basis[i], ring.zero))
+                           lambda i, out: zero if (v := values.get(basis[i])) is None
+                           else to_kernel(v))
 
 
 def char_mul(phi: Character, psi: Character) -> Character:
@@ -184,9 +186,8 @@ def char_inv(phi: Character) -> Character:
     where the term phi^-1(g) * phi(1) drops out because g is not yet known."""
     f = phi.functional
     hopf, ring, n = f.hopf, f.ring, f.truncation
-    table, fv = hopf.table(n), f.value_list()
-    return _multiplicative(hopf, ring, n,
-                           lambda i, out: ring.neg(convolve_at(table, ring, out, fv, i)))
+    table, fv, neg = hopf.table(n), f.value_list(), ring.kernel_neg
+    return _multiplicative(hopf, ring, n, lambda i, out: neg(convolve_at(table, ring, out, fv, i)))
 
 
 def char_exp(phi: InfinitesimalCharacter) -> Character:
@@ -218,11 +219,12 @@ def lie_bracket(
     f, g = phi.functional, psi.functional
     f._compatible(g)
     hopf, ring, n = f.hopf, f.ring, f.truncation
-    table, fv, gv = hopf.table(n), f.value_list(), g.value_list()
-    values = {table.basis[i]: ring.add(convolve_at(table, ring, fv, gv, i),
-                                       ring.neg(convolve_at(table, ring, gv, fv, i)))
-              for i in table.generators}
-    return InfinitesimalCharacter(TruncatedFunctional(hopf, ring, n, values))
+    table, fv, gv, one = hopf.table(n), f.value_list(), g.value_list(), ring.to_kernel(ring.one)
+    values = [None] * len(fv)
+    for i in table.generators:  # the difference of two kernel values, as x * 1 - y * 1
+        values[i] = ring.sum_products([(1, convolve_at(table, ring, fv, gv, i), one),
+                                       (-1, convolve_at(table, ring, gv, fv, i), one)])
+    return InfinitesimalCharacter(TruncatedFunctional.from_value_list(hopf, ring, n, values))
 
 
 # -- the Butcher-group view on the rooted-forest instance ---------------------
@@ -269,6 +271,7 @@ def tree_values_from_json_dict(data: dict):
     """Inverse codec; returns (values, truncation, ring)."""
     truncation = parse_truncation(json_field(data, "truncation"))
     ring = resolve_ring(data.get("ring", "rational"))
+    require_value_budget(ck_hopf(), ring, truncation)
     values = json_values(data, "trees", parse_tree, ring.parse_element)
     return values, truncation, ring
 

@@ -3,10 +3,14 @@
 A ``TruncatedFunctional`` stores one coefficient-ring value per basis element
 of degree <= N (sparse storage, absent means zero).  ``convolve_at`` is the
 one convolution kernel.  It works on the ``IndexTable`` of the Hopf algebra
-at N: values are lists in basis order with None for zero (``value_list`` and
-``from_value_list`` convert), and the value at index i is the ring's
-``sum_products`` over the coproduct triples (c, l, r) of basis[i] whose
-f[l] and g[r] are both nonzero.  Because the coproduct respects the grading,
+at N: values are lists in basis order with None for zero, each value in the
+ring's kernel form (a reduced integer pair for a rational, a tuple of pairs
+for a ``series:M`` element, see :mod:`hopfchar.rings`).  ``value_list``
+converts each stored value once, and ``from_value_list`` builds one ring
+element per nonzero entry of a result, so that no ``Fraction`` is built in
+the kernel's loops.  The value at index i is the ring's ``sum_products``
+over the coproduct triples (c, l, r) of basis[i] whose f[l] and g[r] are
+both present.  Because the coproduct respects the grading,
 every degree-n output value only involves inputs of degree <= n, so
 degree-wise truncation is exact: the degree-n part of any result agrees with
 the one computed at any larger truncation.
@@ -23,8 +27,8 @@ import json
 from fractions import Fraction
 from typing import Mapping
 
-from .errors import (AugmentationError, DomainError, IncompatibleError, ParseError,
-                     TruncationOverflowError)
+from .errors import (SIZE_BUDGET, AugmentationError, DomainError, IncompatibleError, ParseError,
+                     ResourceLimitError, TruncationOverflowError)
 from .hopf import GradedVector, HopfStructure, IndexTable, resolve_hopf
 from .rings import RATIONAL, resolve_ring
 
@@ -65,14 +69,17 @@ class TruncatedFunctional:
         """Linear extension to rational combinations of basis elements; terms
         above the truncation or off the stored values count zero.  Each ring
         coordinate of the sum of coeff * value is one integer sum over the lcm
-        of the term denominators and one ``Fraction`` (``RATIONAL.sum_products``),
+        of the term denominators (``RATIONAL.sum_products``, with each
+        coefficient's numerator as the integer factor), and one ``Fraction``,
         the ring read only through ``width``, ``coordinates`` and
         ``from_coordinates``."""
         ring, get, n = self.ring, self.values.get, self.truncation
-        terms = [(coeff, ring.coordinates(value)) for basis, coeff in vec
+        terms = [(*coeff.as_integer_ratio(), ring.coordinates(value)) for basis, coeff in vec
                  if basis.degree <= n and (value := get(basis)) is not None]
-        return ring.from_coordinates([RATIONAL.sum_products([(1, c, cs[k]) for c, cs in terms])
-                                      for k in range(ring.width)])
+        return ring.from_coordinates([
+            RATIONAL.from_kernel(RATIONAL.sum_products(
+                [(c, cs[k].as_integer_ratio(), (1, d)) for c, d, cs in terms]))
+            for k in range(ring.width)])
 
     @property
     def degree0(self):
@@ -112,18 +119,26 @@ class TruncatedFunctional:
         return TruncatedFunctional(self.hopf, self.ring, self.truncation, values)
 
     def value_list(self) -> list:
-        """The values in the basis order of ``hopf.table(truncation)``, None for
-        zero: the kernel's form of a functional."""
-        get = self.values.get
-        return [get(b) for b in self.hopf.table(self.truncation).basis]
+        """The values in the basis order of ``hopf.table(truncation)`` and in
+        the ring's kernel form, None for zero: the kernel's form of a
+        functional."""
+        get, to_kernel = self.values.get, self.ring.to_kernel
+        return [None if (v := get(b)) is None else to_kernel(v)
+                for b in self.hopf.table(self.truncation).basis]
 
     @staticmethod
     def from_value_list(hopf: HopfStructure, ring, truncation: int,
                         values: list) -> "TruncatedFunctional":
-        """Inverse of ``value_list``; None and ring zeros are dropped."""
-        basis = hopf.table(truncation).basis
-        return TruncatedFunctional(hopf, ring, truncation,
-                                   {b: v for b, v in zip(basis, values) if v is not None})
+        """Inverse of ``value_list``; None and ring zeros are dropped.  The
+        values are nonzero and of degree <= truncation by construction, so
+        the checks of ``__init__`` are skipped."""
+        basis, from_kernel = hopf.table(truncation).basis, ring.from_kernel
+        zero = ring.to_kernel(ring.zero)
+        out = TruncatedFunctional.__new__(TruncatedFunctional)
+        out.hopf, out.ring, out.truncation = hopf, ring, truncation
+        out.values = {b: from_kernel(v) for b, v in zip(basis, values)
+                      if v is not None and v != zero}
+        return out
 
     # -- linear operations --------------------------------------------------
 
@@ -213,6 +228,7 @@ class TruncatedFunctional:
         hopf = resolve_hopf(json_field(data, "hopf"))
         ring = resolve_ring(json_field(data, "ring"))
         truncation = parse_truncation(json_field(data, "truncation"))
+        require_value_budget(hopf, ring, truncation)
         values = json_values(data, "values", hopf.parse_basis, ring.parse_element)
         try:
             return TruncatedFunctional(hopf, ring, truncation, values)
@@ -231,6 +247,21 @@ def parse_truncation(value) -> int:
     if value < 0:
         raise DomainError(f"truncation must be >= 0, got {value}")
     return value
+
+
+def require_value_budget(hopf: HopfStructure, ring, truncation: int) -> None:
+    """Refuse a payload whose functional could hold more than ``SIZE_BUDGET``
+    rational coordinates: ring width times the basis elements of degree <= N.
+    Only a ring wider than the rationals is checked; the basis of degree <= N
+    is counted level by level, up to the first level past the budget."""
+    if ring.width == 1:
+        return
+    count = 0
+    for degree in range(truncation + 1):
+        count += len(hopf.basis(degree))
+        if ring.width * count > SIZE_BUDGET:
+            raise ResourceLimitError(f"{ring.key} on {hopf.key} at truncation {truncation}"
+                                     f" exceeds {SIZE_BUDGET} value coordinates")
 
 
 def json_field(data: dict, field: str):
@@ -279,9 +310,9 @@ def delta(hopf: HopfStructure, ring, truncation: int, basis) -> TruncatedFunctio
 
 
 def convolve_at(table: IndexTable, ring, f: list, g: list, i: int):
-    """(f * g)(table.basis[i]) for value lists f and g in basis order (None
-    for zero): ``ring.sum_products`` of (c, f[l], g[r]) over the coproduct
-    triples of basis[i] with both values present."""
+    """(f * g)(table.basis[i]) in kernel form, for value lists f and g in
+    basis order (None for zero): ``ring.sum_products`` of (c, f[l], g[r])
+    over the coproduct triples of basis[i] with both values present."""
     terms = []
     for c, left, right in table.coproduct[i]:
         a = f[left]
@@ -318,12 +349,14 @@ def conv_inverse(phi: TruncatedFunctional) -> TruncatedFunctional:
     * a0^-1: the term psi(b) * a0 drops out because b is not yet in psi."""
     ring, hopf, n = phi.ring, phi.hopf, phi.truncation
     a0_inv = ring.inv(phi.degree0)  # NotInvertibleError unless a ring unit
-    table, f = hopf.table(n), phi.value_list()
+    table, f, mul = hopf.table(n), phi.value_list(), ring.kernel_mul
+    zero = ring.to_kernel(ring.zero)
     out = [None] * len(f)
-    out[0] = a0_inv  # the unit comes first
+    out[0] = ring.to_kernel(a0_inv)  # the unit comes first
+    minus_a0_inv = ring.kernel_neg(out[0])
     for i in range(1, len(f)):
-        value = ring.mul(ring.neg(convolve_at(table, ring, out, f, i)), a0_inv)
-        if not ring.is_zero(value):
+        value = mul(convolve_at(table, ring, out, f, i), minus_a0_inv)
+        if value != zero:
             out[i] = value
     return TruncatedFunctional.from_value_list(hopf, ring, n, out)
 

@@ -6,9 +6,11 @@ malformed textual input.  The CLI maps these to distinct exit codes.
 """
 
 
-#: The most coproduct terms one table, coefficients one series element, or
-#: serial bytes one parsed tree key or forest may hold; larger requests raise
-#: ``ResourceLimitError`` before any allocation.
+#: The most coproduct terms one table, coefficients one series element,
+#: serial bytes one parsed tree key or forest, or rational coordinates the
+#: values of one JSON payload (ring width times the basis elements of
+#: degree <= N, for rings wider than the rationals) may hold; larger requests
+#: raise ``ResourceLimitError`` before any allocation.
 SIZE_BUDGET = 2_000_000
 
 

@@ -10,13 +10,18 @@ Two commutative unital rings with exact equality are provided:
 Both rings are Q-algebras (``scale`` divides exactly by any nonzero integer),
 which is what the exponential/logarithm series require.
 
-Besides ``add``/``mul``/``scale``, every ring used by the convolution kernel
-has ``sum_products(terms)``: the sum of ``c * a * b`` over a list of
-``(c, a, b)`` with c a positive integer and a, b ring elements, equal to the
-fold of ``mul``, ``scale`` and ``add`` from ``zero`` (``zero`` for no terms).
-Over the rationals it is one integer sum over the lcm of the term
-denominators and one ``Fraction`` (one gcd), instead of a reduced
-``Fraction`` per product and per partial sum.
+The convolution kernel does not work on ring elements but on their kernel
+form, where a rational is a reduced pair ``(numerator, denominator)`` of
+ints with a positive denominator, so that tuple equality is value
+equality, and a ``series:M`` element is a tuple of M + 1 such pairs.
+``to_kernel`` and ``from_kernel`` convert one element; ``kernel_mul`` and
+``kernel_neg`` are the product and the negation in kernel form, and
+``sum_products(terms)`` is the sum of ``c * a * b`` over a list of
+``(c, a, b)`` with c a nonzero integer and a, b in kernel form, equal to
+``to_kernel`` of the fold of ``mul``, ``scale`` and ``add`` from ``zero``
+(``zero`` for no terms).  Over the rationals it is one integer sum over the
+lcm of the term denominators, reduced by one gcd.  A rational product in
+kernel form cancels the two cross gcds, so that no ``Fraction`` is built.
 
 Both rings are Q[X]/X^w, with w = 1 for the rationals and M + 1 for
 ``series:M``: ``width`` is w, the number of rational coordinates of an
@@ -24,8 +29,8 @@ element, and ``coordinates``/``from_coordinates`` convert an element to and
 from them.  The evolution solver's ``Poly`` reads a ring only through these
 and does its arithmetic on integer numerators.
 
-``poly_products(terms, size)`` is the product of rational coefficient
-sequences truncated to ``size`` coefficients, for series modulo X^(M+1) and
+``poly_products(terms, size)`` is the product of sequences of rational
+pairs truncated to ``size`` coefficients, for series modulo X^(M+1) and
 formal series: each degree's products of nonzero coefficients are one
 ``sum_products``.
 
@@ -44,12 +49,18 @@ import re
 import sys
 from collections import defaultdict
 from fractions import Fraction
-from math import lcm
+from functools import partial
+from math import gcd, lcm
 
 from .errors import SIZE_BUDGET, NotInvertibleError, ParseError, ResourceLimitError
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+_ZERO_PAIR = (0, 1)
+try:  # a reduced pair as a Fraction, without the gcd that ``Fraction(n, d)`` takes
+    _coprime_fraction = Fraction._from_coprime_ints  # CPython 3.12 and later
+except AttributeError:
+    _coprime_fraction = partial(Fraction, _normalize=False)
 # The exponent of a decimal literal, as ``Fraction`` reads it.
 _EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
 
@@ -105,18 +116,35 @@ class RationalRing:
         return a * q
 
     @staticmethod
-    def sum_products(terms) -> Fraction:
+    def sum_products(terms) -> tuple[int, int]:
         num, den = 0, 1
-        for c, a, b in terms:
-            na, da = a.as_integer_ratio()
-            nb, db = b.as_integer_ratio()
+        for c, (na, da), (nb, db) in terms:
             d = da * db
             if den % d:
                 common = lcm(den, d)
                 num *= common // den
                 den = common
             num += c * na * nb * (den // d)
-        return Fraction(num, den)
+        g = gcd(num, den)
+        return num // g, den // g
+
+    @staticmethod
+    def to_kernel(a: Fraction) -> tuple[int, int]:
+        return a.as_integer_ratio()
+
+    @staticmethod
+    def from_kernel(k: tuple[int, int]) -> Fraction:
+        return _coprime_fraction(*k) if k[0] else _ZERO
+
+    @staticmethod
+    def kernel_mul(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+        (p, q), (r, s) = a, b
+        g, h = gcd(p, s), gcd(r, q)
+        return (p // g) * (r // h), (q // h) * (s // g)
+
+    @staticmethod
+    def kernel_neg(a: tuple[int, int]) -> tuple[int, int]:
+        return -a[0], a[1]
 
     is_zero = staticmethod(operator.not_)
 
@@ -175,13 +203,28 @@ class TruncatedSeriesRing:
         return tuple(-x for x in a)
 
     def mul(self, a, b):
-        return self.sum_products([(1, a, b)])
+        return self.from_kernel(self.kernel_mul(self.to_kernel(a), self.to_kernel(b)))
 
     def scale(self, a, q: Fraction):
         return tuple(x * q for x in a)
 
-    def sum_products(self, terms):
-        return tuple(poly_products(terms, self.modulus_degree + 1))
+    def sum_products(self, terms) -> tuple:
+        return tuple(poly_products(terms, self.width))
+
+    @staticmethod
+    def to_kernel(a) -> tuple:
+        return tuple([x.as_integer_ratio() for x in a])
+
+    @staticmethod
+    def from_kernel(k) -> tuple[Fraction, ...]:
+        return tuple([_coprime_fraction(n, d) if n else _ZERO for n, d in k])
+
+    def kernel_mul(self, a, b) -> tuple:
+        return tuple(poly_products([(1, a, b)], self.width))
+
+    @staticmethod
+    def kernel_neg(a) -> tuple:
+        return tuple([(-n, d) for n, d in a])
 
     def is_zero(self, a) -> bool:
         return all(x == 0 for x in a)
@@ -198,13 +241,13 @@ class TruncatedSeriesRing:
         return a[0] != 0
 
     def inv(self, a):
+        """out[n] = -a0^-1 * sum of a[k] out[n-k] over the nonzero a[k], k >= 1."""
         if a[0] == 0:
             raise NotInvertibleError("series with zero constant term is not invertible")
-        m = self.modulus_degree
-        inv0 = 1 / a[0]
-        out = [inv0] + [_ZERO] * m
-        for n in range(1, m + 1):
-            out[n] = -inv0 * sum(a[k] * out[n - k] for k in range(1, n + 1))
+        inv0, terms = 1 / a[0], [(k, x) for k, x in enumerate(a) if k and x]
+        out = [inv0] + [_ZERO] * self.modulus_degree
+        for n in range(1, len(out)):
+            out[n] = -inv0 * sum(x * out[n - k] for k, x in terms if k <= n)
         return tuple(out)
 
     def format_element(self, a, where="a basis element") -> str:
@@ -219,20 +262,19 @@ class TruncatedSeriesRing:
 
 def poly_products(terms, size: int) -> list:
     """The first ``size`` coefficients of the sum of c * p * q over
-    ``(c, p, q)``, for rational coefficient sequences p, q: products of
-    nonzero coefficients are bucketed by degree, one
-    ``RATIONAL.sum_products`` per nonempty bucket, and degrees >= size are
-    dropped."""
+    ``(c, p, q)``, for sequences p, q of rational pairs: products of nonzero
+    coefficients are bucketed by degree, one ``RATIONAL.sum_products`` per
+    nonempty bucket, and degrees >= size are dropped."""
     buckets = defaultdict(list)
     for c, p, q in terms:
-        right = [(j, b) for j, b in enumerate(q) if b]
+        right = [(j, b) for j, b in enumerate(q) if b[0]]
         for i, a in enumerate(p):
-            if a:
+            if a[0]:
                 for j, b in right:
                     if i + j >= size:
                         break
                     buckets[i + j].append((c, a, b))
-    out = [_ZERO] * size
+    out = [_ZERO_PAIR] * size
     for k, bucket in buckets.items():
         out[k] = RATIONAL.sum_products(bucket)
     return out

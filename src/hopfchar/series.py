@@ -31,7 +31,7 @@ from .convolution import (
     require_augmentation,
     require_unit_normalized,
 )
-from .rings import parse_rational, poly_products
+from .rings import RATIONAL, parse_rational, poly_products
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -65,8 +65,9 @@ class FormalSeries:
 
     def __mul__(self, other: "FormalSeries") -> "FormalSeries":
         """Cauchy product truncated at the larger of the two orders."""
-        return FormalSeries(poly_products(
-            [(1, self.coefficients, other.coefficients)], max(self.order, other.order) + 1))
+        a, b = ([RATIONAL.to_kernel(c) for c in s.coefficients] for s in (self, other))
+        return FormalSeries(map(RATIONAL.from_kernel, poly_products(
+            [(1, a, b)], max(self.order, other.order) + 1)))
 
     def padded(self, order: int) -> "FormalSeries":
         """The same series with coefficients listed up to X^order."""
@@ -123,7 +124,7 @@ def apply_series(f: FormalSeries, a: TruncatedFunctional, indices=None) -> Trunc
     """
     require_augmentation(a)
     ring, hopf, n = a.ring, a.hopf, a.truncation
-    table, values = hopf.table(n), a.value_list()
+    table, values, zero = hopf.table(n), a.value_list(), ring.to_kernel(ring.zero)
     order = range(len(table.basis)) if indices is None else sorted(indices)
     coeffs = f.padded(n).coefficients
     acc = []
@@ -131,10 +132,10 @@ def apply_series(f: FormalSeries, a: TruncatedFunctional, indices=None) -> Trunc
         end = table.ends[n - j]
         step = [None] * end
         if coeffs[j]:
-            step[0] = ring.scale(ring.one, coeffs[j])
+            step[0] = ring.to_kernel(ring.scale(ring.one, coeffs[j]))
         for i in order[1:bisect_left(order, end)]:
             value = convolve_at(table, ring, values, acc, i)
-            if not ring.is_zero(value):
+            if value != zero:
                 step[i] = value
         acc = step
     return TruncatedFunctional.from_value_list(hopf, ring, n, acc)

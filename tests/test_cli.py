@@ -285,6 +285,25 @@ def test_oversized_inputs_hit_the_size_budget(tmp_path, capsys):
         assert peak < 4 << 20, (argv, peak)
 
 
+def test_wide_series_payloads_are_refused_before_their_values_parse(tmp_path, capsys):
+    # Ring width times the basis elements of degree <= N is over SIZE_BUDGET:
+    # series:1999999 has 2,000,000 coordinates, and ck has 8 basis elements of
+    # degree <= 3.  The values are not read, so a bad literal changes nothing.
+    keys = ["1", "[]", "[[]]", "[] []", "[[[]]]", "[[] []]", "[] [[]]", "[] [] []"]
+    functional = {"hopf": "ck", "ring": "series:1999999", "truncation": 3}
+    trees = {"ring": "series:1999999", "truncation": 3}
+    for name, argv, data in [
+        ("inv", ["char", "inv"], dict(functional, values=dict.fromkeys(keys, "1"))),
+        ("bad", ["char", "inv"], dict(functional, values={"[]": "nope"})),
+        ("symplectic", ["char", "symplectic"], dict(trees, trees={"[]": "1", "[[]]": "1"})),
+    ]:
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(data))
+        code = cli.main(argv + [str(path)])
+        assert code == 2, name
+        assert "series:1999999 on ck at truncation 3 exceeds" in capsys.readouterr().err, name
+
+
 def test_exit_code_io_and_parse_errors(tmp_path, capsys):
     code, _ = run(capsys, ["char", "exp", str(tmp_path / "missing.json")])
     assert code == 1

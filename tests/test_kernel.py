@@ -22,7 +22,8 @@ from helpers import (
     multiplicative_by_dict,
     poly_coefficients,
 )
-from hopfchar.characters import butcher_compose, char_inv, char_log, char_mul, lie_bracket
+from hopfchar.characters import (butcher_compose, char_from_generator_values, char_inv, char_log,
+                                 char_mul, lie_bracket)
 from hopfchar.convolution import TruncatedFunctional, conv_inverse, convolve
 from hopfchar.evolution import FunctionalCurve, Poly, PolyRing, evolve, evolve_polynomials
 from hopfchar.hopf import ck_hopf, tensor_hopf
@@ -49,6 +50,40 @@ CASES = [
 IDS = [f"{h.key}/{r.key}/N={n}" for h, r, n in CASES]
 
 
+def _primes(count: int) -> list[int]:
+    primes, k = [], 2
+    while len(primes) < count:
+        if all(k % p for p in primes):
+            primes.append(k)
+        k += 1
+    return primes
+
+
+PRIMES = _primes(500)
+
+
+def _prime_values(ring, basis, offset: int = 0) -> dict:
+    """Nonzero values on ``basis`` whose rational coordinates each have a
+    distinct prime denominator, with signs mixed: coordinate j of the k-th
+    value is +-(k + j + 1) / p, a new prime p each time."""
+    primes = iter(PRIMES[offset:])
+    return {b: ring.from_coordinates([Fraction((-1) ** (k + j) * (k + j + 1), next(primes))
+                                      for j in range(ring.width)])
+            for k, b in enumerate(basis)}
+
+
+def _prime_functional(hopf, ring, truncation):
+    """A dense invertible functional with distinct prime denominators."""
+    return TruncatedFunctional(hopf, ring, truncation,
+                               _prime_values(ring, hopf.all_basis_upto(truncation)))
+
+
+def _prime_character(hopf, ring, truncation, offset: int = 0):
+    """The character with distinct prime denominators on the generators."""
+    values = _prime_values(ring, hopf.generators(truncation), offset)
+    return char_from_generator_values(values, hopf, truncation, ring)
+
+
 @pytest.mark.parametrize("hopf, ring, truncation", CASES, ids=IDS)
 def test_convolve_and_inverse_match_dict_kernel(hopf, ring, truncation):
     rng = random.Random(81)
@@ -58,6 +93,9 @@ def test_convolve_and_inverse_match_dict_kernel(hopf, ring, truncation):
         assert convolve(f, g) == convolve_by_dict(f, g)
         h = random_invertible(hopf, ring, truncation, rng)
         assert conv_inverse(h) == conv_inverse_by_dict(h)
+    h = _prime_functional(hopf, ring, truncation)
+    assert convolve(h, g) == convolve_by_dict(h, g)
+    assert conv_inverse(h) == conv_inverse_by_dict(h)
 
 
 @pytest.mark.parametrize("hopf, ring, truncation", CASES, ids=IDS)
@@ -68,6 +106,9 @@ def test_group_product_and_inverse_match_dict_kernel(hopf, ring, truncation):
         b = random_character(hopf, ring, truncation, rng)
         assert char_mul(a, b).functional == char_mul_by_dict(a.functional, b.functional)
         assert char_inv(a).functional == char_inv_by_dict(a.functional)
+    a, b = _prime_character(hopf, ring, truncation), _prime_character(hopf, ring, truncation, 250)
+    assert char_mul(a, b).functional == char_mul_by_dict(a.functional, b.functional)
+    assert char_inv(a).functional == char_inv_by_dict(a.functional)
 
 
 EVOLUTION_CASES = ([(CK, RATIONAL, n) for n in range(1, 8)]
@@ -87,8 +128,9 @@ def test_evolution_and_log_match_dict_kernel(hopf, ring, truncation):
     for t in (0, Fraction(-3, 7), 2):
         expected = {b: p(t) for b, p in oracle.items()}
         assert evolve(curve, t) == TruncatedFunctional(hopf, ring, truncation, expected)
-    psi = random_character(hopf, ring, truncation, rng)
-    assert char_log(psi).functional == char_log_by_dict(psi.functional)
+    for psi in (random_character(hopf, ring, truncation, rng),
+                _prime_character(hopf, ring, truncation)):
+        assert char_log(psi).functional == char_log_by_dict(psi.functional)
 
 
 @pytest.mark.parametrize("ring, truncation", [(RATIONAL, 6), (SERIES, 5)], ids=["rational", "series:2"])
@@ -166,6 +208,12 @@ def _coefficients(value):
     return value.coefficients if isinstance(value, (Poly, FractionPoly)) else value
 
 
+def _kernel(ring, value):
+    """A ring element in the kernel form that ``sum_products`` takes and
+    returns; a ``Poly`` is its own."""
+    return value if isinstance(ring, PolyRing) else ring.to_kernel(value)
+
+
 @pytest.mark.parametrize("ring", SUM_RINGS, ids=SUM_IDS)
 def test_sum_products_equals_the_fold(ring):
     rng = random.Random(85)
@@ -187,6 +235,8 @@ def test_sum_products_equals_the_fold(ring):
                                        (4, a, Poly(base, [base.zero, base.zero, huge]))]
     for name, terms in shapes.items():
         want = _fold(fold_ring, _fold_terms(fold_ring, terms))
-        assert _coefficients(ring.sum_products(terms)) == _coefficients(want), name
-    assert ring.sum_products([]) == ring.zero
-    assert ring.sum_products([(1, a, b), (1, minus_a, b)]) == ring.zero
+        got = ring.sum_products([(c, _kernel(ring, x), _kernel(ring, y)) for c, x, y in terms])
+        assert _coefficients(got) == _coefficients(_kernel(ring, want)), name
+    a, b, minus_a = (_kernel(ring, x) for x in (a, b, minus_a))
+    assert ring.sum_products([]) == _kernel(ring, ring.zero)
+    assert ring.sum_products([(1, a, b), (1, minus_a, b)]) == _kernel(ring, ring.zero)

@@ -54,6 +54,17 @@ def test_series_inverse_example():
     assert SERIES.inv(one_plus_x) == SERIES.element([1, -1, 1, -1])
 
 
+def test_series_inverse_of_sparse_elements_at_width_2001():
+    # The inverse sums over the nonzero coefficients only: the unit, 1 + X and
+    # 2 - 3X^7 are inverted in time linear in the width.
+    ring = TruncatedSeriesRing(2000)
+    assert ring.inv(ring.one) == ring.one
+    assert ring.inv(ring.element([1, 1])) == ring.element((-1) ** k for k in range(2001))
+    sparse = ring.element([2] + [0] * 6 + [-3])
+    assert ring.inv(sparse) == ring.element(
+        Fraction(3 ** (k // 7), 2 ** (k // 7 + 1)) if k % 7 == 0 else 0 for k in range(2001))
+
+
 def test_series_truncation_in_product():
     ring = TruncatedSeriesRing(2)
     x = ring.x
@@ -146,16 +157,23 @@ def test_series_product_equals_the_schoolbook_product(m):
             b = ring.element(random_coefficients(rng, m + 1, zeros_b, huge))
             assert ring.mul(a, b) == tuple(schoolbook_product(a, b, m + 1))
             terms = [(1, a, b), (3, b, b), (2, a, ring.element(random_coefficients(rng, m + 1)))]
-            assert ring.sum_products(terms) == _schoolbook_sum(terms, m + 1)
-    assert ring.sum_products([]) == ring.zero
+            kernel_terms = [(c, ring.to_kernel(x), ring.to_kernel(y)) for c, x, y in terms]
+            assert ring.sum_products(kernel_terms) == ring.to_kernel(_schoolbook_sum(terms, m + 1))
+    assert ring.sum_products([]) == ring.to_kernel(ring.zero)
+
+
+def _pairs(values) -> list:
+    """Rationals as the reduced integer pairs ``poly_products`` works on."""
+    return [Fraction(x).as_integer_ratio() for x in values]
 
 
 def test_poly_products_sizes():
     a, b = [Fraction(1), Fraction(0), Fraction(2)], [Fraction(0), Fraction(3)]
-    full = schoolbook_product(a, b, 4)
+    full = _pairs(schoolbook_product(a, b, 4))
+    a, b = _pairs(a), _pairs(b)
     assert poly_products([(1, a, b)], 4) == full
     assert poly_products([(1, a, b)], 2) == full[:2]
-    assert poly_products([(1, a, b)], 6) == full + [0, 0]
-    assert poly_products([(2, a, b), (1, b, b)], 3) == [0, 6, 9]
-    assert poly_products([], 3) == [0, 0, 0]
-    assert poly_products([(1, [Fraction(0)], a)], 2) == [0, 0]
+    assert poly_products([(1, a, b)], 6) == full + _pairs([0, 0])
+    assert poly_products([(2, a, b), (1, b, b)], 3) == _pairs([0, 6, 9])
+    assert poly_products([], 3) == _pairs([0, 0, 0])
+    assert poly_products([(1, _pairs([0]), a)], 2) == _pairs([0, 0])
