@@ -29,7 +29,6 @@ from .characters import (
 from .convolution import (
     TruncatedFunctional,
     conv_inverse,
-    conv_power,
     conv_unit,
     convolve,
     delta,
@@ -77,7 +76,6 @@ from .series import (
     geometric_series,
     log,
     log1p_series,
-    x_series,
 )
 from .trees import (
     EMPTY_FOREST,

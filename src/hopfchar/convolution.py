@@ -160,10 +160,6 @@ class TruncatedFunctional:
         q = Fraction(q)
         return self._build({b: self.ring.scale(v, q) for b, v in self.values.items()})
 
-    def scale_ring(self, r) -> "TruncatedFunctional":
-        """Pointwise multiple by a ring element."""
-        return self._build({b: self.ring.mul(v, r) for b, v in self.values.items()})
-
     def __mul__(self, other):
         if isinstance(other, TruncatedFunctional):
             return convolve(self, other)
@@ -331,16 +327,6 @@ def convolve(phi: TruncatedFunctional, psi: TruncatedFunctional) -> TruncatedFun
     table, f, g = hopf.table(n), phi.value_list(), psi.value_list()
     return TruncatedFunctional.from_value_list(
         hopf, ring, n, [convolve_at(table, ring, f, g, i) for i in range(len(f))])
-
-
-def conv_power(phi: TruncatedFunctional, exponent: int) -> TruncatedFunctional:
-    """Iterated convolution power (exponent >= 0)."""
-    if exponent < 0:
-        raise ValueError("exponent must be >= 0")
-    result = conv_unit(phi.hopf, phi.ring, phi.truncation)
-    for _ in range(exponent):
-        result = convolve(result, phi)
-    return result
 
 
 def conv_inverse(phi: TruncatedFunctional) -> TruncatedFunctional:

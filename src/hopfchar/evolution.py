@@ -52,10 +52,6 @@ class Poly:
         self.nums, self.den = _canonical([n * (den // d) for n, d in ratios], den)
 
     @classmethod
-    def zero(cls, ring) -> "Poly":
-        return cls(ring)
-
-    @classmethod
     def _of(cls, ring, nums: list, den: int) -> "Poly":
         """The polynomial with these numerators over den > 0."""
         p = cls.__new__(cls)
@@ -78,16 +74,6 @@ class Poly:
             and self.den == other.den
         )
 
-    def __add__(self, other: "Poly") -> "Poly":
-        a, b, den = self.nums, other.nums, self.den
-        if other.den != den:
-            den = lcm(den, other.den)
-            fa, fb = den // self.den, den // other.den
-            a, b = [x * fa for x in a], [y * fb for y in b]
-        if len(a) < len(b):
-            a, b = b, a
-        return Poly._of(self.ring, [x + y for x, y in zip(a, b)] + list(a[len(b):]), den)
-
     def __mul__(self, other: "Poly") -> "Poly":
         return _sum_products(self.ring, ((1, self, other),))
 
@@ -104,15 +90,6 @@ class Poly:
             self._below.append(entries)
             return self._below
 
-    def scale(self, q) -> "Poly":
-        return self.shift_scale(q, 0)
-
-    def shift_scale(self, q, power: int) -> "Poly":
-        """q * t^power * self."""
-        n, d = Fraction(q).as_integer_ratio()
-        return Poly._of(self.ring, [0] * (power * self.ring.width) + [x * n for x in self.nums],
-                        self.den * d)
-
     def integrate(self) -> "Poly":
         """Antiderivative with zero constant term: the denominator gains
         lcm(1, ..., top degree + 1)."""
@@ -122,10 +99,6 @@ class Poly:
         factors = [common // k for k in degrees]
         return Poly._of(self.ring, [0] * w + [x * factors[i // w] for i, x in enumerate(nums)],
                         self.den * common)
-
-    def differentiate(self) -> "Poly":
-        w = self.ring.width
-        return Poly._of(self.ring, [x * (i // w) for i, x in enumerate(self.nums)][w:], self.den)
 
     def __call__(self, t):
         """Evaluate at a rational time p/q: for each X-coordinate, one integer
@@ -213,10 +186,6 @@ class FunctionalCurve:
         self.ring = first.ring
         self.truncation = first.truncation
 
-    @property
-    def poly_degree(self) -> int:
-        return len(self.coefficients) - 1
-
     def value_poly(self, basis) -> Poly:
         """gamma evaluated at one basis element, as a polynomial in t."""
         return Poly(self.ring, [c.value(basis) for c in self.coefficients])
@@ -263,7 +232,7 @@ def evolve_polynomials(curve: FunctionalCurve) -> dict:
     """The full solution: for each basis element of degree <= N, the value of
     eta as a ``Poly`` in t."""
     table, eta = _solve(curve, True)
-    zero = Poly.zero(curve.ring)
+    zero = Poly(curve.ring)
     return {b: zero if value is None else value for b, value in zip(table.basis, eta)}
 
 

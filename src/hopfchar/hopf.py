@@ -152,16 +152,6 @@ class GradedVector:
     def degrees(self) -> set[int]:
         return {basis.degree for basis in self.terms}
 
-    def is_homogeneous(self) -> bool:
-        return len(self.degrees()) <= 1
-
-    def degree(self) -> int:
-        """Degree of a nonzero homogeneous vector."""
-        degs = self.degrees()
-        if len(degs) != 1:
-            raise ValueError("vector is zero or not homogeneous")
-        return degs.pop()
-
     def format(self) -> str:
         """Signed sum in canonical basis order, e.g. ``"-[[]] + [] []"``."""
         if not self.terms:
@@ -387,12 +377,16 @@ class HopfStructure:
         return _ONE if basis.degree == 0 else _ZERO
 
     def antipode(self, basis) -> GradedVector:
-        """S(basis); builds no table."""
+        """S(basis); builds no table.  ``Rows`` recurses once per child and per
+        tree level: a key past the interpreter's limit is refused."""
         vec = self._antipodes.get(basis)
         if vec is None:
             rows = Rows(self)
-            vec = self._antipodes[basis] = GradedVector(
-                (rows.element(i), c) for c, i, _ in rows.antipode(rows.id_of(self.factors(basis))))
+            try:
+                s = rows.antipode(rows.id_of(self.factors(basis)))
+            except RecursionError:
+                raise ResourceLimitError(f"a degree-{basis.degree} key nests too deep") from None
+            vec = self._antipodes[basis] = GradedVector((rows.element(i), c) for c, i, _ in s)
         return vec
 
     def parse_basis(self, text: str):

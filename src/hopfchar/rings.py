@@ -49,7 +49,7 @@ import re
 import sys
 from collections import defaultdict
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 from math import gcd, lcm
 
 from .errors import SIZE_BUDGET, NotInvertibleError, ParseError, ResourceLimitError
@@ -157,10 +157,6 @@ class RationalRing:
         return cs[0]
 
     @staticmethod
-    def is_unit(a: Fraction) -> bool:
-        return a != 0
-
-    @staticmethod
     def inv(a: Fraction) -> Fraction:
         if a == 0:
             raise NotInvertibleError("0 is not invertible in the rationals")
@@ -187,9 +183,10 @@ class TruncatedSeriesRing:
         self.modulus_degree = modulus_degree
         self.width = modulus_degree + 1
         self.key = f"series:{modulus_degree}"
-        self.zero = (_ZERO,) * (modulus_degree + 1)
-        self.one = (_ONE,) + (_ZERO,) * modulus_degree
-        self.x = (_ZERO, _ONE) + (_ZERO,) * (modulus_degree - 1)
+
+    # Built on first use: a payload refused for its width builds no (M + 1)-tuple.
+    zero = cached_property(lambda self: (_ZERO,) * self.width)
+    one = cached_property(lambda self: (_ONE,) + (_ZERO,) * self.modulus_degree)
 
     def element(self, coeffs) -> tuple[Fraction, ...]:
         cs = [Fraction(c) for c in coeffs][: self.modulus_degree + 1]
@@ -236,9 +233,6 @@ class TruncatedSeriesRing:
     @staticmethod
     def from_coordinates(cs) -> tuple[Fraction, ...]:
         return tuple(cs)
-
-    def is_unit(self, a) -> bool:
-        return a[0] != 0
 
     def inv(self, a):
         """out[n] = -a0^-1 * sum of a[k] out[n-k] over the nonzero a[k], k >= 1."""

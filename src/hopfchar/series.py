@@ -82,10 +82,6 @@ class FormalSeries:
         return FormalSeries(parse_rational(p) for p in text.split(","))
 
 
-def x_series(order: int) -> FormalSeries:
-    return FormalSeries([0, 1]).padded(order)
-
-
 def exp_series(order: int) -> FormalSeries:
     coeffs, fact = [], 1
     for k in range(order + 1):

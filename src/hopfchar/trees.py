@@ -92,10 +92,6 @@ class Forest(_Canonical):
     def __iter__(self) -> Iterator[RootedTree]:
         return iter(self.trees)
 
-    def union(self, other: "Forest") -> "Forest":
-        """Multiset union; the algebra product of two forest monomials."""
-        return Forest(self.trees + other.trees)
-
 
 EMPTY_FOREST = Forest()
 

@@ -197,7 +197,7 @@ def coproduct_by_components(forest: Forest) -> dict:
         grown = {}
         for (left, right), coeff in pairs.items():
             for cut, kept in subtree_pairs_by_vertex_subsets(tree):
-                pair = (left.union(cut), right.union(kept))
+                pair = (Forest(left.trees + cut.trees), Forest(right.trees + kept.trees))
                 grown[pair] = grown.get(pair, Fraction(0)) + coeff
         pairs = grown
     return pairs
@@ -393,15 +393,17 @@ def butcher_compose_raw(a, b, truncation: int, ring) -> dict:
 
 
 def conv_inverse_geometric(phi: TruncatedFunctional) -> TruncatedFunctional:
-    """(sum_k (-a0^-1 b)^k) a0^-1 with b the positive-degree part; the
-    series terminates at the truncation degree."""
-    ring = phi.ring
+    """(sum_k (-a0^-1 b)^k) a0^-1 with b the positive-degree part, summed as
+    acc -> a0^-1 + (-a0^-1 b) * acc from acc = a0^-1; the series terminates
+    at the truncation degree."""
+    hopf, ring, n = phi.hopf, phi.ring, phi.truncation
     a0_inv = ring.inv(phi.degree0)
-    b = phi.drop_degree0().scale_ring(a0_inv).scale(-1)
-    acc = unit = conv_unit(phi.hopf, ring, phi.truncation)
-    for _ in range(phi.truncation):
-        acc = unit + convolve(b, acc)
-    return acc.scale_ring(a0_inv)
+    b = TruncatedFunctional(hopf, ring, n, {basis: ring.mul(v, ring.neg(a0_inv))
+                                            for basis, v in phi.values.items() if basis.degree})
+    acc = start = TruncatedFunctional(hopf, ring, n, {hopf.unit_basis: a0_inv})
+    for _ in range(n):
+        acc = start + convolve(b, acc)
+    return acc
 
 
 # -- the dict-keyed convolution kernel -----------------------------------------
@@ -545,6 +547,20 @@ class FoldPolyRing:
         return not p.coefficients
 
 
+def assert_solves_evolution_ode(curve, polys: dict) -> None:
+    """eta' = eta * gamma on every basis element, for eta the dict ``polys``
+    of polynomials in t (``Poly`` or ``FractionPoly``): both sides are formed
+    on ``FractionPoly`` from the coefficients and the curve's values."""
+    ring = curve.ring
+    eta = {b: FractionPoly(ring, p.coefficients) for b, p in polys.items()}
+    for basis, poly in eta.items():
+        rhs = FractionPoly(ring)
+        for coeff, left, right in curve.hopf.coproduct(basis):
+            gamma = FractionPoly(ring, [c.value(right) for c in curve.coefficients])
+            rhs = rhs + (eta[left] * gamma).scale(coeff)
+        assert poly.differentiate().coefficients == rhs.coefficients, basis
+
+
 def poly_coefficients(polys: dict) -> dict:
     """A dict of polynomials (``Poly`` or ``FractionPoly``) as their
     coefficient tuples, for comparing the library with the oracles."""
@@ -673,7 +689,7 @@ def symplectic_generators_by_pairs(truncation: int) -> HopfIdealSpec:
     return HopfIdealSpec(ck_hopf(), [
         vector_of(single_tree_forest(butcher_product(tau, upsilon)))
         + vector_of(single_tree_forest(butcher_product(upsilon, tau)))
-        - vector_of(single_tree_forest(tau).union(single_tree_forest(upsilon)))
+        - vector_of(Forest([tau, upsilon]))
         for i, tau in enumerate(trees) for upsilon in trees[i:]
         if tau.order + upsilon.order <= truncation
     ])
@@ -697,7 +713,8 @@ def ideal_degree_span(ideal, degree: int) -> tuple[list, list[list[Fraction]]]:
     index = {b: i for i, b in enumerate(basis)}
     vectors = []
     for gen in ideal.generators_upto(degree):
-        cofactor_degree = degree - gen.degree()
+        (gen_degree,) = gen.degrees()
+        cofactor_degree = degree - gen_degree
         for monomial in hopf.basis(cofactor_degree):
             product = hopf.multiply(gen, GradedVector([(monomial, 1)]))
             vec = [Fraction(0)] * len(basis)
@@ -722,7 +739,6 @@ def vector_in_ideal_degree(ideal, vec: GradedVector, degree: int) -> bool:
 def coproduct_in_coideal(ideal, gen: GradedVector) -> bool:
     """Whether Delta(gen) lies in I (x) H + H (x) I, bidegree by bidegree."""
     hopf = ideal.hopf
-    degree = gen.degree()
     # Collect Delta(gen) terms by bidegree.
     by_bidegree: dict[tuple[int, int], dict] = {}
     for basis, coeff in gen:

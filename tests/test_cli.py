@@ -500,6 +500,16 @@ def test_key_nested_1200_deep_is_a_domain_error(tmp_path, capsys):
         assert captured.err.splitlines() == [f"error: {message}"] and captured.out == ""
 
 
+def test_antipode_of_a_root_with_1200_leaves_is_a_domain_error(capsys):
+    # the key parses, but the antipode recurses once per child, past the
+    # interpreter's limit: exit 2 with one error line, not a traceback
+    wide = "[" + "[]" * 1200 + "]"
+    assert cli.main(["structure", wide, "--which", "antipode"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["error: a degree-1201 key nests too deep"]
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("depth", [3000, 100_000])
 def test_key_nested_past_the_serial_budget_is_refused_while_parsing(tmp_path, capsys, depth):
     # every subtree keeps its serial, so a chain d deep would hold ~d^2 bytes

@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -8,12 +9,11 @@ from hopfchar.characters import tree_values_from_json_dict
 from hopfchar.convolution import (
     TruncatedFunctional,
     conv_inverse,
-    conv_power,
     conv_unit,
     convolve,
     delta,
 )
-from hopfchar.errors import IncompatibleError, NotInvertibleError, ParseError
+from hopfchar.errors import IncompatibleError, NotInvertibleError, ParseError, ResourceLimitError
 from hopfchar.evolution import FunctionalCurve
 from hopfchar.hopf import CKHopf, TensorHopf, Word, ck_hopf, tensor_hopf
 from hopfchar.ideals import HopfIdealSpec
@@ -119,7 +119,7 @@ def test_non_invertible_error():
     with pytest.raises(NotInvertibleError):
         conv_inverse(delta(CK, RATIONAL, 3, F_LEAF))
     ring = SERIES
-    phi = TruncatedFunctional(CK, ring, 3, {CK.unit_basis: ring.x})
+    phi = TruncatedFunctional(CK, ring, 3, {CK.unit_basis: ring.element([0, 1])})
     with pytest.raises(NotInvertibleError):
         conv_inverse(phi)
 
@@ -181,12 +181,6 @@ def test_truncation_stability():
         assert inv6.restrict(4) == inv4
 
 
-def test_conv_power():
-    d = delta(CK, RATIONAL, 4, F_LEAF)
-    assert conv_power(d, 0) == conv_unit(CK, RATIONAL, 4)
-    assert conv_power(d, 2) == convolve(d, d)
-
-
 def test_incompatibility_errors():
     a = conv_unit(CK, RATIONAL, 4)
     with pytest.raises(IncompatibleError):
@@ -228,6 +222,20 @@ def test_json_roundtrip_series_and_tensor():
         T2, ring, 3, {Word([0]): ring.element([0, 1]), Word([1, 0]): ring.one}
     )
     assert TruncatedFunctional.from_json(phi.to_json()) == phi
+
+
+def test_wide_series_payload_is_refused_before_the_ring_builds_an_element():
+    # series:1999999 on the 8 ck basis elements of degree <= 3 is 16,000,000
+    # coordinates, past SIZE_BUDGET; one of its (M + 1)-tuples alone takes 16 MB.
+    payload = {"hopf": "ck", "ring": "series:1999999", "truncation": 3, "values": {}}
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="exceeds 2000000 value coordinates"):
+            TruncatedFunctional.from_json_dict(payload)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5_000_000
 
 
 @pytest.mark.parametrize("payload", ["5", "null", '"x"', "[]"])

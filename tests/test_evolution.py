@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import FractionPoly, evolve_polynomials_by_dict, poly_coefficients, split
+from helpers import (FractionPoly, assert_solves_evolution_ode, evolve_polynomials_by_dict,
+                     poly_coefficients, split)
 from hopfchar.characters import InfinitesimalCharacter, char_exp, char_unit
 from hopfchar.convolution import TruncatedFunctional, conv_unit, convolve, delta
 from hopfchar.errors import IncompatibleError, MembershipError
@@ -31,13 +32,11 @@ def test_poly_arithmetic():
     ring = RATIONAL
     p = Poly(ring, [Fraction(1), Fraction(2)])  # 1 + 2t
     q = Poly(ring, [Fraction(0), Fraction(0), Fraction(3)])  # 3t^2
-    assert (p + q).coefficients == (1, 2, 3)
     assert (p * p).coefficients == (1, 4, 4)
+    assert (p * q).coefficients == (0, 0, 3, 6)
     assert p.integrate().coefficients == (0, 1, 1)
-    assert q.differentiate().coefficients == (0, 6)
     assert p(Fraction(1, 2)) == 2
     assert Poly(ring, [Fraction(0)]).coefficients == ()  # trailing zeros trimmed
-    assert p.shift_scale(Fraction(2), 1).coefficients == (0, 2, 4)
 
 
 POLY_RINGS = [RATIONAL, TruncatedSeriesRing(1), TruncatedSeriesRing(2)]
@@ -63,34 +62,33 @@ def test_poly_ops_match_fraction_poly(ring):
     rng = random.Random(79)
     cases = _poly_coefficients(ring, rng)
     times = (0, 1, -1, Fraction(-3, 7), Fraction(5, 12), Fraction(2**70 + 1, 3**45))
-    scalars = (0, 1, -2, Fraction(7, 6), Fraction(-1, 2**66 + 3))
     for coeffs in cases:
         p, want = Poly(ring, coeffs), FractionPoly(ring, coeffs)
         assert p.coefficients == want.coefficients
         assert p.integrate().coefficients == want.integrate().coefficients
-        assert p.differentiate().coefficients == want.differentiate().coefficients
-        assert p.integrate().differentiate() == p
         for t in times:
             assert p(t) == want(t), t
-        for q in scalars:
-            assert p.scale(q).coefficients == want.scale(q).coefficients
-            assert p.shift_scale(q, 2).coefficients == want.shift_scale(q, 2).coefficients
         for other in cases:
             r, want_r = Poly(ring, other), FractionPoly(ring, other)
-            assert (p + r).coefficients == (want + want_r).coefficients
             assert (p * r).coefficients == (want * want_r).coefficients
 
 
 @pytest.mark.parametrize("ring", POLY_RINGS, ids=lambda r: r.key)
 def test_poly_form_is_canonical(ring):
     """Equal values compare equal however their denominators were built."""
-    half = Poly(ring, [ring.scale(ring.one, Fraction(1, 2))])
-    assert half + half == Poly(ring, [ring.one]) == half.scale(2)
+    def const(q):
+        return Poly(ring, [ring.scale(ring.one, Fraction(q))])
+
+    half = const(Fraction(1, 2))
+    assert half * const(2) == Poly(ring, [ring.one]) == const(2) * half
     p = Poly(ring, [ring.one, ring.zero, ring.scale(ring.one, Fraction(3, 2**70))])
-    assert p.scale(Fraction(2**70, 9)).scale(Fraction(9, 2**70)) == p
-    assert p + p.scale(-1) == Poly(ring, []) == Poly(ring, [ring.zero, ring.zero])
+    assert p * const(Fraction(2**70, 9)) * const(Fraction(9, 2**70)) == p
+    assert p * const(0) == Poly(ring, []) == Poly(ring, [ring.zero, ring.zero])
     assert Poly(ring, [ring.zero]).coefficients == ()
-    assert (p.shift_scale(Fraction(1, 6), 1) + p.shift_scale(Fraction(-1, 6), 1)).coefficients == ()
+    t_over_6 = Poly(ring, [ring.zero, ring.scale(ring.one, Fraction(1, 6))])
+    assert _sum_products(ring, [(1, p, t_over_6), (-1, t_over_6, p)]) == Poly(ring, [])
+    assert Poly(ring, [ring.zero, ring.scale(ring.one, 2)]).integrate() == Poly(
+        ring, [ring.zero, ring.zero, ring.one])
 
 
 SERIES3 = TruncatedSeriesRing(3)
@@ -217,7 +215,7 @@ def test_zero_curve_solves_without_products(monkeypatch, hopf):
     polys = evolve_polynomials(curve)
     assert list(polys) == hopf.all_basis_upto(4)
     assert polys[hopf.unit_basis] == Poly(RATIONAL, [1])
-    assert all(p == Poly.zero(RATIONAL) for b, p in polys.items() if b.degree)
+    assert all(p == Poly(RATIONAL) for b, p in polys.items() if b.degree)
 
 
 def test_zero_curve_gives_unit_at_all_times():
@@ -309,12 +307,7 @@ def test_polynomial_ode_identity():
         curve = FunctionalCurve(
             [random_infinitesimal(CK, RATIONAL, 4, rng).functional for _ in range(2)]
         )
-        polys = evolve_polynomials(curve)
-        for basis, poly in polys.items():
-            rhs = Poly.zero(RATIONAL)
-            for coeff, left, right in CK.coproduct(basis):
-                rhs = rhs + (polys[left] * curve.value_poly(right)).scale(coeff)
-            assert poly.differentiate() == rhs
+        assert_solves_evolution_ode(curve, evolve_polynomials(curve))
 
 
 def test_evolution_over_series_ring_and_tensor():
@@ -347,4 +340,3 @@ def test_curve_json_roundtrip():
     curve = FunctionalCurve([zero_functional(truncation=3), d])
     restored = FunctionalCurve.from_json_dict(curve.to_json_dict())
     assert restored.coefficients == curve.coefficients
-    assert restored.poly_degree == 1

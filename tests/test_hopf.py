@@ -17,7 +17,7 @@ from hopfchar.hopf import (
     tensor_hopf,
     vector_of,
 )
-from hopfchar.trees import EMPTY_FOREST, LEAF, Forest, parse_tree
+from hopfchar.trees import EMPTY_FOREST, LEAF, Forest, RootedTree, parse_tree
 
 from helpers import (
     antipode_by_axiom,
@@ -82,8 +82,7 @@ def test_graded_vector_arithmetic():
     assert v[F_LEAF] == 2
     assert v[F_LL] == 0
     assert v.degrees() == {1, 2}
-    assert not v.is_homogeneous()
-    assert (vector_of(F_LL) * Fraction(1, 3)).degree() == 2
+    assert (vector_of(F_LL) * Fraction(1, 3)).degrees() == {2}
 
 
 def test_graded_vector_format():
@@ -107,7 +106,7 @@ def test_ck_coproduct_of_square_matches_bialgebra_expansion():
     expected = {}
     for l1, r1 in base:
         for l2, r2 in base:
-            key = (l1.union(l2).serial, r1.union(r2).serial)
+            key = (Forest(l1.trees + l2.trees).serial, Forest(r1.trees + r2.trees).serial)
             expected[key] = expected.get(key, 0) + 1
     assert coproduct_multiset(CK, F_LL) == expected
     assert expected[("[]", "[]")] == 2
@@ -264,6 +263,19 @@ def test_terms_formed_count_against_the_size_budget(monkeypatch):
     monkeypatch.undo()
     assert len(CKHopf().antipode(chain16)) == 231
     assert len(TensorHopf(2).coproduct(word11)) == 1104
+
+
+def test_antipode_of_a_key_past_the_recursion_limit_is_refused():
+    # Rows recurses once per child and per tree level, so a 1,500-node chain
+    # and a root with 1,200 leaves go past the interpreter's 1,000 frames.
+    chain = LEAF
+    for _ in range(1499):
+        chain = RootedTree([chain])
+    for tree in (chain, RootedTree([LEAF] * 1200)):
+        for _ in range(2):  # no half-built value is kept: a second call refuses alike
+            with pytest.raises(ResourceLimitError, match=f"degree-{tree.order} key nests"):
+                CK.antipode(Forest([tree]))
+    assert len(CK.antipode(Forest([parse_tree("[" * 16 + "]" * 16)]))) == 231
 
 
 @pytest.mark.parametrize("hopf", [CK, T2], ids=lambda h: h.key)

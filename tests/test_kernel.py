@@ -226,7 +226,8 @@ def test_sum_products_equals_the_fold(ring):
                               for c in (1, 3, 7)],
     }
     a, b = _element(ring, rng), _element(ring, rng)
-    minus_a = a.scale(-1) if isinstance(a, Poly) else ring.neg(a)
+    minus_a = (Poly(a.ring, map(a.ring.neg, a.coefficients)) if isinstance(a, Poly)
+               else ring.neg(a))
     shapes["negative values"] = [(1, a, b), (3, minus_a, a), (2, minus_a, minus_a), (1, minus_a, b)]
     if isinstance(ring, PolyRing):  # zero coefficients, inside and at the ends
         base, huge = ring.base, _element(ring.base, rng, True)
