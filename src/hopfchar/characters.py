@@ -8,7 +8,7 @@ phi(b) = phi(first) phi(rest) (or 0) on every product b.  A character is
 fixed by its generator values, and ``_multiplicative`` builds every one here,
 on value lists in basis order: the product evaluates the convolution kernel
 on generators, the inverse solves phi^-1 * phi = unit there, and the Butcher
-law is the product on trees.
+law evaluates the kernel on trees only, building no character.
 The exponential is a bijection from infinitesimal characters onto
 characters.  ``char_exp`` and its inverse ``char_log`` both run
 ``series.apply_series`` on the unit and the generators, a set closed under
@@ -138,12 +138,11 @@ def char_unit(hopf: HopfStructure, ring, truncation: int) -> Character:
     return Character(conv_unit(hopf, ring, truncation))
 
 
-def _multiplicative(hopf: HopfStructure, ring, truncation: int, on_generator) -> Character:
-    """The character with ``on_generator(i, out)`` on each generator basis[i]
-    of ``hopf.table(truncation)``, where the list out holds the values found
-    so far (None for zero and for not yet known), and out[first] * out[rest]
-    on each product; every value in kernel form."""
-    table, zero, mul = hopf.table(truncation), ring.to_kernel(ring.zero), ring.kernel_mul
+def _multiplicative_values(table, ring, on_generator) -> list:
+    """The kernel-form value list (None for zero) of the character with
+    ``on_generator(i, out)`` on each generator basis[i] of ``table``, out holding
+    the values so far (None for zero or unknown), and out[first] * out[rest] on products."""
+    zero, mul = ring.to_kernel(ring.zero), ring.kernel_mul
     out = [None] * len(table.basis)
     out[0] = ring.to_kernel(ring.one)  # the unit comes first
     for i in range(1, len(out)):
@@ -157,7 +156,18 @@ def _multiplicative(hopf: HopfStructure, ring, truncation: int, on_generator) ->
             value = on_generator(i, out)
         if value != zero:
             out[i] = value
+    return out
+
+
+def _multiplicative(hopf: HopfStructure, ring, truncation: int, on_generator) -> Character:
+    out = _multiplicative_values(hopf.table(truncation), ring, on_generator)
     return Character._wrap(TruncatedFunctional.from_value_list(hopf, ring, truncation, out))
+
+
+def _reading(values: Mapping, ring, key):
+    """The ``on_generator`` reading values.get(key(i)) in kernel form, zero if missing."""
+    to_kernel, zero = ring.to_kernel, ring.to_kernel(ring.zero)
+    return lambda i, out: zero if (v := values.get(key(i))) is None else to_kernel(v)
 
 
 def char_from_generator_values(
@@ -165,11 +175,8 @@ def char_from_generator_values(
 ) -> Character:
     """The unique character with the given values on generators (single-tree
     forests, one-letter words); missing generators count as zero."""
-    basis, to_kernel = hopf.table(truncation).basis, ring.to_kernel
-    zero = to_kernel(ring.zero)
-    return _multiplicative(hopf, ring, truncation,
-                           lambda i, out: zero if (v := values.get(basis[i])) is None
-                           else to_kernel(v))
+    key = hopf.table(truncation).basis.__getitem__
+    return _multiplicative(hopf, ring, truncation, _reading(values, ring, key))
 
 
 def char_mul(phi: Character, psi: Character) -> Character:
@@ -237,17 +244,14 @@ def char_from_tree_values(
 
     Missing trees count as zero; forests get the product of their tree values.
     """
-    generator_values = {single_tree_forest(t): v for t, v in values.items()}
-    return char_from_generator_values(generator_values, ck_hopf(), truncation, ring)
+    basis = ck_hopf().table(truncation).basis
+    return _multiplicative(ck_hopf(), ring, truncation,
+                           _reading(values, ring, lambda i: basis[i].trees[0]))
 
 
 def tree_values(phi: Character) -> dict[RootedTree, object]:
     """Restriction of a rooted-forest character to single trees."""
-    out = {}
-    for basis, value in phi.functional.values.items():
-        if len(basis.trees) == 1:
-            out[basis.trees[0]] = value
-    return out
+    return {b.trees[0]: v for b, v in phi.functional.values.items() if len(b.trees) == 1}
 
 
 def tree_values_to_json_dict(
@@ -293,10 +297,15 @@ def butcher_compose(
 ) -> dict[RootedTree, object]:
     """The Butcher composition law on tree maps: the tree values of the
     character product, with an entry (possibly zero) for every tree of order
-    <= N."""
-    product = tree_values(char_mul(char_from_tree_values(a, truncation, ring),
-                                   char_from_tree_values(b, truncation, ring)))
-    return {t: product.get(t, ring.zero) for level in enumerate_trees(truncation) for t in level}
+    <= N in the order of ``enumerate_trees``.  The kernel runs on trees only:
+    a tree's row reads the extension of b only on the unit and on trees."""
+    if truncation < 1:
+        enumerate_trees(truncation)  # raises its ValueError: there are no trees
+    table = ck_hopf().table(truncation)
+    tree = lambda i: table.basis[i].trees[0]
+    f, g = (_multiplicative_values(table, ring, _reading(m, ring, tree)) for m in (a, b))
+    return {tree(i): ring.from_kernel(convolve_at(table, ring, f, g, i))
+            for i in table.generators}
 
 
 # -- the additive view on the tensor instance ---------------------------------

@@ -351,6 +351,8 @@ class HopfStructure:
         """The ``IndexTable`` of the basis of degree <= max_degree, memoized."""
         table = self._tables.get(max_degree)
         if table is None:
+            if max_degree < 0:
+                raise ValueError(f"max_degree must be >= 0, got {max_degree}")
             table = IndexTable(self, max_degree)
             self._serials.update((b.serial, b) for b in table.basis)
             self._tables[max_degree] = table

@@ -9,18 +9,24 @@ method has order p when its weights agree with it through order p; and a
 method is symplectic when its tree map solves
 a(t o u) + a(u o t) = a(t) a(u), which for Runge–Kutta methods is
 Sanz-Serna's b_i a_ij + b_j a_ji = b_i b_j.
+
+At N = 9 the group operations meet answers that need no Hopf code: a step
+of M1 then a step of M2 is the Runge–Kutta method [[A1, 0], [1 b1^T, A2]]
+with weights (b1, b2), and the inverse of (A, b) is (A - 1 b^T, -b).
 """
 
 from fractions import Fraction
 
 import pytest
 
-from hopfchar.characters import (InfinitesimalCharacter, char_exp, char_from_tree_values,
-                                 tree_values)
-from hopfchar.convolution import delta
+from hopfchar.characters import (InfinitesimalCharacter, butcher_compose, char_exp,
+                                 char_from_tree_values, char_inv, char_log, tree_values)
+from hopfchar.convolution import TruncatedFunctional, delta
+from hopfchar.evolution import FunctionalCurve, evolve
 from hopfchar.hopf import ck_hopf
 from hopfchar.ideals import annihilates, is_symplectic, symplectic_generators
 from hopfchar.rings import RATIONAL
+from hopfchar.series import bch
 from hopfchar.trees import LEAF, enumerate_trees, single_tree_forest
 
 H = Fraction(1, 2)
@@ -31,6 +37,7 @@ DIRK = ([[Fraction(1, 4), 0], [H, Fraction(1, 4)]], [H, H])
 TABLEAUX = {"rk4": RK4, "midpoint": MIDPOINT, "dirk": DIRK}
 SYMPLECTIC = {"rk4": False, "midpoint": True, "dirk": True}
 N = 6
+N_LARGE = 9
 
 
 def trees_upto(order):
@@ -68,10 +75,30 @@ def sanz_serna(tableau) -> bool:
     return all(b[i] * a[i][j] + b[j] * a[j][i] == b[i] * b[j] for i in stages for j in stages)
 
 
+def composed(first, second):
+    """The tableau of a step of ``first`` followed by a step of ``second``."""
+    (a1, b1), (a2, b2) = first, second
+    a = [list(row) + [0] * len(b2) for row in a1] + [list(b1) + list(row) for row in a2]
+    return a, list(b1) + list(b2)
+
+
+def inverse(tableau):
+    """The tableau (A - 1 b^T, -b) of the inverse method."""
+    a, b = tableau
+    return [[a_ij - b_j for a_ij, b_j in zip(row, b)] for row in a], [-b_j for b_j in b]
+
+
+def nonzero(weights: dict) -> dict:
+    return {t: v for t, v in weights.items() if v}
+
+
+def leaf_delta(max_order: int) -> TruncatedFunctional:
+    return delta(ck_hopf(), RATIONAL, max_order, single_tree_forest(LEAF))
+
+
 def exact_flow(max_order: int) -> dict:
     """The tree values of exp(delta_leaf)."""
-    leaf = InfinitesimalCharacter(delta(ck_hopf(), RATIONAL, max_order, single_tree_forest(LEAF)))
-    return tree_values(char_exp(leaf))
+    return tree_values(char_exp(InfinitesimalCharacter(leaf_delta(max_order))))
 
 
 def test_exp_of_the_leaf_delta_is_one_over_the_tree_factorial():
@@ -103,3 +130,31 @@ def test_rk4_is_symplectic_up_to_its_order():
     assert is_symplectic(exact_flow(N), N)
     assert is_symplectic(weights, 4)
     assert annihilates(char_from_tree_values(weights, 4), symplectic_generators(4))
+
+
+def test_butcher_compose_is_the_composed_method():
+    """M1's step comes first; the other order is another method."""
+    dirk, rk4 = elementary_weights(DIRK, N_LARGE), elementary_weights(RK4, N_LARGE)
+    dirk_then_rk4 = elementary_weights(composed(DIRK, RK4), N_LARGE)
+    assert butcher_compose(dirk, rk4, N_LARGE) == dirk_then_rk4
+    assert butcher_compose(rk4, dirk, N_LARGE) == elementary_weights(composed(RK4, DIRK), N_LARGE)
+    assert butcher_compose(rk4, dirk, N_LARGE) != dirk_then_rk4
+
+
+def test_char_inv_is_the_inverse_method():
+    rk4 = char_from_tree_values(elementary_weights(RK4, N_LARGE), N_LARGE)
+    assert tree_values(char_inv(rk4)) == nonzero(elementary_weights(inverse(RK4), N_LARGE))
+
+
+def test_evolve_of_t_times_the_leaf_delta_is_the_flow_at_one_half():
+    """eta' = eta * t delta_leaf gives eta(1) = exp(delta_leaf / 2)."""
+    zero = TruncatedFunctional(ck_hopf(), RATIONAL, N_LARGE, {})
+    eta = evolve(FunctionalCurve([zero, leaf_delta(N_LARGE)]), 1)
+    assert {t: eta.value(single_tree_forest(t)) for t in trees_upto(N_LARGE)} == {
+        t: Fraction(1, 2 ** t.order * tree_factorial(t)) for t in trees_upto(N_LARGE)}
+
+
+def test_log_inverts_exp_and_bch_adds_multiples_of_the_leaf_delta():
+    leaf = leaf_delta(N_LARGE)
+    assert char_log(char_exp(InfinitesimalCharacter(leaf))).functional == leaf
+    assert bch(leaf.scale(Fraction(1, 3)), leaf.scale(Fraction(2, 3))) == leaf

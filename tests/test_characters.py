@@ -264,18 +264,58 @@ def test_butcher_compose_direct():
     assert comp[LEAF] == a[LEAF] + b[LEAF]
 
 
+def compose_via_characters(a, b, truncation, ring=RATIONAL):
+    """The oracle for ``butcher_compose``: the tree values of the product of
+    the two characters, with a zero entry on every other tree, in the order
+    of ``enumerate_trees``."""
+    product = tree_values(char_mul(char_from_tree_values(a, truncation, ring),
+                                   char_from_tree_values(b, truncation, ring)))
+    return {t: product.get(t, ring.zero) for level in enumerate_trees(truncation) for t in level}
+
+
+def sparse_tree_values(truncation, rng, ring=RATIONAL):
+    """Random values on about half the trees of order <= truncation."""
+    return {t: v for t, v in random_tree_values(truncation, rng, ring).items()
+            if rng.random() < 0.5}
+
+
 def test_butcher_compose_matches_character_product():
     rng = random.Random(49)
+    trees = [t for level in enumerate_trees(5) for t in level]
     for _ in range(10):
-        a = random_tree_values(5, rng)
-        b = random_tree_values(5, rng)
+        a, b = sparse_tree_values(5, rng), sparse_tree_values(5, rng)
         comp = butcher_compose(a, b, 5)
-        via_chars = tree_values(
-            char_mul(char_from_tree_values(a, 5), char_from_tree_values(b, 5))
-        )
-        assert comp == {
-            t: via_chars.get(t, Fraction(0)) for t in comp
-        }
+        assert list(comp) == trees
+        assert list(comp.items()) == list(compose_via_characters(a, b, 5).items())
+    comp = butcher_compose({LEAF: Fraction(1)}, {}, 5)  # zero on every other tree
+    assert list(comp) == trees
+    assert comp == {t: Fraction(t == LEAF) for t in trees}
+
+
+def test_butcher_compose_over_both_rings_ignores_trees_above_n_and_zeros():
+    rng = random.Random(52)
+    for ring in (RATIONAL, SERIES_RING):
+        a, b = sparse_tree_values(4, rng, ring), sparse_tree_values(4, rng, ring)
+        comp = butcher_compose(a, b, 4, ring)
+        assert list(comp.items()) == list(compose_via_characters(a, b, 4, ring).items())
+        above = {t: v for t, v in random_tree_values(6, rng, ring).items() if t.order > 4}
+
+        def padded(values):  # explicit zeros on the missing trees, and trees above N
+            zeros = {t: ring.zero for level in enumerate_trees(4) for t in level}
+            return {**zeros, **values, **above}
+
+        assert list(butcher_compose(padded(a), padded(b), 4, ring).items()) == list(comp.items())
+
+
+def test_negative_or_zero_truncation_raises_value_error():
+    with pytest.raises(ValueError):
+        butcher_compose({LEAF: Fraction(1)}, {}, 0)
+    with pytest.raises(ValueError):
+        butcher_compose({}, {}, -1)
+    with pytest.raises(ValueError):
+        char_from_tree_values({}, -1)
+    with pytest.raises(ValueError):
+        tensor_char_from_vector([1, 2], T2, -1)
 
 
 def test_butcher_inverse_via_antipode():
