@@ -298,12 +298,15 @@ def butcher_compose(
     """The Butcher composition law on tree maps: the tree values of the
     character product, with an entry (possibly zero) for every tree of order
     <= N in the order of ``enumerate_trees``.  The kernel runs on trees only:
-    a tree's row reads the extension of b only on the unit and on trees."""
+    a tree's row reads b only on the unit and on trees, so only a is lifted."""
     if truncation < 1:
         enumerate_trees(truncation)  # raises its ValueError: there are no trees
     table = ck_hopf().table(truncation)
     tree = lambda i: table.basis[i].trees[0]
-    f, g = (_multiplicative_values(table, ring, _reading(m, ring, tree)) for m in (a, b))
+    f = _multiplicative_values(table, ring, _reading(a, ring, tree))
+    g = [f[0]] + [None] * (len(f) - 1)  # the unit (first in f), then b on the trees
+    for i in table.generators:
+        g[i] = None if ring.is_zero(v := b.get(tree(i), ring.zero)) else ring.to_kernel(v)
     return {tree(i): ring.from_kernel(convolve_at(table, ring, f, g, i))
             for i in table.generators}
 

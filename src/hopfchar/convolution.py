@@ -30,7 +30,7 @@ from typing import Mapping
 from .errors import (SIZE_BUDGET, AugmentationError, DomainError, IncompatibleError, ParseError,
                      ResourceLimitError, TruncationOverflowError)
 from .hopf import GradedVector, HopfStructure, IndexTable, resolve_hopf
-from .rings import RATIONAL, resolve_ring
+from .rings import resolve_ring
 
 
 class TruncatedFunctional:
@@ -67,19 +67,19 @@ class TruncatedFunctional:
 
     def evaluate(self, vec: GradedVector):
         """Linear extension to rational combinations of basis elements; terms
-        above the truncation or off the stored values count zero.  Each ring
-        coordinate of the sum of coeff * value is one integer sum over the lcm
-        of the term denominators (``RATIONAL.sum_products``, with each
-        coefficient's numerator as the integer factor), and one ``Fraction``,
-        the ring read only through ``width``, ``coordinates`` and
-        ``from_coordinates``."""
-        ring, get, n = self.ring, self.values.get, self.truncation
-        terms = [(*coeff.as_integer_ratio(), ring.coordinates(value)) for basis, coeff in vec
-                 if basis.degree <= n and (value := get(basis)) is not None]
-        return ring.from_coordinates([
-            RATIONAL.from_kernel(RATIONAL.sum_products(
-                [(c, cs[k].as_integer_ratio(), (1, d)) for c, d, cs in terms]))
-            for k in range(ring.width)])
+        above the truncation or off the stored values count zero.  The sum of
+        coeff * value is one ``ring.sum_products`` in kernel form: a
+        coefficient p/q is the integer factor p times 1/q, the kernel form of
+        1/q built once per distinct q in the call (1/1 is the ring's one)."""
+        ring, get, n, to_kernel = self.ring, self.values.get, self.truncation, self.ring.to_kernel
+        inverses, terms = {1: to_kernel(ring.one)}, []
+        for basis, coeff in vec:
+            if basis.degree <= n and (value := get(basis)) is not None:
+                p, q = coeff.as_integer_ratio()
+                if q not in inverses:
+                    inverses[q] = to_kernel(ring.scale(ring.one, Fraction(1, q)))
+                terms.append((p, to_kernel(value), inverses[q]))
+        return ring.from_kernel(ring.sum_products(terms))
 
     @property
     def degree0(self):

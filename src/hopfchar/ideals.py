@@ -5,13 +5,15 @@ A character (or infinitesimal character) annihilates the generated ideal as
 soon as it vanishes on the generators of degree <= N: characters are
 multiplicative, so values on products of a generator vanish, and infinitesimal
 characters satisfy the derivation identity against the counit, which kills
-generators.  ``annihilates`` therefore only evaluates generators; the tests
+generators.  So ``annihilates`` only evaluates generators, each one
+kernel-form ``ring.sum_products`` (``TruncatedFunctional.evaluate``); the tests
 validate this shortcut against a per-degree linear-span oracle.
 
 The flagship instance is the ideal of the symplectic tree maps, generated in
 each degree by  graft(t,u) + graft(u,t) - t*u  over unordered tree pairs.
-``pair_table(N)`` grafts each pair once and is memoized per N, and
-``symplectic_generators(N)`` builds one spec from it, memoized per N and
+``pair_table(N)`` grafts each pair once and is memoized per N.
+``is_symplectic`` reads it with one kernel-form ``ring.sum_products`` per pair,
+and ``symplectic_generators(N)`` builds one spec from it, memoized per N and
 shared by every caller (a spec and its vectors are immutable).  Threads racing
 on a first call may each build one; they build equal values, and one is kept.
 Only N <= ``MEMO_MAX_TRUNCATION`` is kept, about 2.5 MB for all of them; a
@@ -64,18 +66,10 @@ class HopfIdealSpec:
         return tuple(g for g, d in zip(self.generators, self.degrees) if d <= degree)
 
     def to_json_dict(self) -> dict:
-        return {
-            "hopf": self.hopf.key,
-            "generators": [
-                {
-                    basis.serial: str(coeff)
-                    for basis, coeff in sorted(
-                        gen, key=lambda kv: (kv[0].degree, kv[0].serial)
-                    )
-                }
-                for gen in self.generators
-            ],
-        }
+        key = lambda kv: (kv[0].degree, kv[0].serial)
+        return {"hopf": self.hopf.key,
+                "generators": [{basis.serial: str(coeff) for basis, coeff in sorted(gen, key=key)}
+                               for gen in self.generators]}
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2)
@@ -182,10 +176,13 @@ def is_symplectic(
 ) -> bool:
     """Direct symplecticity of a tree map:
     a(graft(t,u)) + a(graft(u,t)) = a(t) a(u) for all pairs with total order <= N.
-    Missing trees count as zero.  Agrees with ``annihilates`` through the
+    Missing trees count as zero; each pair is one kernel-form ``ring.sum_products``
+    compared with the kernel zero.  Agrees with ``annihilates`` through the
     tree-map/character correspondence."""
-    zero, get = ring.zero, values.get
+    a = {t: ring.to_kernel(v) for t, v in values.items() if t.order <= truncation}.get
+    zero, one = ring.to_kernel(ring.zero), ring.to_kernel(ring.one)
     for tau, upsilon, tu, ut in pair_table(truncation):
-        if ring.add(get(tu, zero), get(ut, zero)) != ring.mul(get(tau, zero), get(upsilon, zero)):
+        if ring.sum_products([(1, a(tu, zero), one), (1, a(ut, zero), one),
+                              (-1, a(tau, zero), a(upsilon, zero))]) != zero:
             return False
     return True

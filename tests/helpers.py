@@ -28,7 +28,7 @@ of ``Poly``'s integer numerators over one denominator, a parser that recurses
 once per nesting level instead of the explicit stack, the symplectic
 generators grafted afresh from re-enumerated tree pairs instead of the
 memoized pair table, and a fold of ``scale`` and ``add`` per term instead of
-one integer sum per coordinate for evaluating a functional on a vector.
+one kernel-form ``sum_products`` for evaluating a functional on a vector.
 """
 
 import operator

@@ -156,18 +156,28 @@ def test_exact_flow_map_is_symplectic():
     assert annihilates(char_from_tree_values(values, 6), symplectic_generators(6))
 
 
-def test_is_symplectic_agrees_with_annihilates():
+@pytest.mark.parametrize("ring", [RATIONAL, TruncatedSeriesRing(3)], ids=["rational", "series3"])
+def test_is_symplectic_agrees_with_annihilates(ring):
     rng = random.Random(61)
     ideal = symplectic_generators(5)
     for _ in range(25):
-        values = random_tree_values(5, rng)
-        direct = is_symplectic(values, 5)
-        via_ideal = annihilates(char_from_tree_values(values, 5), ideal)
+        values = random_tree_values(5, rng, ring)
+        direct = is_symplectic(values, 5, ring)
+        via_ideal = annihilates(char_from_tree_values(values, 5, ring), ideal)
         assert direct == via_ideal
     for _ in range(10):
-        phi = random_annihilating_character(ideal, RATIONAL, 5, rng)
-        assert is_symplectic(tree_values(phi), 5)
+        phi = random_annihilating_character(ideal, ring, 5, rng)
+        values = tree_values(phi)
+        assert is_symplectic(values, 5, ring)
         assert annihilates(phi, ideal)
+    # A member moved by X^3 (the top coordinate; 1 over the rationals) on one
+    # tree of order 5: that tree is a graft but never a factor, so every broken
+    # relation differs in the top coordinate alone.
+    top = ring.from_coordinates([Fraction(0)] * (ring.width - 1) + [Fraction(1)])
+    tree = enumerate_trees(5)[-1][0]
+    values[tree] = ring.add(values.get(tree, ring.zero), top)
+    assert not is_symplectic(values, 5, ring)
+    assert not annihilates(char_from_tree_values(values, 5, ring), ideal)
 
 
 def test_subgroup_closure():
@@ -408,22 +418,24 @@ def _coefficient(rng, large: bool) -> Fraction:
     return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
 
 
-@pytest.mark.parametrize("ring", [RATIONAL, TruncatedSeriesRing(3)], ids=["rational", "series3"])
-def test_evaluate_agrees_with_the_fold(ring):
+@pytest.mark.parametrize("hopf, ring", [(CK, RATIONAL), (CK, TruncatedSeriesRing(3)),
+                                        (T2, RATIONAL), (T2, TruncatedSeriesRing(3))],
+                         ids=["rational", "series3", "tensor2/rational", "tensor2/series3"])
+def test_evaluate_agrees_with_the_fold(hopf, ring):
     rng = random.Random(66)
     truncation = 4
-    above = list(CK.all_basis_upto(truncation + 2))  # terms up to two degrees above N
+    above = list(hopf.all_basis_upto(truncation + 2))  # terms up to two degrees above N
     for trial in range(60):
-        phi = random_functional(CK, ring, truncation, rng, density=0.5)  # absent bases too
+        phi = random_functional(hopf, ring, truncation, rng, density=0.5)  # absent bases too
         vec = GradedVector((b, _coefficient(rng, trial % 2))
                            for b in rng.sample(above, rng.randint(1, 12)))
         assert phi.evaluate(vec) == evaluate_by_fold(phi, vec)
-    phi = random_functional(CK, ring, truncation, rng)
+    phi = random_functional(hopf, ring, truncation, rng)
     assert phi.evaluate(GradedVector()) == ring.zero
     # terms that cancel: equal values on two bases, coefficients c and -c
     value = random_ring_element(ring, rng)
-    a, b = CK.basis(3)[:2]
-    phi = TruncatedFunctional(CK, ring, truncation, {a: value, b: value})
+    a, b = hopf.basis(3)[:2]
+    phi = TruncatedFunctional(hopf, ring, truncation, {a: value, b: value})
     vec = GradedVector([(a, Fraction(7, LARGE_COPRIME[0])), (b, Fraction(-7, LARGE_COPRIME[0]))])
     assert phi.evaluate(vec) == evaluate_by_fold(phi, vec) == ring.zero
 
