@@ -5,10 +5,11 @@ infinitesimal character is the corresponding derivation-like object.  Both
 built-in algebras are free, so with b = first * rest from the
 ``IndexTable``, membership is one pass over the basis in degree order:
 phi(b) = phi(first) phi(rest) (or 0) on every product b.  A character is
-fixed by its generator values, and ``_multiplicative`` builds every one here,
-on value lists in basis order: the product evaluates the convolution kernel
-on generators, the inverse solves phi^-1 * phi = unit there, and the Butcher
-law evaluates the kernel on trees only, building no character.
+fixed by its generator values, and ``_multiplicative_values`` builds every
+one, on value lists in basis order: the product evaluates the convolution
+kernel on generators, the inverse solves phi^-1 * phi = unit there, the
+Butcher law evaluates the kernel on trees only, and the evolution solve
+builds one over R[t], with its products of degree N left out by index.
 The exponential is a bijection from infinitesimal characters onto
 characters.  ``char_exp`` and its inverse ``char_log`` both run
 ``series.apply_series`` on the unit and the generators, a set closed under
@@ -138,24 +139,25 @@ def char_unit(hopf: HopfStructure, ring, truncation: int) -> Character:
     return Character(conv_unit(hopf, ring, truncation))
 
 
-def _multiplicative_values(table, ring, on_generator) -> list:
+def _multiplicative_values(table, ring, on_generator, stop=None) -> list:
     """The kernel-form value list (None for zero) of the character with
     ``on_generator(i, out)`` on each generator basis[i] of ``table``, out holding
-    the values so far (None for zero or unknown), and out[first] * out[rest] on products."""
+    the values so far (None for zero or unknown), and out[first] * out[rest] on
+    the products before index ``stop`` (all for None), stored untested: a
+    product vanishes only over ``series:M``, and every reader takes it as zero."""
     zero, mul = ring.to_kernel(ring.zero), ring.kernel_mul
     out = [None] * len(table.basis)
     out[0] = ring.to_kernel(ring.one)  # the unit comes first
     for i in range(1, len(out)):
         rest = table.rest[i]
-        if rest:
-            a, b = out[table.first[i]], out[rest]
-            if a is None or b is None:
-                continue
-            value = mul(a, b)
-        else:
+        if not rest:
             value = on_generator(i, out)
-        if value != zero:
-            out[i] = value
+            if value != zero:
+                out[i] = value
+        elif stop is None or i < stop:
+            a, b = out[table.first[i]], out[rest]
+            if a is not None and b is not None:
+                out[i] = mul(a, b)
     return out
 
 

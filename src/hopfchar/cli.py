@@ -76,8 +76,13 @@ def _emit(args, text: str) -> None:
 
 
 def _load_json(path: str) -> dict:
-    with open(path) as handle:
-        data = json.load(handle)
+    """The JSON object in the file at path.  Text that does not decode as
+    UTF-8 JSON, or nests past the recursion limit, is a ``ParseError``."""
+    with open(path, encoding="utf-8") as handle:
+        try:
+            data = json.load(handle)
+        except (ValueError, RecursionError) as err:  # a JSONDecodeError is a ValueError
+            raise ParseError(f"{path}: {err}", getattr(err, "pos", 0)) from None
     if not isinstance(data, dict):
         raise ParseError(f"{path}: expected a JSON object at the top level", 0)
     return data
@@ -191,16 +196,13 @@ def main(argv=None) -> int:
             output = _cmd_structure(args)
         else:
             output = _cmd_char(args)
-    except ParseError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except (OSError, json.JSONDecodeError) as err:
+        _emit(args, output)
+    except (ParseError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except AlgebraError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    _emit(args, output)
     return 0
 
 

@@ -3,14 +3,15 @@ eta'(t) = eta(t) * gamma(t), eta(0) = unit, for polynomial-in-t curves gamma
 into the infinitesimal characters.
 
 The solution stays in the character group, so eta is one character with
-values in the polynomial algebra R[t] (``PolyRing``) and is fixed by its
-generator values.  Because gamma vanishes in degree 0 and on products, the
-value of eta * gamma on a generator g of degree n only involves eta in degree
-< n and gamma(g): eta(g) integrates ``convolve_at(eta, gamma, g)`` from 0,
-and products multiply.  So no generator reads eta on a product of degree N,
-and these products are the largest: ``evolve`` leaves them out of the solve
-and extends its generator values at t_end multiplicatively, while
-``evolve_polynomials`` multiplies them out in t.
+values in the polynomial algebra R[t] (``PolyRing``), built by the character
+builder ``characters._multiplicative_values`` like every other character.
+Because gamma vanishes in degree 0 and on products, the value of eta * gamma
+on a generator g of degree n only involves eta in degree < n and gamma(g):
+eta(g) integrates ``convolve_at(eta, gamma, g)`` from 0, and products
+multiply.  So no generator reads eta on a product of degree N, and these
+products are the largest: ``evolve`` leaves them out of the solve by the
+builder's index bound and extends its generator values at t_end
+multiplicatively, while ``evolve_polynomials`` multiplies them out in t.
 
 A ``Poly`` over Q[X]/X^w is one tuple of integer numerators over one common
 denominator, so the kernel's sum of polynomial products
@@ -23,12 +24,13 @@ that the result is a character.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable
 
-from .characters import (Character, InfinitesimalCharacter,
-                         char_from_generator_values, character_violation)
+from .characters import (Character, InfinitesimalCharacter, _multiplicative,
+                         _multiplicative_values, character_violation)
 from .convolution import TruncatedFunctional, convolve_at, json_entries
 from .errors import InternalError, ParseError
 from .hopf import HopfStructure
@@ -155,8 +157,11 @@ def _sum_products(ring, terms) -> Poly:
 
 
 class PolyRing:
-    """R[t] as a coefficient ring for ``convolve_at``: the sum of products is
-    ``_sum_products``."""
+    """R[t] as a kernel ring: a ``Poly`` is its own kernel form, the sum of
+    products is ``_sum_products``, and ``operator.mul`` finds ``Poly.__mul__``."""
+
+    to_kernel = staticmethod(lambda p: p)
+    kernel_mul = staticmethod(operator.mul)
 
     def __init__(self, ring):
         self.base = ring
@@ -201,37 +206,26 @@ class FunctionalCurve:
         return FunctionalCurve(TruncatedFunctional.from_json_dict(entry) for entry in coeffs)
 
 
-def _solve(curve: FunctionalCurve, full: bool) -> tuple:
-    """The index table at N and eta's values in its order (None for zero);
-    unless ``full``, the products of degree N stay None.  At a generator g,
-    eta(g) is not yet known and gamma(1) = 0, so ``convolve_at(eta, gamma, g)``
-    is all of eta'(g): its term eta(1) gamma(g) brings in gamma(g)."""
-    ring, n = curve.ring, curve.truncation
-    polys, table = PolyRing(ring), curve.hopf.table(n)
-    gamma, eta = [None] * len(table.basis), [None] * len(table.basis)
+def _solve(curve: FunctionalCurve, degree: int) -> tuple:
+    """The index table at N and eta's values in its order, as the builder
+    leaves them: the character over R[t] whose value on a generator g
+    integrates ``convolve_at(eta, gamma, g)``, with products of degree above
+    ``degree`` left None.  At g, eta(g) is not yet known and gamma(1) = 0, so
+    the convolution is all of eta'(g): its term eta(1) gamma(g) brings in gamma(g)."""
+    table, polys = curve.hopf.table(curve.truncation), PolyRing(curve.ring)
+    gamma = [None] * len(table.basis)
     for i in table.generators:
         value = curve.value_poly(table.basis[i])
         if value.nums:
             gamma[i] = value
-    eta[0] = polys.one
-    end = len(eta) if full else table.ends[max(n - 1, 0)]
-    for i in range(1, len(eta)):
-        first, rest = table.first[i], table.rest[i]
-        if not rest:
-            value = convolve_at(table, polys, eta, gamma, i).integrate()
-        elif i < end and eta[first] is not None and eta[rest] is not None:
-            value = eta[first] * eta[rest]
-        else:
-            continue
-        if value.nums:
-            eta[i] = value
-    return table, eta
+    rate = lambda i, eta: convolve_at(table, polys, eta, gamma, i).integrate()
+    return table, _multiplicative_values(table, polys, rate, table.ends[degree])
 
 
 def evolve_polynomials(curve: FunctionalCurve) -> dict:
     """The full solution: for each basis element of degree <= N, the value of
     eta as a ``Poly`` in t."""
-    table, eta = _solve(curve, True)
+    table, eta = _solve(curve, curve.truncation)
     zero = Poly(curve.ring)
     return {b: zero if value is None else value for b, value in zip(table.basis, eta)}
 
@@ -239,9 +233,10 @@ def evolve_polynomials(curve: FunctionalCurve) -> dict:
 def evolve(curve: FunctionalCurve, t_end) -> TruncatedFunctional:
     """eta(t_end), exactly: eta at t_end on the generators, extended
     multiplicatively."""
-    table, eta = _solve(curve, False)
-    values = {table.basis[i]: eta[i](t_end) for i in table.generators if eta[i] is not None}
-    return char_from_generator_values(values, curve.hopf, curve.truncation, curve.ring).functional
+    ring, n = curve.ring, curve.truncation
+    _table, eta = _solve(curve, max(n - 1, 0))
+    at_end = lambda i, out: ring.to_kernel(ring.zero if eta[i] is None else eta[i](t_end))
+    return _multiplicative(curve.hopf, ring, n, at_end).functional
 
 
 def evol(curve: FunctionalCurve) -> Character:

@@ -12,15 +12,19 @@ Sanz-Serna's b_i a_ij + b_j a_ji = b_i b_j.
 
 At N = 9 the group operations meet answers that need no Hopf code: a step
 of M1 then a step of M2 is the Runge–Kutta method [[A1, 0], [1 b1^T, A2]]
-with weights (b1, b2), and the inverse of (A, b) is (A - 1 b^T, -b).
+with weights (b1, b2), and the inverse of (A, b) is (A - 1 b^T, -b).  The log
+of a method's character is its modified vector field (ch. IX): zero on every
+tree of even order for a symmetric method, and killing the symplectic ideal
+for a symplectic one.  The evolution map splits as a flow does.
 """
 
 from fractions import Fraction
 
 import pytest
 
-from hopfchar.characters import (InfinitesimalCharacter, butcher_compose, char_exp,
-                                 char_from_tree_values, char_inv, char_log, tree_values)
+from hopfchar.characters import (Character, InfinitesimalCharacter, butcher_compose, char_exp,
+                                 char_from_tree_values, char_inv, char_log, char_mul,
+                                 infinitesimal_from_tree_values, tree_values)
 from hopfchar.convolution import TruncatedFunctional, delta
 from hopfchar.evolution import FunctionalCurve, evolve
 from hopfchar.hopf import ck_hopf
@@ -34,6 +38,7 @@ RK4 = ([[0, 0, 0, 0], [H, 0, 0, 0], [0, H, 0, 0], [0, 0, 1, 0]],
        [Fraction(1, 6), Fraction(1, 3), Fraction(1, 3), Fraction(1, 6)])
 MIDPOINT = ([[H]], [1])
 DIRK = ([[Fraction(1, 4), 0], [H, Fraction(1, 4)]], [H, H])
+TRAPEZOID = ([[0, 0], [H, H]], [H, H])
 TABLEAUX = {"rk4": RK4, "midpoint": MIDPOINT, "dirk": DIRK}
 SYMPLECTIC = {"rk4": False, "midpoint": True, "dirk": True}
 N = 6
@@ -158,3 +163,33 @@ def test_log_inverts_exp_and_bch_adds_multiples_of_the_leaf_delta():
     leaf = leaf_delta(N_LARGE)
     assert char_log(char_exp(InfinitesimalCharacter(leaf))).functional == leaf
     assert bch(leaf.scale(Fraction(1, 3)), leaf.scale(Fraction(2, 3))) == leaf
+
+
+# (symmetric, symplectic) for each method: the trapezoidal rule and RK4 are the controls.
+MODIFIED_EQUATIONS = {"midpoint": (MIDPOINT, True, True), "dirk": (DIRK, True, True),
+                      "trapezoid": (TRAPEZOID, True, False), "rk4": (RK4, False, False)}
+
+
+@pytest.mark.parametrize("name", MODIFIED_EQUATIONS)
+def test_the_log_of_a_method_is_its_modified_vector_field(name):
+    """A symmetric method's log vanishes on every tree of even order, and a
+    symplectic method's log kills the symplectic ideal."""
+    tableau, symmetric, symplectic = MODIFIED_EQUATIONS[name]
+    log = char_log(char_from_tree_values(elementary_weights(tableau, N_LARGE), N_LARGE))
+    even = [log.functional.value(single_tree_forest(t))
+            for t in trees_upto(N_LARGE) if t.order % 2 == 0]
+    assert (not any(even)) is symmetric
+    assert annihilates(log, symplectic_generators(N_LARGE)) is symplectic
+
+
+def test_the_evolution_of_a_shifted_curve_splits_the_flow():
+    """eta(s + t) = eta(s) * zeta(t), where zeta solves the curve gamma(s + .):
+    for gamma(t) = x + t y that is (x + s y) + t y."""
+    s, t = Fraction(1, 3), Fraction(2, 5)
+    x = leaf_delta(N_LARGE)
+    y = infinitesimal_from_tree_values(
+        {tree: Fraction((-1) ** tree.order, tree.order) for tree in trees_upto(N_LARGE)},
+        N_LARGE).functional
+    curve, shifted = FunctionalCurve([x, y]), FunctionalCurve([x + y.scale(s), y])
+    product = char_mul(Character(evolve(curve, s)), Character(evolve(shifted, t)))
+    assert product.functional == evolve(curve, s + t)

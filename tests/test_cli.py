@@ -383,6 +383,24 @@ def test_inv_top_level_array_is_malformed(tmp_path, capsys):
     assert run_error(capsys, ["char", "inv", path]) == 1
 
 
+@pytest.mark.parametrize("target", ["missing/out.txt", "."], ids=["no-such-dir", "a-dir"])
+def test_out_file_that_cannot_be_written_is_an_io_error(tmp_path, capsys, target):
+    assert run_error(capsys, ["trees", "--max-order", "1", "--out", str(tmp_path / target)]) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("payload", [b"\xff\xfe{}", b"[" * 100_000 + b"]" * 100_000],
+                         ids=["not-utf-8", "nested-100000-deep"])
+def test_undecodable_input_file_is_a_parse_error(tmp_path, capsys, payload):
+    path = tmp_path / "input.json"
+    path.write_bytes(payload)
+    code = cli.main(["char", "inv", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {path}: "), captured.err
+
+
 def test_trees_max_order_zero_is_out_of_range(capsys):
     assert run_error(capsys, ["trees", "--max-order", "0"]) == 2
 

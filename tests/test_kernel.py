@@ -133,6 +133,29 @@ def test_evolution_and_log_match_dict_kernel(hopf, ring, truncation):
         assert char_log(psi).functional == char_log_by_dict(psi.functional)
 
 
+def test_a_product_that_vanishes_has_no_entry():
+    """Over series:1, X on the leaf squares to zero on ``[] []``.  The builder
+    stores products without a zero test, so every reader must take that
+    product as zero: no entry in a character or in ``evolve``, and the zero
+    ``Poly`` in ``evolve_polynomials``."""
+    ring, truncation = TruncatedSeriesRing(1), 3
+    leaf, pair, x = CK.parse_basis("[]"), CK.parse_basis("[] []"), ring.element([0, 1])
+    phi = char_from_generator_values({leaf: x}, CK, truncation, ring).functional
+    assert phi.values == multiplicative_by_dict(
+        CK, ring, truncation, lambda g, out: x if g == leaf else ring.zero)
+    assert pair not in phi.values
+    curve = FunctionalCurve([TruncatedFunctional(CK, ring, truncation, {leaf: x})])
+    oracle = evolve_polynomials_by_dict(curve)
+    polys = evolve_polynomials(curve)
+    assert poly_coefficients(polys) == poly_coefficients(oracle)
+    assert polys[pair] == Poly(ring)
+    for t in (1, Fraction(-2, 3)):
+        eta = evolve(curve, t)
+        want = {b: p(t) for b, p in oracle.items()}
+        assert eta == TruncatedFunctional(CK, ring, truncation, want)
+        assert pair not in eta.values
+
+
 @pytest.mark.parametrize("ring, truncation", [(RATIONAL, 6), (SERIES, 5)], ids=["rational", "series:2"])
 def test_butcher_compose_matches_dict_kernel(ring, truncation):
     rng = random.Random(84)
