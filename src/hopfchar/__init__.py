@@ -68,12 +68,10 @@ from .ideals import (
 )
 from .rings import RATIONAL, RationalRing, TruncatedSeriesRing, resolve_ring
 from .series import (
-    FormalSeries,
     apply_series,
     bch,
     exp,
     exp_series,
-    geometric_series,
     log,
     log1p_series,
 )

@@ -25,7 +25,7 @@ from typing import Mapping
 from . import series
 from .convolution import (TruncatedFunctional, conv_unit, convolve_at, json_field,
                           json_values, parse_truncation, require_value_budget)
-from .errors import MembershipError
+from .errors import IncompatibleError, MembershipError
 from .hopf import HopfStructure, ck_hopf
 from .rings import RATIONAL, resolve_ring
 from .trees import RootedTree, enumerate_trees, parse_tree, single_tree_forest
@@ -328,5 +328,10 @@ def tensor_char_group_iso(phi: Character) -> tuple:
 def tensor_char_from_vector(
     vector, hopf: HopfStructure, truncation: int, ring=RATIONAL
 ) -> Character:
-    """Multiplicative extension of degree-1 values to a tensor-algebra character."""
-    return char_from_generator_values(dict(zip(hopf.basis(1), vector)), hopf, truncation, ring)
+    """Multiplicative extension of degree-1 values, one per letter, to a
+    tensor-algebra character."""
+    letters = hopf.basis(1)
+    if len(vector) != len(letters):
+        raise IncompatibleError(
+            f"{len(vector)} values for the {len(letters)} letters of {hopf.key}")
+    return char_from_generator_values(dict(zip(letters, vector)), hopf, truncation, ring)

@@ -26,8 +26,8 @@ from .errors import AlgebraError, DomainError, ParseError
 from .evolution import FunctionalCurve, evolve
 from .hopf import resolve_hopf
 from .ideals import is_symplectic, pair_table
-from .rings import RATIONAL
-from .series import FormalSeries, apply_series
+from .rings import RATIONAL, parse_rational
+from .series import apply_series
 from .trees import enumerate_trees
 
 
@@ -160,7 +160,7 @@ def _cmd_char(args) -> str:
         if not args.series:
             raise ParseError("apply needs --series \"c0,c1,...\"", 0)
         functional = TruncatedFunctional.from_json_dict(_load_json(args.inputs[0]))
-        series = FormalSeries.parse(args.series)
+        series = [parse_rational(p) for p in args.series.split(",")]
         return apply_series(series, functional).to_json()
     # symplectic: tree-value map JSON {"truncation": N, "trees": {...}}
     values, truncation, ring = tree_values_from_json_dict(_load_json(args.inputs[0]))

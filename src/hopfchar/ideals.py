@@ -31,7 +31,7 @@ from .characters import (
     character_violation,
     infinitesimal_violation,
 )
-from .convolution import json_entries, json_field
+from .convolution import json_entries, json_field, json_values
 from .errors import IdealError, IncompatibleError, MembershipError
 from .hopf import GradedVector, HopfStructure, ck_hopf, resolve_hopf
 from .rings import RATIONAL
@@ -78,10 +78,8 @@ class HopfIdealSpec:
     def from_json_dict(data: dict) -> "HopfIdealSpec":
         hopf = resolve_hopf(json_field(data, "hopf"))
         gens = [
-            GradedVector(
-                (hopf.parse_basis(key), RATIONAL.parse_element(text))
-                for key, text in entry.items()
-            )
+            GradedVector(json_values({"generators": entry}, "generators", hopf.parse_basis,
+                                     RATIONAL.parse_element).items())
             for entry in json_entries(data, "generators", list, dict, [])
         ]
         return HopfIdealSpec(hopf, gens)

@@ -30,12 +30,11 @@ from them.  The evolution solver's ``Poly`` reads a ring only through these
 and does its arithmetic on integer numerators.
 
 ``poly_products(terms, size)`` is the product of sequences of rational
-pairs truncated to ``size`` coefficients, for series modulo X^(M+1) and
-formal series: each degree's products of nonzero coefficients are one
-``sum_products``.
+pairs truncated to ``size`` coefficients, for series modulo X^(M+1): each
+degree's products of nonzero coefficients are one ``sum_products``.
 
-Every rational literal read into a ring or a series goes through
-``parse_rational``, and every ring element written out through
+Every rational literal read into a ring or into the CLI's ``--series`` goes
+through ``parse_rational``, and every ring element written out through
 ``format_rational``.  Both keep to the interpreter's
 ``sys.get_int_max_str_digits()`` (4300 by default): a literal's exponent
 beyond it is a ``ParseError``, found before 10**exponent is computed, and a

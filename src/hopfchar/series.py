@@ -1,15 +1,15 @@
 """Functional calculus on the augmentation ideal of the convolution algebra.
 
-``FormalSeries`` holds the coefficients of a rational power series truncated
-at X^N; its Cauchy product is ``rings.poly_products(terms, size)``, with size
-one more than the larger of the two orders.
-``apply_series(f, a)`` substitutes a functional with zero degree-0 part into
-such a series.  Since a lives in the augmentation ideal, its k-th
-convolution power has no components below degree k, so the series truncates
-exactly at the truncation degree.  Evaluation runs Horner's rule on value
-lists through ``convolve_at``, each step only over the degree prefix of the
-basis that can still reach the result (the raw composition formula and
-Horner on value dicts are test oracles).
+A rational power series is a plain sequence of coefficients c_0, c_1, ...;
+``exp_series`` and ``log1p_series`` are tuples of ``Fraction``.
+``apply_series(coefficients, a)`` substitutes a functional with zero
+degree-0 part into such a series.  Since a lives in the augmentation ideal,
+its k-th convolution power has no components below degree k, so the series
+truncates exactly at the truncation degree N: coefficients past X^N are
+ignored.  Evaluation runs Horner's rule on value lists through
+``convolve_at``, each step only over the degree prefix of the basis that can
+still reach the result (the raw composition formula, Horner on value dicts
+and the geometric-series inverse are test oracles).
 
 On top of this sit ``exp``, ``log`` (mutually inverse between the ideal and
 its unit translate) and the truncated BCH ``log(exp(x) * exp(y))``, for any
@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from typing import Iterable
 
 from .convolution import (
     TruncatedFunctional,
@@ -31,77 +30,26 @@ from .convolution import (
     require_augmentation,
     require_unit_normalized,
 )
-from .rings import RATIONAL, parse_rational, poly_products
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
-class FormalSeries:
-    """Coefficients c_0..c_N of a rational power series, truncated at X^N."""
-
-    __slots__ = ("coefficients",)
-
-    def __init__(self, coefficients: Iterable):
-        self.coefficients = tuple(Fraction(c) for c in coefficients)
-        if not self.coefficients:
-            raise ValueError("a series needs at least the constant coefficient")
-
-    @property
-    def order(self) -> int:
-        return len(self.coefficients) - 1
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, FormalSeries) and self.coefficients == other.coefficients
-
-    def __repr__(self) -> str:
-        return f"FormalSeries({list(self.coefficients)})"
-
-    def __add__(self, other: "FormalSeries") -> "FormalSeries":
-        n = max(self.order, other.order)
-        a = self.padded(n).coefficients
-        b = other.padded(n).coefficients
-        return FormalSeries(x + y for x, y in zip(a, b))
-
-    def __mul__(self, other: "FormalSeries") -> "FormalSeries":
-        """Cauchy product truncated at the larger of the two orders."""
-        a, b = ([RATIONAL.to_kernel(c) for c in s.coefficients] for s in (self, other))
-        return FormalSeries(map(RATIONAL.from_kernel, poly_products(
-            [(1, a, b)], max(self.order, other.order) + 1)))
-
-    def padded(self, order: int) -> "FormalSeries":
-        """The same series with coefficients listed up to X^order."""
-        cs = self.coefficients[: order + 1]
-        return FormalSeries(cs + (_ZERO,) * (order + 1 - len(cs)))
-
-    def format(self) -> str:
-        return ",".join(str(c) for c in self.coefficients)
-
-    @staticmethod
-    def parse(text: str) -> "FormalSeries":
-        return FormalSeries(parse_rational(p) for p in text.split(","))
-
-
-def exp_series(order: int) -> FormalSeries:
+def exp_series(order: int) -> tuple:
     coeffs, fact = [], 1
     for k in range(order + 1):
         fact = fact * k if k else 1
         coeffs.append(Fraction(1, fact))
-    return FormalSeries(coeffs)
+    return tuple(coeffs)
 
 
-def log1p_series(order: int) -> FormalSeries:
-    return FormalSeries(
-        [_ZERO] + [Fraction((-1) ** (k + 1), k) for k in range(1, order + 1)]
-    )
+def log1p_series(order: int) -> tuple:
+    return (_ZERO,) + tuple(Fraction((-1) ** (k + 1), k) for k in range(1, order + 1))
 
 
-def geometric_series(order: int) -> FormalSeries:
-    return FormalSeries([_ONE] * (order + 1))
-
-
-def apply_series(f: FormalSeries, a: TruncatedFunctional, indices=None) -> TruncatedFunctional:
-    """Substitute ``a`` (zero degree-0 part required) into ``f``.
+def apply_series(coefficients, a: TruncatedFunctional, indices=None) -> TruncatedFunctional:
+    """Substitute ``a`` (zero degree-0 part required) into the series
+    c_0 + c_1 X + ... with the given ``coefficients``, each read as
+    ``Fraction(c)``; terms past X^N drop out, and missing ones are zero.
 
     For fixed a this is a unital algebra morphism from series under the
     Cauchy product into the convolution algebra.  Horner's rule
@@ -118,11 +66,14 @@ def apply_series(f: FormalSeries, a: TruncatedFunctional, indices=None) -> Trunc
     with l off the unit, r is in the set.  Then every acc value that a step
     reads is computed, and the result is exact on the set and zero off it.
     """
+    coeffs = [Fraction(c) for c in coefficients]
+    if not coeffs:
+        raise ValueError("a series needs at least the constant coefficient")
     require_augmentation(a)
     ring, hopf, n = a.ring, a.hopf, a.truncation
     table, values, zero = hopf.table(n), a.value_list(), ring.to_kernel(ring.zero)
     order = range(len(table.basis)) if indices is None else sorted(indices)
-    coeffs = f.padded(n).coefficients
+    coeffs += [_ZERO] * (n + 1 - len(coeffs))
     acc = []
     for j in range(n, -1, -1):
         end = table.ends[n - j]

@@ -312,11 +312,22 @@ def compositions(total: int, parts: int):
             yield (first,) + rest
 
 
+def padded(series, order: int) -> list:
+    """The coefficients of ``series`` as ``Fraction``, cut or padded with
+    zeros to X^order."""
+    coeffs = [Fraction(c) for c in series[:order + 1]]
+    return coeffs + [Fraction(0)] * (order + 1 - len(coeffs))
+
+
+def geometric_series(order: int) -> tuple:
+    return (Fraction(1),) * (order + 1)
+
+
 def apply_series_raw(series, a: TruncatedFunctional) -> TruncatedFunctional:
     """The per-degree composition-sum formula for f[a], term by term."""
     n_max = a.truncation
     parts = [a.project(n) for n in range(n_max + 1)]
-    coeffs = series.padded(n_max).coefficients
+    coeffs = padded(series, n_max)
     result = conv_unit(a.hopf, a.ring, a.truncation).scale(coeffs[0])
     for n in range(1, n_max + 1):
         for k in range(1, n + 1):
@@ -334,7 +345,7 @@ def apply_series_by_dict(series, a: TruncatedFunctional) -> TruncatedFunctional:
     """Horner's rule c_0 + a * (c_1 + a * (...)) on value dicts, with one
     full-basis dict-kernel convolution per coefficient."""
     unit = conv_unit(a.hopf, a.ring, a.truncation)
-    coeffs = series.padded(a.truncation).coefficients
+    coeffs = padded(series, a.truncation)
     acc = unit.scale(coeffs[-1])
     for c in reversed(coeffs[:-1]):
         acc = unit.scale(c) + convolve_by_dict(a, acc)

@@ -42,7 +42,7 @@ from sampling import (
     random_invertible,
     random_tree_values,
 )
-from hopfchar.series import FormalSeries, apply_series, bch, exp, geometric_series, log
+from hopfchar.series import apply_series, bch, exp, log
 from hopfchar.trees import Forest, enumerate_trees
 
 from helpers import (
@@ -50,8 +50,10 @@ from helpers import (
     apply_series_raw,
     assert_solves_evolution_ode,
     coproduct_triple,
+    geometric_series,
     grow_trees,
     ideal_degree_span,
+    schoolbook_product,
 )
 
 CK = ck_hopf()
@@ -75,9 +77,7 @@ def criterion(number, name, budget_seconds):
 
 
 def rnd_series(rng, order):
-    return FormalSeries(
-        Fraction(rng.randint(-5, 5), rng.randint(1, 5)) for _ in range(order + 1)
-    )
+    return tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 5)) for _ in range(order + 1))
 
 
 def test_criterion_01_hopf_axioms():
@@ -149,7 +149,7 @@ def test_criterion_04_functional_calculus():
             a = random_ideal_element(CK, RATIONAL, 5, rng)
             f = rnd_series(rng, 5)
             g = rnd_series(rng, 5)
-            assert apply_series(f * g, a) == convolve(
+            assert apply_series(schoolbook_product(f, g, 6), a) == convolve(
                 apply_series(f, a), apply_series(g, a)
             )
         unit = conv_unit(CK, RATIONAL, 5)
@@ -357,7 +357,7 @@ def test_criterion_11_truncation_stability():
             x6 = a6.drop_degree0()
             x4 = x6.restrict(4)
             f = rnd_series(rng, 6)
-            assert apply_series(f, x6).restrict(4) == apply_series(f.padded(4), x4)
+            assert apply_series(f, x6).restrict(4) == apply_series(f[:5], x4)
             assert exp(x6).restrict(4) == exp(x4)
             u6 = unit6 + x6
             assert log(u6).restrict(4) == log(u6.restrict(4))

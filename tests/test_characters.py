@@ -25,7 +25,7 @@ from hopfchar.characters import (
     tree_values_from_json_dict,
 )
 from hopfchar.convolution import TruncatedFunctional, conv_inverse, conv_unit, convolve, delta
-from hopfchar.errors import MembershipError, ParseError
+from hopfchar.errors import IncompatibleError, MembershipError, ParseError
 from hopfchar.hopf import ck_hopf, tensor_hopf
 from hopfchar.rings import RATIONAL, TruncatedSeriesRing
 from sampling import (
@@ -391,6 +391,15 @@ def test_tensor_iso():
                 tensor_char_group_iso(phi), hopf, 4
             )
             assert back == phi
+
+
+def test_tensor_vector_of_the_wrong_length_is_refused():
+    """One value per letter: a longer vector is not cut and a shorter one is
+    not padded with zeros."""
+    for hopf, vector in ((T2, [1, 2, 3]), (T2, [1]), (T2, []), (tensor_hopf(3), [1, 2])):
+        with pytest.raises(IncompatibleError):
+            tensor_char_from_vector(vector, hopf, 2)
+    assert tensor_char_group_iso(tensor_char_from_vector([1, 2], T2, 2)) == (1, 2)
 
 
 def test_infinitesimal_from_tree_values():

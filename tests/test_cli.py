@@ -204,6 +204,9 @@ def test_char_symplectic(tmp_path, capsys):
 
 
 def test_char_apply_series_literal(tmp_path, capsys):
+    """A literal longer than N + 1 is cut at X^N and a decimal entry is read
+    exactly; a missing or empty literal, or an empty entry, exits 1 with one
+    ``error:`` line."""
     d = delta(CK, RATIONAL, 4, F_LEAF)
     f = tmp_path / "d.json"
     f.write_text(d.to_json())
@@ -211,8 +214,18 @@ def test_char_apply_series_literal(tmp_path, capsys):
     assert code == 0
     squared = TruncatedFunctional.from_json(out)
     assert squared.value(Forest([LEAF, LEAF])) == 2
+    code, longer = run(capsys, ["char", "apply", str(f), "--series", "0,0,1,0,0,5,-7/3"])
+    assert code == 0 and longer == out
+    code, out = run(capsys, ["char", "apply", str(f), "--series", "0,0.5"])
+    assert code == 0 and TruncatedFunctional.from_json(out) == d.scale(Fraction(1, 2))
     code, _ = run(capsys, ["char", "apply", str(f)])  # missing --series
     assert code == 1
+    for literal in ("", "1,,2"):
+        code = cli.main(["char", "apply", str(f), "--series", literal])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == "", literal
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
 
 
 @pytest.mark.parametrize("op, option, value", [("evolve", "--t", "-1/2"),

@@ -291,8 +291,10 @@ def test_json_roundtrip():
         {"hopf": "ck", "generators": [{"[[]]": "x"}]},
         {"hopf": "ck", "generators": {"a": 1}},
         {"hopf": "ck", "generators": [{"[[]]": 2, "[] []": "-1"}]},
+        {"hopf": "ck", "generators": [{"[[]]": "1"}, {"[] []": "1", "[][]": "1"}]},
     ],
-    ids=["missing-hopf", "bad-coefficient", "generators-object", "number-coefficient"],
+    ids=["missing-hopf", "bad-coefficient", "generators-object", "number-coefficient",
+         "two-spellings-of-one-term"],
 )
 def test_malformed_ideal_payload_is_parse_error(payload):
     with pytest.raises(ParseError):
