@@ -57,7 +57,6 @@ from .hopf import (
     parse_word,
     resolve_hopf,
     tensor_hopf,
-    vector_of,
 )
 from .ideals import (
     HopfIdealSpec,

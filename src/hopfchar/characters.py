@@ -26,7 +26,7 @@ from . import series
 from .convolution import (TruncatedFunctional, conv_unit, convolve_at, json_field,
                           json_values, parse_truncation, require_value_budget)
 from .errors import IncompatibleError, MembershipError
-from .hopf import HopfStructure, ck_hopf
+from .hopf import HopfStructure, TensorHopf, ck_hopf
 from .rings import RATIONAL, resolve_ring
 from .trees import RootedTree, enumerate_trees, parse_tree, single_tree_forest
 
@@ -143,17 +143,15 @@ def _multiplicative_values(table, ring, on_generator, stop=None) -> list:
     """The kernel-form value list (None for zero) of the character with
     ``on_generator(i, out)`` on each generator basis[i] of ``table``, out holding
     the values so far (None for zero or unknown), and out[first] * out[rest] on
-    the products before index ``stop`` (all for None), stored untested: a
-    product vanishes only over ``series:M``, and every reader takes it as zero."""
-    zero, mul = ring.to_kernel(ring.zero), ring.kernel_mul
+    the products before index ``stop`` (all for None).  Each value is stored
+    untested: every reader takes a kernel zero as zero."""
+    mul = ring.kernel_mul
     out = [None] * len(table.basis)
     out[0] = ring.to_kernel(ring.one)  # the unit comes first
     for i in range(1, len(out)):
         rest = table.rest[i]
         if not rest:
-            value = on_generator(i, out)
-            if value != zero:
-                out[i] = value
+            out[i] = on_generator(i, out)
         elif stop is None or i < stop:
             a, b = out[table.first[i]], out[rest]
             if a is not None and b is not None:
@@ -167,9 +165,9 @@ def _multiplicative(hopf: HopfStructure, ring, truncation: int, on_generator) ->
 
 
 def _reading(values: Mapping, ring, key):
-    """The ``on_generator`` reading values.get(key(i)) in kernel form, zero if missing."""
-    to_kernel, zero = ring.to_kernel, ring.to_kernel(ring.zero)
-    return lambda i, out: zero if (v := values.get(key(i))) is None else to_kernel(v)
+    """The ``on_generator`` reading values.get(key(i)) in kernel form, None if missing."""
+    to_kernel = ring.to_kernel
+    return lambda i, out: None if (v := values.get(key(i))) is None else to_kernel(v)
 
 
 def char_from_generator_values(
@@ -322,6 +320,7 @@ def tensor_char_group_iso(phi: Character) -> tuple:
     This is a group isomorphism onto d-vectors under componentwise addition.
     """
     hopf = phi.functional.hopf
+    _require_tensor(hopf)
     return tuple(phi.functional.value(w) for w in hopf.basis(1))
 
 
@@ -330,8 +329,14 @@ def tensor_char_from_vector(
 ) -> Character:
     """Multiplicative extension of degree-1 values, one per letter, to a
     tensor-algebra character."""
+    _require_tensor(hopf)
     letters = hopf.basis(1)
     if len(vector) != len(letters):
         raise IncompatibleError(
             f"{len(vector)} values for the {len(letters)} letters of {hopf.key}")
     return char_from_generator_values(dict(zip(letters, vector)), hopf, truncation, ring)
+
+
+def _require_tensor(hopf: HopfStructure) -> None:
+    if not isinstance(hopf, TensorHopf):
+        raise IncompatibleError(f"the additive view needs tensor(d), not {hopf.key}")

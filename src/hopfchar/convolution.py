@@ -170,28 +170,10 @@ class TruncatedFunctional:
 
     # -- graded structure ---------------------------------------------------
 
-    def project(self, degree: int) -> "TruncatedFunctional":
-        """Keep only the values on basis elements of the given degree."""
-        if degree > self.truncation:
-            raise ValueError(f"degree {degree} exceeds truncation {self.truncation}")
-        return self._build({b: v for b, v in self.values.items() if b.degree == degree})
-
     def drop_degree0(self) -> "TruncatedFunctional":
         return self._build(
             {b: v for b, v in self.values.items() if b.degree >= 1}
         )
-
-    def restrict(self, truncation: int) -> "TruncatedFunctional":
-        """The same functional at a smaller truncation degree."""
-        if truncation > self.truncation:
-            raise ValueError("restrict cannot raise the truncation")
-        return TruncatedFunctional(
-            self.hopf, self.ring, truncation,
-            {b: v for b, v in self.values.items() if b.degree <= truncation},
-        )
-
-    def is_zero(self) -> bool:
-        return not self.values
 
     # -- convolution-algebra operations --------------------------------------
 

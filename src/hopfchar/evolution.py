@@ -209,16 +209,19 @@ class FunctionalCurve:
 def _solve(curve: FunctionalCurve, degree: int) -> tuple:
     """The index table at N and eta's values in its order, as the builder
     leaves them: the character over R[t] whose value on a generator g
-    integrates ``convolve_at(eta, gamma, g)``, with products of degree above
-    ``degree`` left None.  At g, eta(g) is not yet known and gamma(1) = 0, so
-    the convolution is all of eta'(g): its term eta(1) gamma(g) brings in gamma(g)."""
+    integrates ``convolve_at(eta, gamma, g)``, None where that is zero, with
+    products of degree above ``degree`` left None.  At g, eta(g) is not yet
+    known and gamma(1) = 0, so the convolution is all of eta'(g): its term
+    eta(1) gamma(g) brings in gamma(g)."""
     table, polys = curve.hopf.table(curve.truncation), PolyRing(curve.ring)
     gamma = [None] * len(table.basis)
     for i in table.generators:
         value = curve.value_poly(table.basis[i])
         if value.nums:
             gamma[i] = value
-    rate = lambda i, eta: convolve_at(table, polys, eta, gamma, i).integrate()
+    def rate(i, eta):
+        derivative = convolve_at(table, polys, eta, gamma, i)
+        return derivative.integrate() if derivative.nums else None
     return table, _multiplicative_values(table, polys, rate, table.ends[degree])
 
 
@@ -235,7 +238,7 @@ def evolve(curve: FunctionalCurve, t_end) -> TruncatedFunctional:
     multiplicatively."""
     ring, n = curve.ring, curve.truncation
     _table, eta = _solve(curve, max(n - 1, 0))
-    at_end = lambda i, out: ring.to_kernel(ring.zero if eta[i] is None else eta[i](t_end))
+    at_end = lambda i, out: None if eta[i] is None else ring.to_kernel(eta[i](t_end))
     return _multiplicative(curve.hopf, ring, n, at_end).functional
 
 

@@ -25,7 +25,7 @@ import operator
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .errors import SIZE_BUDGET, ParseError, ResourceLimitError, TruncationOverflowError
+from .errors import SIZE_BUDGET, ParseError, ResourceLimitError
 from .trees import DEFAULT_ORDER_CAP, Forest, RootedTree, enumerate_forests, parse_forest
 
 _ZERO = Fraction(0)
@@ -89,8 +89,8 @@ def parse_word(text: str) -> Word:
 class GradedVector:
     """A finite rational linear combination of basis elements.
 
-    No zero coefficients are stored.  Supports +, -, and scalar * by
-    int/Fraction; products in the algebra live on the Hopf structure.
+    Repeated basis elements are summed, and no zero coefficients are stored;
+    products in the algebra live on the Hopf structure.
     """
 
     __slots__ = ("terms",)
@@ -112,42 +112,8 @@ class GradedVector:
     def __iter__(self) -> Iterator:
         return iter(self.terms.items())
 
-    def __len__(self) -> int:
-        return len(self.terms)
-
-    def __getitem__(self, basis) -> Fraction:
-        return self.terms.get(basis, _ZERO)
-
-    def __add__(self, other: "GradedVector") -> "GradedVector":
-        out = dict(self.terms)
-        for basis, coeff in other.terms.items():
-            c = out.pop(basis, _ZERO) + coeff
-            if c:
-                out[basis] = c
-        vec = GradedVector()
-        vec.terms = out
-        return vec
-
-    def __sub__(self, other: "GradedVector") -> "GradedVector":
-        return self + (-other)
-
-    def __neg__(self) -> "GradedVector":
-        return self * -1
-
-    def __mul__(self, scalar) -> "GradedVector":
-        q = Fraction(scalar)
-        vec = GradedVector()
-        if q:
-            vec.terms = {basis: coeff * q for basis, coeff in self.terms.items()}
-        return vec
-
-    __rmul__ = __mul__
-
     def __repr__(self) -> str:
         return f"GradedVector({self.format()!r})"
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def degrees(self) -> set[int]:
         return {basis.degree for basis in self.terms}
@@ -168,10 +134,6 @@ class GradedVector:
         for sign, body in parts[1:]:
             text += f" {sign} {body}"
         return text
-
-
-def vector_of(basis) -> GradedVector:
-    return GradedVector([(basis, 1)])
 
 
 class Memo(dict):
@@ -326,14 +288,6 @@ class HopfStructure:
         # The top degree first, so that an oversized request fails at once.
         levels = [self.basis(n) for n in range(max_degree, -1, -1)]
         return [b for level in reversed(levels) for b in level]
-
-    def product(self, b1, b2, truncation: int | None = None) -> GradedVector:
-        """Algebra product of two basis elements (a single basis term here)."""
-        if truncation is not None and b1.degree + b2.degree > truncation:
-            raise TruncationOverflowError(
-                f"product degree {b1.degree + b2.degree} exceeds truncation {truncation}"
-            )
-        return vector_of(self._product_basis(b1, b2))
 
     def multiply(self, v1: GradedVector, v2: GradedVector,
                  truncation: int | None = None) -> GradedVector:

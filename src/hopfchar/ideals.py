@@ -58,10 +58,6 @@ class HopfIdealSpec:
         self.generators = gens
         self.degrees = tuple(degrees)
 
-    @property
-    def max_degree(self) -> int:
-        return max(self.degrees, default=0)
-
     def generators_upto(self, degree: int) -> tuple[GradedVector, ...]:
         return tuple(g for g, d in zip(self.generators, self.degrees) if d <= degree)
 

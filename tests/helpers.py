@@ -36,7 +36,7 @@ from fractions import Fraction
 
 from hopfchar.convolution import TruncatedFunctional, conv_unit, convolve
 from hopfchar.errors import IdealError, ParseError
-from hopfchar.hopf import GradedVector, Word, ck_hopf, vector_of
+from hopfchar.hopf import GradedVector, Word, ck_hopf
 from hopfchar.ideals import HopfIdealSpec
 from linalg import in_span
 from hopfchar.rings import TruncatedSeriesRing
@@ -189,6 +189,10 @@ def as_multiset(pairs) -> dict:
 # -- Hopf structure -----------------------------------------------------------
 
 
+def vector_of(basis) -> GradedVector:
+    return GradedVector([(basis, 1)])
+
+
 def coproduct_by_components(forest: Forest) -> dict:
     """Delta(forest) as ``{(left, right): coefficient}``: the componentwise
     tensor product, tree by tree, of the vertex-subset pairs of each tree."""
@@ -254,14 +258,13 @@ def antipode_by_axiom(hopf, basis) -> GradedVector:
     """Solve m (S x id) Delta = unit . counit degree by degree."""
     if basis.degree == 0:
         return GradedVector([(basis, 1)])
-    total = GradedVector()
+    terms = []
     for coeff, left, right in hopf.coproduct(basis):
         if left.degree == basis.degree and right.degree == 0:
             continue  # the S(basis) term itself
-        total = total + hopf.multiply(
-            antipode_by_axiom(hopf, left), GradedVector([(right, coeff)])
-        )
-    return -total
+        product = hopf.multiply(antipode_by_axiom(hopf, left), GradedVector([(right, coeff)]))
+        terms.extend((b, -c) for b, c in product)
+    return GradedVector(terms)
 
 
 def antipode_by_edge_partitions(hopf, forest: Forest) -> GradedVector:
@@ -281,10 +284,7 @@ def antipode_by_reversal(word: Word) -> GradedVector:
 
 def antipode_vector(hopf, vec: GradedVector) -> GradedVector:
     """The linear extension of the antipode to a vector."""
-    out = GradedVector()
-    for basis, coeff in vec:
-        out = out + hopf.antipode(basis) * coeff
-    return out
+    return GradedVector((b, c * coeff) for basis, coeff in vec for b, c in hopf.antipode(basis))
 
 
 def coproduct_triple(hopf, basis, left_first: bool):
@@ -299,6 +299,18 @@ def coproduct_triple(hopf, basis, left_first: bool):
 
 
 # -- functional calculus ------------------------------------------------------
+
+
+def project(phi: TruncatedFunctional, degree: int) -> TruncatedFunctional:
+    """phi's values on the basis elements of one degree."""
+    return TruncatedFunctional(phi.hopf, phi.ring, phi.truncation,
+                               {b: v for b, v in phi.values.items() if b.degree == degree})
+
+
+def restrict(phi: TruncatedFunctional, truncation: int) -> TruncatedFunctional:
+    """phi at the smaller truncation degree ``truncation``."""
+    return TruncatedFunctional(phi.hopf, phi.ring, truncation,
+                               {b: v for b, v in phi.values.items() if b.degree <= truncation})
 
 
 def compositions(total: int, parts: int):
@@ -326,7 +338,7 @@ def geometric_series(order: int) -> tuple:
 def apply_series_raw(series, a: TruncatedFunctional) -> TruncatedFunctional:
     """The per-degree composition-sum formula for f[a], term by term."""
     n_max = a.truncation
-    parts = [a.project(n) for n in range(n_max + 1)]
+    parts = [project(a, n) for n in range(n_max + 1)]
     coeffs = padded(series, n_max)
     result = conv_unit(a.hopf, a.ring, a.truncation).scale(coeffs[0])
     for n in range(1, n_max + 1):
@@ -375,7 +387,7 @@ def pairwise_violations(phi: TruncatedFunctional, infinitesimal: bool = False):
     if phi.degree0 != (ring.zero if infinitesimal else ring.one):
         yield unit, unit
     for b1, b2 in basis_pairs(hopf, phi.truncation):
-        lhs = phi.evaluate(hopf.product(b1, b2))
+        lhs = phi.evaluate(hopf.multiply(vector_of(b1), vector_of(b2)))
         if infinitesimal:
             rhs = ring.add(
                 ring.scale(phi.value(b1), hopf.counit(b2)),
@@ -698,9 +710,9 @@ def symplectic_generators_by_pairs(truncation: int) -> HopfIdealSpec:
         raise IdealError(f"symplectic generators need truncation >= 2, got {truncation}")
     trees = [t for level in enumerate_trees(truncation - 1) for t in level]
     return HopfIdealSpec(ck_hopf(), [
-        vector_of(single_tree_forest(butcher_product(tau, upsilon)))
-        + vector_of(single_tree_forest(butcher_product(upsilon, tau)))
-        - vector_of(Forest([tau, upsilon]))
+        GradedVector([(single_tree_forest(butcher_product(tau, upsilon)), 1),
+                      (single_tree_forest(butcher_product(upsilon, tau)), 1),
+                      (Forest([tau, upsilon]), -1)])
         for i, tau in enumerate(trees) for upsilon in trees[i:]
         if tau.order + upsilon.order <= truncation
     ])

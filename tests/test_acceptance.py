@@ -28,7 +28,7 @@ from hopfchar.characters import (
 )
 from hopfchar.convolution import TruncatedFunctional, conv_inverse, conv_unit, convolve
 from hopfchar.evolution import FunctionalCurve, evol, evolve, evolve_polynomials
-from hopfchar.hopf import GradedVector, ck_hopf, tensor_hopf, vector_of
+from hopfchar.hopf import GradedVector, ck_hopf, tensor_hopf
 from hopfchar.ideals import annihilates, is_symplectic, symplectic_generators
 from linalg import in_span
 from hopfchar.rings import RATIONAL, TruncatedSeriesRing
@@ -53,7 +53,10 @@ from helpers import (
     geometric_series,
     grow_trees,
     ideal_degree_span,
+    project,
+    restrict,
     schoolbook_product,
+    vector_of,
 )
 
 CK = ck_hopf()
@@ -83,7 +86,6 @@ def rnd_series(rng, order):
 def test_criterion_01_hopf_axioms():
     with criterion(1, "Hopf axioms on degree <= 5, both instances", 60):
         for hopf in (CK, T2):
-            unit_vec = vector_of(hopf.unit_basis)
             for basis in hopf.all_basis_upto(5):
                 # coassociativity
                 assert coproduct_triple(hopf, basis, True) == coproduct_triple(
@@ -98,12 +100,11 @@ def test_criterion_01_hopf_axioms():
                     (l, c * hopf.counit(r)) for c, l, r in cop
                 ) == vector_of(basis)
                 # antipode axiom, both sides
-                target = unit_vec * hopf.counit(basis)
-                left = GradedVector()
-                right = GradedVector()
-                for c, a, b in cop:
-                    left = left + hopf.multiply(hopf.antipode(a), vector_of(b)) * c
-                    right = right + hopf.multiply(vector_of(a), hopf.antipode(b)) * c
+                target = GradedVector([(hopf.unit_basis, hopf.counit(basis))])
+                left = GradedVector((x, k * c) for c, a, b in cop
+                                    for x, k in hopf.multiply(hopf.antipode(a), vector_of(b)))
+                right = GradedVector((x, k * c) for c, a, b in cop
+                                     for x, k in hopf.multiply(vector_of(a), hopf.antipode(b)))
                 assert left == target
                 assert right == target
                 # and the closed-form antipodes match the axiom recursion
@@ -197,18 +198,18 @@ def test_criterion_06_bracket_and_bch():
                 + lie_bracket(y, lie_bracket(z, x)).functional
                 + lie_bracket(z, lie_bracket(x, y)).functional
             )
-            assert jacobi.is_zero()
+            assert not jacobi.values
         # BCH: for single-degree-supported x, y the (1,1)-bilinear part sits in
         # degree deg x + deg y and equals half the commutator
         for p, q in ((1, 1), (1, 2), (2, 3), (2, 2)):
             for _ in range(3):
-                x = random_functional(CK, RATIONAL, 5, rng).project(p)
-                y = random_functional(CK, RATIONAL, 5, rng).project(q)
+                x = project(random_functional(CK, RATIONAL, 5, rng), p)
+                y = project(random_functional(CK, RATIONAL, 5, rng), q)
                 combined = bch(x, y)
                 half_bracket = (convolve(x, y) - convolve(y, x)).scale(
                     Fraction(1, 2)
                 )
-                assert combined.project(p + q) == half_bracket.project(p + q)
+                assert project(combined, p + q) == project(half_bracket, p + q)
         # commuting collapse
         x = random_ideal_element(CK, RATIONAL, 5, rng)
         assert bch(x, x.scale(Fraction(2, 3))) == x.scale(Fraction(5, 3))
@@ -347,22 +348,22 @@ def test_criterion_11_truncation_stability():
         for index in range(50):
             a6 = random_functional(CK, RATIONAL, 6, rng)
             b6 = random_functional(CK, RATIONAL, 6, rng)
-            a4, b4 = a6.restrict(4), b6.restrict(4)
-            assert convolve(a6, b6).restrict(4) == convolve(a4, b4)
-            assert a6.precompose_antipode().restrict(4) == a4.precompose_antipode()
-            assert a6.project(3).restrict(4) == a4.project(3)
+            a4, b4 = restrict(a6, 4), restrict(b6, 4)
+            assert restrict(convolve(a6, b6), 4) == convolve(a4, b4)
+            assert restrict(a6.precompose_antipode(), 4) == a4.precompose_antipode()
+            assert restrict(project(a6, 3), 4) == project(a4, 3)
             inv6 = conv_inverse(unit6 + a6.drop_degree0())
             inv4 = conv_inverse(conv_unit(CK, RATIONAL, 4) + a4.drop_degree0())
-            assert inv6.restrict(4) == inv4
+            assert restrict(inv6, 4) == inv4
             x6 = a6.drop_degree0()
-            x4 = x6.restrict(4)
+            x4 = restrict(x6, 4)
             f = rnd_series(rng, 6)
-            assert apply_series(f, x6).restrict(4) == apply_series(f[:5], x4)
-            assert exp(x6).restrict(4) == exp(x4)
+            assert restrict(apply_series(f, x6), 4) == apply_series(f[:5], x4)
+            assert restrict(exp(x6), 4) == exp(x4)
             u6 = unit6 + x6
-            assert log(u6).restrict(4) == log(u6.restrict(4))
+            assert restrict(log(u6), 4) == log(restrict(u6, 4))
             y6 = b6.drop_degree0()
-            assert bch(x6, y6).restrict(4) == bch(x4, y6.restrict(4))
+            assert restrict(bch(x6, y6), 4) == bch(x4, restrict(y6, 4))
             if index % 5 == 0:
                 values = random_tree_values(6, rng)
                 phi6 = char_from_tree_values(values, 6)
@@ -370,26 +371,26 @@ def test_criterion_11_truncation_stability():
                 phi4 = char_from_tree_values(values, 4)
                 psi4 = char_exp(
                     InfinitesimalCharacter(
-                        char_log(psi6).functional.restrict(4)
+                        restrict(char_log(psi6).functional, 4)
                     )
                 )
-                assert char_mul(phi6, psi6).functional.restrict(4) == char_mul(
+                assert restrict(char_mul(phi6, psi6).functional, 4) == char_mul(
                     phi4, psi4
                 ).functional
-                assert char_inv(phi6).functional.restrict(4) == char_inv(
+                assert restrict(char_inv(phi6).functional, 4) == char_inv(
                     phi4
                 ).functional
-                assert char_log(psi6).functional.restrict(4) == char_log(
+                assert restrict(char_log(psi6).functional, 4) == char_log(
                     psi4
                 ).functional
                 x = random_infinitesimal(CK, RATIONAL, 6, rng)
                 y = random_infinitesimal(CK, RATIONAL, 6, rng)
                 bracket6 = lie_bracket(x, y).functional
                 bracket4 = lie_bracket(
-                    InfinitesimalCharacter(x.functional.restrict(4)),
-                    InfinitesimalCharacter(y.functional.restrict(4)),
+                    InfinitesimalCharacter(restrict(x.functional, 4)),
+                    InfinitesimalCharacter(restrict(y.functional, 4)),
                 ).functional
-                assert bracket6.restrict(4) == bracket4
+                assert restrict(bracket6, 4) == bracket4
                 a_map = random_tree_values(6, rng)
                 b_map = random_tree_values(6, rng)
                 full = butcher_compose(a_map, b_map, 6)
@@ -399,8 +400,8 @@ def test_criterion_11_truncation_stability():
                     [random_infinitesimal(CK, RATIONAL, 6, rng).functional]
                 )
                 curve4 = FunctionalCurve(
-                    [curve6.coefficients[0].restrict(4)]
+                    [restrict(curve6.coefficients[0], 4)]
                 )
-                assert evolve(curve6, Fraction(2, 3)).restrict(4) == evolve(
+                assert restrict(evolve(curve6, Fraction(2, 3)), 4) == evolve(
                     curve4, Fraction(2, 3)
                 )

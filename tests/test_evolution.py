@@ -270,7 +270,7 @@ def test_noncommuting_curve_differs_from_naive_exponential():
     eta = evolve(curve, 1)
     naive = exp(d1 + d2.scale(Fraction(1, 2)))
     difference = eta - naive
-    assert not difference.is_zero()
+    assert difference.values
     witnesses = sorted(
         difference.values, key=lambda basis: (basis.degree, basis.serial)
     )

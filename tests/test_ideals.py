@@ -22,7 +22,7 @@ from hopfchar.characters import (
 from hopfchar.convolution import TruncatedFunctional, conv_unit, delta
 from hopfchar.errors import (IdealError, IncompatibleError, MembershipError, ParseError,
                              ResourceLimitError)
-from hopfchar.hopf import GradedVector, Word, ck_hopf, tensor_hopf, vector_of
+from hopfchar.hopf import GradedVector, Word, ck_hopf, tensor_hopf
 from hopfchar.ideals import (
     HopfIdealSpec,
     annihilates,
@@ -50,6 +50,7 @@ from helpers import (
     parent_array,
     symplectic_generators_by_pairs,
     vector_in_ideal_degree,
+    vector_of,
 )
 
 CK = ck_hopf()

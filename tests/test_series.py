@@ -11,7 +11,7 @@ from sampling import random_ideal_element, random_invertible
 from hopfchar.series import apply_series, bch, exp, exp_series, log, log1p_series
 from hopfchar.trees import Forest, LEAF, parse_tree
 
-from helpers import (apply_series_by_dict, apply_series_raw, geometric_series,
+from helpers import (apply_series_by_dict, apply_series_raw, geometric_series, project,
                      schoolbook_product)
 
 CK = ck_hopf()
@@ -88,7 +88,7 @@ def test_horner_agrees_with_raw_composition_formula():
             assert apply_series(f, a) == apply_series_raw(f, a)
     for hopf, ring, n in HORNER_SPACES:
         a = random_ideal_element(hopf, ring, n, rng)
-        no_degree1 = a - a.project(1) if n else a
+        no_degree1 = a - project(a, 1) if n else a
         full = rnd_series(rng, n)
         series = [full, full[:-1] + (0,), (0,) * (n + 1),
                   rnd_series(rng, n // 2), rnd_series(rng, n + 2), (Fraction(-3, 2),)]
@@ -121,7 +121,7 @@ def test_exp_one_parameter_group():
 
 def test_log_small_values():
     unit = conv_unit(CK, RATIONAL, 4)
-    assert log(unit).is_zero()
+    assert not log(unit).values
     d = delta(CK, RATIONAL, 4, F_LEAF)
     l = log(unit + d)
     assert l.value(F_CHAIN) == Fraction(-1, 2)
@@ -212,6 +212,6 @@ def test_bch_bilinear_component_is_half_bracket():
     d2 = delta(CK, RATIONAL, 5, F_CHAIN)
     z = bch(d1, d2)
     half_bracket = (convolve(d1, d2) - convolve(d2, d1)).scale(Fraction(1, 2))
-    assert z.project(3) == half_bracket.project(3)
-    assert z.project(1) == d1
-    assert z.project(2) == d2
+    assert project(z, 3) == project(half_bracket, 3)
+    assert project(z, 1) == d1
+    assert project(z, 2) == d2
