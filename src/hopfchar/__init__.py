@@ -7,6 +7,7 @@ from .characters import (
     Character,
     InfinitesimalCharacter,
     butcher_compose,
+    char_bch,
     char_exp,
     char_from_generator_values,
     char_from_tree_values,
@@ -66,14 +67,7 @@ from .ideals import (
     symplectic_generators,
 )
 from .rings import RATIONAL, RationalRing, TruncatedSeriesRing, resolve_ring
-from .series import (
-    apply_series,
-    bch,
-    exp,
-    exp_series,
-    log,
-    log1p_series,
-)
+from .series import apply_series, exp_series, log1p_series
 from .trees import (
     EMPTY_FOREST,
     LEAF,

@@ -14,8 +14,10 @@ The exponential is a bijection from infinitesimal characters onto
 characters.  ``char_exp`` and its inverse ``char_log`` both run
 ``series.apply_series`` on the unit and the generators, a set closed under
 right factors: ``char_exp`` extends the result by ``_multiplicative``, and
-``char_log`` leaves it zero on products.  The commutator bracket is the Lie
-structure.
+``char_log`` leaves it zero on products.  So ``char_bch``, the truncated BCH
+combination log(exp(x) * exp(y)), also runs on the unit and the generators
+only.  The commutator bracket is the Lie structure, computed on the
+generators too.
 """
 
 from __future__ import annotations
@@ -217,12 +219,19 @@ def char_log(psi: Character) -> InfinitesimalCharacter:
         (0,) + f.hopf.table(f.truncation).generators))
 
 
+def char_bch(x: InfinitesimalCharacter, y: InfinitesimalCharacter) -> InfinitesimalCharacter:
+    """The truncated BCH combination log(exp(x) * exp(y)), through
+    ``char_exp``, ``char_mul`` and ``char_log``: on the unit and the
+    generators only."""
+    return char_log(char_mul(char_exp(x), char_exp(y)))
+
+
 def lie_bracket(
     phi: InfinitesimalCharacter, psi: InfinitesimalCharacter
 ) -> InfinitesimalCharacter:
     """Commutator bracket.  Infinitesimal characters are closed under it, so
     the bracket is fixed by its generator values, (f * g - g * f)(g_i), and
-    vanishes on the unit and on products."""
+    vanishes on the unit and on products, so it is not re-checked."""
     f, g = phi.functional, psi.functional
     f._compatible(g)
     hopf, ring, n = f.hopf, f.ring, f.truncation
@@ -231,7 +240,7 @@ def lie_bracket(
     for i in table.generators:  # the difference of two kernel values, as x * 1 - y * 1
         values[i] = ring.sum_products([(1, convolve_at(table, ring, fv, gv, i), one),
                                        (-1, convolve_at(table, ring, gv, fv, i), one)])
-    return InfinitesimalCharacter(TruncatedFunctional.from_value_list(hopf, ring, n, values))
+    return InfinitesimalCharacter._wrap(TruncatedFunctional.from_value_list(hopf, ring, n, values))
 
 
 # -- the Butcher-group view on the rooted-forest instance ---------------------

@@ -3,7 +3,8 @@
 Subcommands: ``trees`` (canonical enumeration), ``structure`` (coproduct or
 antipode tables for one element), ``char`` (group arithmetic, exp/log,
 evolution and symplectic checks over JSON files).  Exit codes: 0 success,
-2 mathematical domain errors, 1 I/O or parse errors.
+2 mathematical domain errors, 1 I/O, parse and usage errors (including
+output that stdout cannot encode; ``--out`` files are written as UTF-8).
 """
 
 from __future__ import annotations
@@ -31,12 +32,21 @@ from .series import apply_series
 from .trees import enumerate_trees
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ``ArgumentParser`` whose usage errors raise ``ParseError`` (exit 1,
+    one ``error:`` line) instead of printing the usage and exiting 2.  Its
+    subparsers are of the same class."""
+
+    def error(self, message):
+        raise ParseError(f"{self.prog}: {message}", 0)
+
+
 def _parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json"), default="text")
     common.add_argument("--out", help="output file (default stdout)")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hopfchar",
         description="Exact computations in truncated Hopf-algebra character groups.",
     )
@@ -68,11 +78,18 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _emit(args, text: str) -> None:
+    """Write text and a final newline to the ``--out`` file, as UTF-8, or to
+    stdout.  Text that stdout cannot encode is an I/O error, and stdout gets
+    none of it: the whole text is encoded before any is written."""
+    text = text if text.endswith("\n") else text + "\n"
     if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(text if text.endswith("\n") else text + "\n")
-    else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        with open(args.out, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        return
+    try:
+        sys.stdout.write(text)
+    except UnicodeEncodeError as err:
+        raise OSError(f"stdout cannot encode the output: {err}") from None
 
 
 def _load_json(path: str) -> dict:
@@ -188,8 +205,8 @@ def _attach_values(argv: list) -> list:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(_attach_values(sys.argv[1:] if argv is None else argv))
     try:
+        args = _parser().parse_args(_attach_values(sys.argv[1:] if argv is None else argv))
         if args.command == "trees":
             output = _cmd_trees(args)
         elif args.command == "structure":

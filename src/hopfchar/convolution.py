@@ -333,9 +333,3 @@ def require_augmentation(phi: TruncatedFunctional) -> None:
     """Raise unless the functional vanishes in degree 0."""
     if not phi.ring.is_zero(phi.degree0):
         raise AugmentationError("functional has nonzero degree-0 part")
-
-
-def require_unit_normalized(phi: TruncatedFunctional) -> None:
-    """Raise unless the degree-0 value equals the ring unit."""
-    if phi.degree0 != phi.ring.one:
-        raise AugmentationError("functional degree-0 part is not the ring unit")

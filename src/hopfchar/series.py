@@ -11,11 +11,11 @@ ignored.  Evaluation runs Horner's rule on value lists through
 still reach the result (the raw composition formula, Horner on value dicts
 and the geometric-series inverse are test oracles).
 
-On top of this sit ``exp``, ``log`` (mutually inverse between the ideal and
-its unit translate) and the truncated BCH ``log(exp(x) * exp(y))``, for any
-such functionals.  ``apply_series`` can also run on a set of basis indices
-closed under right factors, as ``characters.char_exp`` and ``char_log`` do
-on the unit and the generators.
+``apply_series`` can also run on a set of basis indices closed under right
+factors, as ``characters.char_exp`` and ``char_log`` do on the unit and the
+generators; those two, with ``characters.char_bch``, are the library's
+exponential, logarithm and BCH (the full-basis ``exp``/``log``/``bch`` of
+any ideal element are test oracles).
 """
 
 from __future__ import annotations
@@ -23,13 +23,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from fractions import Fraction
 
-from .convolution import (
-    TruncatedFunctional,
-    convolve,
-    convolve_at,
-    require_augmentation,
-    require_unit_normalized,
-)
+from .convolution import TruncatedFunctional, convolve_at, require_augmentation
 
 _ZERO = Fraction(0)
 
@@ -86,24 +80,3 @@ def apply_series(coefficients, a: TruncatedFunctional, indices=None) -> Truncate
                 step[i] = value
         acc = step
     return TruncatedFunctional.from_value_list(hopf, ring, n, acc)
-
-
-def exp(a: TruncatedFunctional) -> TruncatedFunctional:
-    """Convolution exponential of an augmentation-ideal element."""
-    return apply_series(exp_series(a.truncation), a)
-
-
-def log(u: TruncatedFunctional) -> TruncatedFunctional:
-    """Convolution logarithm of a functional with degree-0 value the ring unit.
-
-    Exact inverse of :func:`exp` at the shared truncation.
-    """
-    require_unit_normalized(u)
-    return apply_series(log1p_series(u.truncation), u.drop_degree0())
-
-
-def bch(x: TruncatedFunctional, y: TruncatedFunctional) -> TruncatedFunctional:
-    """The truncated BCH combination log(exp(x) * exp(y)) of two ideal elements."""
-    require_augmentation(x)
-    require_augmentation(y)
-    return log(convolve(exp(x), exp(y)))

@@ -27,19 +27,22 @@ on ids, polynomials in t as tuples of ring elements (``FractionPoly``) instead
 of ``Poly``'s integer numerators over one denominator, a parser that recurses
 once per nesting level instead of the explicit stack, the symplectic
 generators grafted afresh from re-enumerated tree pairs instead of the
-memoized pair table, and a fold of ``scale`` and ``add`` per term instead of
-one kernel-form ``sum_products`` for evaluating a functional on a vector.
+memoized pair table, a fold of ``scale`` and ``add`` per term instead of
+one kernel-form ``sum_products`` for evaluating a functional on a vector, and
+the exponential, logarithm and BCH of any ideal element by Horner on the whole
+basis instead of on the unit and the generators of (infinitesimal) characters.
 """
 
 import operator
 from fractions import Fraction
 
-from hopfchar.convolution import TruncatedFunctional, conv_unit, convolve
-from hopfchar.errors import IdealError, ParseError
+from hopfchar.convolution import TruncatedFunctional, conv_unit, convolve, require_augmentation
+from hopfchar.errors import AugmentationError, IdealError, ParseError
 from hopfchar.hopf import GradedVector, Word, ck_hopf
 from hopfchar.ideals import HopfIdealSpec
 from linalg import in_span
 from hopfchar.rings import TruncatedSeriesRing
+from hopfchar.series import apply_series, exp_series, log1p_series
 from hopfchar.trees import (Forest, RootedTree, butcher_product, edge_partitions,
                             enumerate_trees, ordered_subtrees, single_tree_forest)
 
@@ -362,6 +365,29 @@ def apply_series_by_dict(series, a: TruncatedFunctional) -> TruncatedFunctional:
     for c in reversed(coeffs[:-1]):
         acc = unit.scale(c) + convolve_by_dict(a, acc)
     return acc
+
+
+def exp(a: TruncatedFunctional) -> TruncatedFunctional:
+    """The convolution exponential of an augmentation-ideal element, by
+    Horner on the whole basis."""
+    return apply_series(exp_series(a.truncation), a)
+
+
+def log(u: TruncatedFunctional) -> TruncatedFunctional:
+    """The convolution logarithm log1p(u - 1) of a functional with degree-0
+    value the ring unit, by Horner on the whole basis: the inverse of ``exp``."""
+    if u.degree0 != u.ring.one:
+        raise AugmentationError("functional degree-0 part is not the ring unit")
+    return apply_series(log1p_series(u.truncation), u.drop_degree0())
+
+
+def bch(x: TruncatedFunctional, y: TruncatedFunctional) -> TruncatedFunctional:
+    """The truncated BCH combination log(exp(x) * exp(y)) of two ideal
+    elements: two full-basis exponentials, a convolution and a full-basis
+    logarithm."""
+    require_augmentation(x)
+    require_augmentation(y)
+    return log(convolve(exp(x), exp(y)))
 
 
 # -- characters ---------------------------------------------------------------

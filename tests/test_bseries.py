@@ -22,15 +22,14 @@ from fractions import Fraction
 
 import pytest
 
-from hopfchar.characters import (Character, InfinitesimalCharacter, butcher_compose, char_exp,
-                                 char_from_tree_values, char_inv, char_log, char_mul,
+from hopfchar.characters import (Character, InfinitesimalCharacter, butcher_compose, char_bch,
+                                 char_exp, char_from_tree_values, char_inv, char_log, char_mul,
                                  infinitesimal_from_tree_values, tree_values)
 from hopfchar.convolution import TruncatedFunctional, delta
 from hopfchar.evolution import FunctionalCurve, evolve
 from hopfchar.hopf import ck_hopf
 from hopfchar.ideals import annihilates, is_symplectic, symplectic_generators
 from hopfchar.rings import RATIONAL
-from hopfchar.series import bch
 from hopfchar.trees import LEAF, enumerate_trees, single_tree_forest
 
 H = Fraction(1, 2)
@@ -162,7 +161,9 @@ def test_evolve_of_t_times_the_leaf_delta_is_the_flow_at_one_half():
 def test_log_inverts_exp_and_bch_adds_multiples_of_the_leaf_delta():
     leaf = leaf_delta(N_LARGE)
     assert char_log(char_exp(InfinitesimalCharacter(leaf))).functional == leaf
-    assert bch(leaf.scale(Fraction(1, 3)), leaf.scale(Fraction(2, 3))) == leaf
+    third = InfinitesimalCharacter(leaf.scale(Fraction(1, 3)))
+    two_thirds = InfinitesimalCharacter(leaf.scale(Fraction(2, 3)))
+    assert char_bch(third, two_thirds).functional == leaf
 
 
 # (symmetric, symplectic) for each method: the trapezoidal rule and RK4 are the controls.

@@ -3,10 +3,12 @@ from fractions import Fraction
 
 import pytest
 
+from hopfchar import characters
 from hopfchar.characters import (
     Character,
     InfinitesimalCharacter,
     butcher_compose,
+    char_bch,
     char_exp,
     char_from_tree_values,
     char_inv,
@@ -33,8 +35,9 @@ from sampling import (
     random_infinitesimal,
     random_tree_values,
 )
-from hopfchar.series import exp, log
 from hopfchar.trees import Forest, LEAF, enumerate_trees, parse_tree
+
+from helpers import bch, exp, log, project
 
 CK = ck_hopf()
 T2 = tensor_hopf(2)
@@ -233,21 +236,78 @@ def test_bracket_small_values_two_ways():
     assert not lie_bracket(d1, d1).functional.values
 
 
+def assert_lie_laws(x, y, z):
+    """Every bracket of x, y, z is infinitesimal; antisymmetry and Jacobi hold."""
+    xy, yx, yz, zx = (lie_bracket(a, b) for a, b in ((x, y), (y, x), (y, z), (z, x)))
+    cyclic = (lie_bracket(x, yz), lie_bracket(y, zx), lie_bracket(z, xy))
+    for bracket in (xy, yx, yz, zx) + cyclic:
+        assert is_infinitesimal(bracket.functional)
+    assert xy.functional == -yx.functional
+    assert not (cyclic[0].functional + cyclic[1].functional + cyclic[2].functional).values
+
+
 def test_bracket_properties_randomized():
     rng = random.Random(47)
     for _ in range(5):
-        x = random_infinitesimal(CK, RATIONAL, 5, rng)
-        y = random_infinitesimal(CK, RATIONAL, 5, rng)
-        z = random_infinitesimal(CK, RATIONAL, 5, rng)
-        xy = lie_bracket(x, y)  # constructor asserts closure
-        yx = lie_bracket(y, x)
-        assert xy.functional == -yx.functional
-        jacobi = (
-            lie_bracket(x, lie_bracket(y, z)).functional
-            + lie_bracket(y, lie_bracket(z, x)).functional
-            + lie_bracket(z, lie_bracket(x, y)).functional
-        )
-        assert not jacobi.values
+        assert_lie_laws(*(random_infinitesimal(CK, RATIONAL, 5, rng) for _ in range(3)))
+
+
+def test_lie_bracket_skips_the_membership_recheck(monkeypatch):
+    """The bracket is zero on the unit and on products by construction, so it
+    wraps its result without calling ``infinitesimal_violation``."""
+    rng = random.Random(55)
+    x, y = (random_infinitesimal(CK, RATIONAL, 5, rng) for _ in range(2))
+    calls = []
+    original = characters.infinitesimal_violation
+
+    def counting(phi):
+        calls.append(1)
+        return original(phi)
+
+    monkeypatch.setattr(characters, "infinitesimal_violation", counting)
+    xy = lie_bracket(x, y)
+    assert not calls
+    assert is_infinitesimal(xy.functional)
+
+
+@pytest.mark.parametrize(
+    "hopf,ring,truncation",
+    [(CK, RATIONAL, 6), (CK, SERIES_RING, 5), (tensor_hopf(3), RATIONAL, 5)],
+    ids=["ck/rational", "ck/series", "tensor3/rational"],
+)
+def test_char_bch_equals_the_full_basis_bch(hopf, ring, truncation):
+    """BCH on the unit and the generators equals log(exp(x) * exp(y)) over
+    the whole basis, for random x and y and with a zero argument."""
+    rng = random.Random(56)
+    zero = InfinitesimalCharacter(TruncatedFunctional(hopf, ring, truncation))
+    pairs = [(random_infinitesimal(hopf, ring, truncation, rng),
+              random_infinitesimal(hopf, ring, truncation, rng)) for _ in range(3)]
+    for x, y in pairs + [(pairs[0][0], zero), (zero, pairs[0][1])]:
+        combined = char_bch(x, y)
+        assert combined.functional == bch(x.functional, y.functional), (x, y)
+        assert is_infinitesimal(combined.functional)
+
+
+def test_char_bch_on_the_tensor_algebra_adds_the_letter_vectors():
+    """tensor(2)'s character group is abelian, so BCH is the sum."""
+    rng = random.Random(57)
+    for _ in range(3):
+        x, y = (random_infinitesimal(T2, RATIONAL, 7, rng) for _ in range(2))
+        assert char_bch(x, y).functional == x.functional + y.functional
+
+
+def test_char_bch_bilinear_part_is_half_the_bracket():
+    """For x in degree p and y in degree q, char_bch(x, y) is x + y below
+    degree p + q and half the bracket in degree p + q."""
+    rng = random.Random(58)
+    for p, q in ((1, 1), (1, 2), (2, 3), (2, 2)):
+        x, y = (InfinitesimalCharacter(project(random_infinitesimal(CK, RATIONAL, 5, rng)
+                                               .functional, d)) for d in (p, q))
+        combined = char_bch(x, y).functional
+        for d in range(p + q):
+            assert project(combined, d) == project(x.functional + y.functional, d), (p, q, d)
+        half_bracket = lie_bracket(x, y).functional.scale(Fraction(1, 2))
+        assert project(combined, p + q) == project(half_bracket, p + q), (p, q)
 
 
 def test_butcher_compose_direct():
@@ -358,17 +418,7 @@ def test_group_axioms_at_n6_hundred_triples():
 def test_bracket_laws_over_series_ring():
     rng = random.Random(54)
     for _ in range(3):
-        x = random_infinitesimal(CK, SERIES_RING, 4, rng)
-        y = random_infinitesimal(CK, SERIES_RING, 4, rng)
-        z = random_infinitesimal(CK, SERIES_RING, 4, rng)
-        xy = lie_bracket(x, y)  # constructor asserts closure
-        assert xy.functional == -lie_bracket(y, x).functional
-        jacobi = (
-            lie_bracket(x, lie_bracket(y, z)).functional
-            + lie_bracket(y, lie_bracket(z, x)).functional
-            + lie_bracket(z, lie_bracket(x, y)).functional
-        )
-        assert not jacobi.values
+        assert_lie_laws(*(random_infinitesimal(CK, SERIES_RING, 4, rng) for _ in range(3)))
 
 
 def test_tensor_iso():

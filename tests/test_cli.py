@@ -1,20 +1,23 @@
 import json
+import os
+import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import hopfchar
 from hopfchar import cli
 from hopfchar.characters import butcher_compose, char_from_tree_values, char_mul, tree_values
 from hopfchar.convolution import TruncatedFunctional, conv_unit, delta
 from hopfchar.evolution import FunctionalCurve
 from hopfchar.hopf import ck_hopf
 from hopfchar.rings import RATIONAL
-from hopfchar.series import exp
 from hopfchar.trees import Forest, LEAF, parse_tree
 
-from helpers import antipode_by_edge_partitions
+from helpers import antipode_by_edge_partitions, exp
 
 CK = ck_hopf()
 CHAIN = parse_tree("[[]]")
@@ -444,10 +447,53 @@ def test_malformed_json_shape_is_parse_error(tmp_path, capsys, op, data):
 def test_unread_options_are_refused(tmp_path, capsys):
     path = write_functional(tmp_path, LEAF_CHAR)
     for extra in (["-N", "2"], ["--ring", "series:3"], ["--hopf", "ck"]):
-        with pytest.raises(SystemExit) as exit_info:
-            cli.main(["char", "inv", path, *extra])
-        assert exit_info.value.code != 0
-        assert capsys.readouterr().out == ""
+        assert run_error(capsys, ["char", "inv", path, *extra]) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["char", "nosuch", "a.json"],
+    ["trees", "--max-order", "x"],
+    ["structure", "[[]]"],
+    ["trees", "--max-order", "1", "--bogus"],
+    ["char", "evolve", "a.json", "--t"],
+], ids=["unknown-op", "non-integer-order", "missing-which", "unknown-option", "bare-t"])
+def test_usage_errors_are_parse_errors(capsys, argv):
+    assert run_error(capsys, argv) == 1
+
+
+def test_help_prints_usage_and_exits_0(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["trees", "--help"])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: hopfchar trees")
+
+
+def run_in_locale(argv, cwd, **overrides):
+    """``hopfchar argv`` in a fresh interpreter under the C locale, with UTF-8
+    mode off and then the environment ``overrides``."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONIOENCODING"}
+    env.update(LC_ALL="C", PYTHONUTF8="0",
+               PYTHONPATH=str(Path(hopfchar.__file__).resolve().parent.parent), **overrides)
+    return subprocess.run([sys.executable, "-m", "hopfchar.cli", *argv], capture_output=True,
+                          cwd=cwd, env=env, timeout=60)
+
+
+COPRODUCT = ["structure", "[[]]", "--which", "coproduct"]
+
+
+@pytest.mark.parametrize("env", [{}, {"PYTHONIOENCODING": "cp1252"}], ids=["ascii", "cp1252"])
+def test_output_that_stdout_cannot_encode_is_an_io_error(tmp_path, env):
+    done = run_in_locale(COPRODUCT, tmp_path, **env)
+    assert done.returncode == 1 and done.stdout == b""
+    lines = done.stderr.decode("ascii").splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), done.stderr
+
+
+def test_out_file_is_utf_8_in_any_locale(tmp_path):
+    done = run_in_locale([*COPRODUCT, "--out", "out.txt"], tmp_path)
+    assert (done.returncode, done.stdout, done.stderr) == (0, b"", b"")
+    assert (tmp_path / "out.txt").read_bytes().decode("utf-8").splitlines() == [
+        "1 ⊗ [[]]", "[] ⊗ []", "[[]] ⊗ 1"]
 
 
 @pytest.mark.parametrize(

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import (FractionPoly, assert_solves_evolution_ode, evolve_polynomials_by_dict,
+from helpers import (FractionPoly, assert_solves_evolution_ode, evolve_polynomials_by_dict, exp,
                      poly_coefficients, split)
 from hopfchar.characters import InfinitesimalCharacter, char_exp, char_unit
 from hopfchar.convolution import TruncatedFunctional, conv_unit, convolve, delta
@@ -13,7 +13,6 @@ from hopfchar.evolution import (FunctionalCurve, Poly, _sum_products, evol, evol
 from hopfchar.hopf import ck_hopf, tensor_hopf
 from hopfchar.rings import RATIONAL, TruncatedSeriesRing
 from sampling import random_infinitesimal, random_ring_element
-from hopfchar.series import exp
 from hopfchar.trees import Forest, LEAF, parse_tree
 
 CK = ck_hopf()

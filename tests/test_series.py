@@ -8,11 +8,11 @@ from hopfchar.errors import AugmentationError
 from hopfchar.hopf import ck_hopf, tensor_hopf
 from hopfchar.rings import RATIONAL, TruncatedSeriesRing
 from sampling import random_ideal_element, random_invertible
-from hopfchar.series import apply_series, bch, exp, exp_series, log, log1p_series
+from hopfchar.series import apply_series, exp_series, log1p_series
 from hopfchar.trees import Forest, LEAF, parse_tree
 
-from helpers import (apply_series_by_dict, apply_series_raw, geometric_series, project,
-                     schoolbook_product)
+from helpers import (apply_series_by_dict, apply_series_raw, bch, exp, geometric_series, log,
+                     project, schoolbook_product)
 
 CK = ck_hopf()
 T2 = tensor_hopf(2)
