@@ -38,7 +38,7 @@ class _Parser(argparse.ArgumentParser):
     subparsers are of the same class."""
 
     def error(self, message):
-        raise ParseError(f"{self.prog}: {message}", 0)
+        raise ParseError(f"{self.prog}: {message}")
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -99,9 +99,9 @@ def _load_json(path: str) -> dict:
         try:
             data = json.load(handle)
         except (ValueError, RecursionError) as err:  # a JSONDecodeError is a ValueError
-            raise ParseError(f"{path}: {err}", getattr(err, "pos", 0)) from None
+            raise ParseError(f"{path}: {err}", getattr(err, "pos", None)) from None
     if not isinstance(data, dict):
-        raise ParseError(f"{path}: expected a JSON object at the top level", 0)
+        raise ParseError(f"{path}: expected a JSON object at the top level")
     return data
 
 
@@ -154,7 +154,7 @@ def _cmd_char(args) -> str:
     op = args.op
     count, files = (2, "two input files") if op == "mul" else (1, "one input file")
     if len(args.inputs) != count:
-        raise ParseError(f"{op} needs exactly {files}", 0)
+        raise ParseError(f"{op} needs exactly {files}")
     if op == "mul":
         phi = Character(TruncatedFunctional.from_json_dict(_load_json(args.inputs[0])))
         psi = Character(TruncatedFunctional.from_json_dict(_load_json(args.inputs[1])))
@@ -175,7 +175,7 @@ def _cmd_char(args) -> str:
         return evolve(curve, RATIONAL.parse_element(args.t)).to_json()
     if op == "apply":
         if not args.series:
-            raise ParseError("apply needs --series \"c0,c1,...\"", 0)
+            raise ParseError("apply needs --series \"c0,c1,...\"")
         functional = TruncatedFunctional.from_json_dict(_load_json(args.inputs[0]))
         series = [parse_rational(p) for p in args.series.split(",")]
         return apply_series(series, functional).to_json()

@@ -221,7 +221,7 @@ class TruncatedFunctional:
 def parse_truncation(value) -> int:
     """The ``truncation`` field of a JSON payload: an integer >= 0."""
     if type(value) is not int:
-        raise ParseError(f"truncation must be an integer, got {value!r}", 0)
+        raise ParseError(f"truncation must be an integer, got {value!r}")
     if value < 0:
         raise DomainError(f"truncation must be >= 0, got {value}")
     return value
@@ -246,9 +246,9 @@ def json_field(data: dict, field: str):
     """``data[field]``; a payload that is not a JSON object, or lacks the
     field, is a ``ParseError`` (naming the field when it is missing)."""
     if not isinstance(data, dict):
-        raise ParseError("expected a JSON object", 0)
+        raise ParseError("expected a JSON object")
     if field not in data:
-        raise ParseError(f"missing field {field!r}", 0)
+        raise ParseError(f"missing field {field!r}")
     return data[field]
 
 
@@ -259,7 +259,7 @@ def json_entries(data: dict, field: str, container: type, item: type, default=No
     if not isinstance(value, container) or not all(
         isinstance(v, item) for v in (value.values() if container is dict else value)
     ):
-        raise ParseError(f"{field} must be a JSON {container.__name__} of {item.__name__}", 0)
+        raise ParseError(f"{field} must be a JSON {container.__name__} of {item.__name__}")
     return value
 
 
@@ -271,7 +271,7 @@ def json_values(data: dict, field: str, parse_key, parse_value) -> dict:
     for key, text in json_entries(data, field, dict, str, {}).items():
         element = parse_key(key)
         if element in keys:
-            raise ParseError(f"{field} keys {keys[element]!r} and {key!r} both name {element}", 0)
+            raise ParseError(f"{field} keys {keys[element]!r} and {key!r} both name {element}")
         keys[element] = key
         values[element] = parse_value(text)
     return values

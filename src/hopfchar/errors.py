@@ -19,10 +19,10 @@ class AlgebraError(Exception):
 
 
 class ParseError(AlgebraError):
-    """Malformed textual input; carries the byte offset of the failure."""
+    """Malformed textual input; ``offset`` is where in the text it failed, if known."""
 
-    def __init__(self, message: str, offset: int):
-        super().__init__(f"{message} (at offset {offset})")
+    def __init__(self, message: str, offset: int | None = None):
+        super().__init__(message if offset is None else f"{message} (at offset {offset})")
         self.offset = offset
 
 

@@ -202,7 +202,7 @@ class FunctionalCurve:
     def from_json_dict(data: dict) -> "FunctionalCurve":
         coeffs = json_entries(data, "coeffs", list, dict)
         if not coeffs:
-            raise ParseError("coeffs must be a nonempty JSON list", 0)
+            raise ParseError("coeffs must be a nonempty JSON list")
         return FunctionalCurve(TruncatedFunctional.from_json_dict(entry) for entry in coeffs)
 
 

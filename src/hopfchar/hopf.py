@@ -408,7 +408,7 @@ class TensorHopf(HopfStructure):
     def _parse_basis(self, text: str) -> Word:
         word = parse_word(text)
         if any(i >= self.dimension for i in word.letters):
-            raise ParseError(f"generator index out of range for {self.key}", 0)
+            raise ParseError(f"generator index out of range for {self.key}")
         return word
 
     def __repr__(self) -> str:
@@ -438,5 +438,5 @@ def resolve_hopf(key: str) -> HopfStructure:
                     return tensor_hopf(int(digits))
             except ValueError:  # too many digits
                 pass
-            raise ParseError(f"bad Hopf algebra id {key!r}", 0)
-    raise ParseError(f"unknown Hopf algebra id {key!r}", 0)
+            raise ParseError(f"bad Hopf algebra id {key!r}")
+    raise ParseError(f"unknown Hopf algebra id {key!r}")

@@ -72,10 +72,10 @@ def parse_rational(text: str) -> Fraction:
         if "e" in text or "E" in text:  # skip the regex on most literals
             limit, match = sys.get_int_max_str_digits(), _EXPONENT.search(text)
             if limit and match and abs(int(match[1])) > limit:
-                raise ParseError(f"bad rational {text!r}: exponent magnitude over {limit}", 0)
+                raise ParseError(f"bad rational {text!r}: exponent magnitude over {limit}")
         return Fraction(text)
     except (TypeError, ValueError, ZeroDivisionError):  # not text, not a rational, too long
-        raise ParseError(f"bad rational {text!r}", 0) from None
+        raise ParseError(f"bad rational {text!r}") from None
 
 
 def format_rational(q: Fraction, where="a basis element") -> str:
@@ -285,5 +285,5 @@ def resolve_ring(key: str):
                 return TruncatedSeriesRing(int(digits))
         except ValueError:  # too many digits
             pass
-        raise ParseError(f"bad ring id {key!r} (want series:M with M >= 1)", 0)
-    raise ParseError(f"unknown ring id {key!r}", 0)
+        raise ParseError(f"bad ring id {key!r} (want series:M with M >= 1)")
+    raise ParseError(f"unknown ring id {key!r}")

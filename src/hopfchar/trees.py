@@ -18,8 +18,9 @@ empty forest serializes as ``"1"``.
 
 All values are immutable after construction.  The trees and forests of each
 order, the subtrees and the edge partitions are memoized with
-``functools.cache`` and need no lock: threads racing on a new entry each
-build it, and they store equal values.
+``functools.cache``; the parser interns each tree of order <= 12 it builds
+(at most 7,813 trees, about 2 MB).  None needs a lock: threads racing on a
+new entry each build it, and they store equal values.
 """
 
 from __future__ import annotations
@@ -112,28 +113,40 @@ def _skip_ws(text: str, pos: int) -> int:
     return pos
 
 
+#: Each tree of order <= ``DEFAULT_ORDER_CAP`` that a parse built, by serial.
+_PARSED: dict[str, RootedTree] = {}
+
+
 def _parse_tree_at(text: str, pos: int, spent: int = 0) -> tuple[RootedTree, int, int]:
     """The tree whose '[' is at pos, the offset after its ']', and ``spent``
-    plus the bytes of the serials built for it.  An explicit stack holds the
-    children of each open '[', so depth costs no frames.  Every subtree keeps
-    its serial, so d open brackets will cost about d^2 bytes; the parse is
-    refused once that plus ``spent`` passes ``SIZE_BUDGET``."""
-    stack: list[list[RootedTree]] = []
+    plus the bytes of its subtrees' serials.  An explicit stack holds the
+    offset and children of each open '[', so depth costs no frames.  At each
+    ']' the text back to its '[' is looked up in ``_PARSED``: a canonical
+    subtree met before is reused.  Every subtree keeps its serial, hit or
+    miss, so d open brackets cost about d^2 bytes; the parse is refused once
+    that plus ``spent`` passes ``SIZE_BUDGET``."""
+    stack: list[tuple[int, list[RootedTree]]] = []
     while True:
         if pos >= len(text) or text[pos] != "[":
             raise ParseError("expected '['", pos)
-        stack.append([])
+        stack.append((pos, []))
         pos = _skip_ws(text, pos + 1)
         while True:
             if spent + len(stack) ** 2 > SIZE_BUDGET:
                 raise ResourceLimitError(f"tree serials exceed {SIZE_BUDGET} bytes")
             if pos >= len(text) or text[pos] != "]":
                 break
-            tree = RootedTree(stack.pop())
+            left, kids = stack.pop()
+            # no tree of order <= the cap has a serial 3 * cap long
+            tree = _PARSED.get(text[left:pos + 1]) if pos - left < 3 * DEFAULT_ORDER_CAP else None
+            if tree is None:
+                tree = RootedTree(kids)
+                if tree.order <= DEFAULT_ORDER_CAP:
+                    tree = _PARSED.setdefault(tree.serial, tree)
             spent += len(tree.serial)
             if not stack:
                 return tree, pos + 1, spent
-            stack[-1].append(tree)
+            stack[-1][1].append(tree)
             pos = _skip_ws(text, pos + 1)
         if pos >= len(text):
             raise ParseError("unclosed '['", pos)
@@ -145,6 +158,8 @@ def parse_tree(text: str) -> RootedTree:
     Raises ``ParseError`` (with byte offset) on malformed input, and
     ``ResourceLimitError`` past the serial budget (a chain ~1,400 deep).
     """
+    if (tree := _PARSED.get(text)) is not None:
+        return tree
     pos = _skip_ws(text, 0)
     tree, pos, _ = _parse_tree_at(text, pos)
     pos = _skip_ws(text, pos)

@@ -461,6 +461,22 @@ def test_usage_errors_are_parse_errors(capsys, argv):
     assert run_error(capsys, argv) == 1
 
 
+def test_error_lines_name_an_offset_only_where_the_input_has_one(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"hopf": }')
+    for argv, line in [
+        (["trees", "--max-order", "x"],
+         "hopfchar trees: argument --max-order: invalid int value: 'x'"),
+        (["structure", "v0v2", "--which", "coproduct", "--hopf", "tensor(2)"],
+         "generator index out of range for tensor(2)"),
+        (["char", "inv", str(bad)],
+         f"{bad}: Expecting value: line 1 column 10 (char 9) (at offset 9)"),
+        (["structure", "[[]", "--which", "coproduct"], "unclosed '[' (at offset 3)"),
+    ]:
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {line}"]
+
+
 def test_help_prints_usage_and_exits_0(capsys):
     with pytest.raises(SystemExit) as exit_info:
         cli.main(["trees", "--help"])
@@ -536,7 +552,7 @@ def test_evolve_bad_end_time_is_parse_error(tmp_path, capsys, t):
 def test_missing_field_is_named(tmp_path, capsys):
     data = {k: v for k, v in LEAF_CHAR.items() if k != "hopf"}
     assert cli.main(["char", "inv", write_payload(tmp_path, data)]) == 1
-    assert capsys.readouterr().err.splitlines() == ["error: missing field 'hopf' (at offset 0)"]
+    assert capsys.readouterr().err.splitlines() == ["error: missing field 'hopf'"]
 
 
 @pytest.mark.parametrize("op, count", [("mul", 1), ("mul", 3), ("inv", 3), ("exp", 2),
@@ -551,7 +567,7 @@ def test_input_file_count_is_checked(tmp_path, capsys, op, count):
     assert cli.main(["char", op, *inputs, *extra]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.splitlines() == [f"error: {op} needs exactly {wanted} (at offset 0)"]
+    assert captured.err.splitlines() == [f"error: {op} needs exactly {wanted}"]
 
 
 @pytest.mark.parametrize("truncation", [0, 1])

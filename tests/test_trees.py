@@ -81,11 +81,83 @@ def _parse_outcomes(texts) -> list:
 
 def test_stack_parser_agrees_with_the_recursive_parser(monkeypatch):
     # every string of length <= 7 over "[", "]", " ", "1": results, messages
-    # and offsets as the parser that recurses once per nesting level gives them
+    # and offsets as the parser that recurses once per nesting level gives
+    # them, on an empty intern table and again on the table the first pass filled
     texts = ["".join(chars) for n in range(8) for chars in itertools.product("[] 1", repeat=n)]
-    got = _parse_outcomes(texts)
+    monkeypatch.setattr(trees, "_PARSED", {})
+    cold = _parse_outcomes(texts)
+    assert trees._PARSED
+    warm = _parse_outcomes(texts)
+    monkeypatch.setattr(trees, "_PARSED", {})
     monkeypatch.setattr(trees, "_parse_tree_at", parse_tree_at_by_recursion)
-    assert got == _parse_outcomes(texts)
+    assert cold == warm == _parse_outcomes(texts)
+    assert not trees._PARSED
+
+
+def test_parse_interns_each_tree_once(monkeypatch):
+    monkeypatch.setattr(trees, "_PARSED", {})
+    tree = parse_tree("[[] [[]]]")
+    assert parse_tree("[[] [[]]]") is tree
+    assert parse_tree("[[[]] []]") is tree
+    assert parse_tree(" [ [] [ [ ] ] ]\n") is tree
+    assert any(t is tree for t in parse_forest("[[]] [[[]] []]"))
+    assert tree.children == (parse_tree("[]"), parse_tree("[[]]"))
+    assert all(child is parse_tree(child.serial) for child in tree.children)
+
+
+def test_intern_table_holds_canonical_keys_up_to_the_order_cap(monkeypatch):
+    monkeypatch.setattr(trees, "_PARSED", {})
+    for text in [" [ [] ] ", "[[[]] []]", "[[] [[]]]", "[" * 1000 + "]" * 1000]:
+        parse_tree(text)
+    table = trees._PARSED
+    assert all(key == tree.serial and tree.order <= trees.DEFAULT_ORDER_CAP
+               for key, tree in table.items())
+    chains = {"[" * k + "]" * k for k in range(1, trees.DEFAULT_ORDER_CAP + 1)}
+    assert set(table) == chains | {"[[] [[]]]"}
+
+
+class _RecordingDict(dict):
+    """A dict that records the keys it is asked for with ``get``."""
+
+    def __init__(self):
+        super().__init__()
+        self.asked: list[str] = []
+
+    def get(self, key, default=None):
+        self.asked.append(key)
+        return super().get(key, default)
+
+
+def test_parse_looks_up_only_texts_short_enough_to_be_interned(monkeypatch):
+    # a tree of order n serializes in at most 3n - 2 bytes, so longer text is
+    # never looked up: the whitespace inside a deep chain is read once, not
+    # once per enclosing bracket
+    table = _RecordingDict()
+    monkeypatch.setattr(trees, "_PARSED", table)
+    cap = trees.DEFAULT_ORDER_CAP
+    assert parse_forest("[" * 100 + " " * 10_000 + "]" * 100).degree == 100
+    assert table.asked == [] and set(table) == {"[" * k + "]" * k for k in range(1, cap + 1)}
+    star = parse_tree("[" + " ".join(["[]"] * (cap - 1)) + "]")
+    assert len(star.serial) == 3 * cap - 2 and table[star.serial] is star
+    assert table.asked[-1] == star.serial and all(len(key) < 3 * cap for key in table.asked)
+
+
+@pytest.mark.parametrize("fits, refused", [((1414,), (1415,)), ((424, 1348), (424, 1349))],
+                         ids=["one-chain", "two-chains"])
+def test_serial_budget_is_the_same_cold_and_warm(monkeypatch, fits, refused):
+    # d open brackets count d^2 bytes, and a chain d deep then keeps d(d+1)
+    # bytes of serials, hit or miss: 424 * 425 + 1349^2 is the budget plus 1
+    def chains(depths):
+        return " ".join("[" * d + "]" * d for d in depths)
+
+    parses = [parse_forest] + ([parse_tree] if len(fits) == 1 else [])
+    monkeypatch.setattr(trees, "_PARSED", {})
+    for _ in range(2):  # on an empty table, then on the table the first pass filled
+        for parse in parses:
+            assert parse(chains(fits)).serial == chains(fits)
+            with pytest.raises(ResourceLimitError, match=f"exceed {SIZE_BUDGET} bytes"):
+                parse(chains(refused))
+    assert len(trees._PARSED) == trees.DEFAULT_ORDER_CAP
 
 
 def test_parse_nesting_deeper_than_the_recursion_limit():
@@ -329,6 +401,46 @@ def test_repr_and_str():
     assert str(CHAIN) == "[[]]"
     assert str(parse_forest("[[]] []")) == "[] [[]]"
     assert str(EMPTY_FOREST) == "1"
+
+
+def test_concurrent_parses_share_one_tree_per_serial(monkeypatch):
+    # Eight threads parse one key list at once on an emptied intern table
+    # while the interpreter switches threads as often as it can.  Racing
+    # parses may each build a tree, and the table keeps one of them: every
+    # subtree of every result is the table's own tree for its serial.
+    import sys
+    import threading
+
+    keys = ([(parse_tree, t.serial) for t in all_trees(8)]
+            + [(parse_forest, f.serial) for d in range(1, 7) for f in enumerate_forests(d)]
+            + [(parse_tree, "[[[]] []]"), (parse_tree, " [ [] ] "), (parse_forest, "[[]] []")])
+    expected = [parse(text) for parse, text in keys]
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        for _ in range(10):
+            monkeypatch.setattr(trees, "_PARSED", {})
+            results = []
+            threads = [threading.Thread(
+                target=lambda: results.append([parse(text) for parse, text in keys]))
+                for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert results == [expected] * 8
+            table, pending = trees._PARSED, [t for result in results for x in result
+                                             for t in getattr(x, "trees", (x,))]
+            seen = set()
+            while pending:
+                tree = pending.pop()
+                assert table[tree.serial] is tree
+                seen.add(tree.serial)
+                pending.extend(tree.children)
+            assert seen == set(table)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_concurrent_first_enumeration_agrees():
