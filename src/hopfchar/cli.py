@@ -43,7 +43,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("text", "json"), default="text")
+    common.add_argument("--format", choices=("text", "json"))
     common.add_argument("--out", help="output file (default stdout)")
 
     parser = _Parser(
@@ -70,8 +70,7 @@ def _parser() -> argparse.ArgumentParser:
         choices=("mul", "inv", "exp", "log", "evolve", "symplectic", "apply"),
     )
     p_char.add_argument("inputs", nargs="+", help="input JSON file paths")
-    p_char.add_argument("--t", default="1",
-                        help="evolution end time as a rational (default 1)")
+    p_char.add_argument("--t", help="evolution end time as a rational (default 1)")
     p_char.add_argument("--series",
                         help='series literal "c0,c1,..." for the apply op')
     return parser
@@ -150,8 +149,15 @@ def _cmd_structure(args) -> str:
     return "\n".join(lines)
 
 
+#: The one ``char`` op that reads each of these options; the others refuse it.
+_READ_BY = {"t": "evolve", "series": "apply", "format": "symplectic"}
+
+
 def _cmd_char(args) -> str:
     op = args.op
+    for option, reader in _READ_BY.items():
+        if getattr(args, option) is not None and op != reader:
+            raise ParseError(f"{op} does not read --{option}")
     count, files = (2, "two input files") if op == "mul" else (1, "one input file")
     if len(args.inputs) != count:
         raise ParseError(f"{op} needs exactly {files}")
@@ -172,7 +178,7 @@ def _cmd_char(args) -> str:
         return char_log(psi).functional.to_json()
     if op == "evolve":
         curve = FunctionalCurve.from_json_dict(_load_json(args.inputs[0]))
-        return evolve(curve, RATIONAL.parse_element(args.t)).to_json()
+        return evolve(curve, RATIONAL.parse_element("1" if args.t is None else args.t)).to_json()
     if op == "apply":
         if not args.series:
             raise ParseError("apply needs --series \"c0,c1,...\"")

@@ -94,9 +94,6 @@ class TruncatedFunctional:
             and self.values == other.values
         )
 
-    def __hash__(self):
-        raise TypeError("TruncatedFunctional is not hashable")
-
     def __repr__(self) -> str:
         items = ", ".join(
             f"{b.serial}: {self.ring.format_element(v)}"

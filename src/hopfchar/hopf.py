@@ -66,19 +66,20 @@ EMPTY_WORD = Word()
 
 
 def parse_word(text: str) -> Word:
-    text = text.strip()
-    if text == "1":
+    """``v<i>v<j>...`` or ``1``, blanks around it allowed; offsets index ``text``."""
+    pos = len(text) - len(text.lstrip())
+    end = pos + len(text.strip())
+    if text[pos:end] == "1":
         return EMPTY_WORD
-    if not text:
+    if pos == end:
         raise ParseError("empty word input (use '1')", 0)
     letters: list[int] = []
-    pos = 0
-    while pos < len(text):
+    while pos < end:
         if text[pos] != "v":
             raise ParseError("expected 'v'", pos)
         pos += 1
         start = pos
-        while pos < len(text) and text[pos] in "0123456789":  # ASCII digits only
+        while pos < end and text[pos] in "0123456789":  # ASCII digits only
             pos += 1
         if pos == start:
             raise ParseError("expected generator index", pos)
@@ -311,11 +312,6 @@ class HopfStructure:
             self._serials.update((b.serial, b) for b in table.basis)
             self._tables[max_degree] = table
         return table
-
-    def generators(self, max_degree: int) -> list:
-        """The generators of degree 1..max_degree, in basis order."""
-        table = self.table(max_degree)
-        return [table.basis[i] for i in table.generators]
 
     def coproduct(self, basis) -> tuple:
         """Delta(basis) as ``(Fraction, left, right)`` terms; builds no table."""

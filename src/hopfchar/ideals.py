@@ -1,6 +1,9 @@
 """Homogeneous Hopf ideals given by finite generator sets, and the annihilator
 subgroups they cut out of the character group.
 
+A ``HopfIdealSpec`` is built in Python from ``GradedVector`` generators; it has
+no JSON form, since no CLI command reads an ideal.
+
 A character (or infinitesimal character) annihilates the generated ideal as
 soon as it vanishes on the generators of degree <= N: characters are
 multiplicative, so values on products of a generator vanish, and infinitesimal
@@ -22,7 +25,6 @@ larger N is built per call (N = 12 would keep 10 MB, N = 13 27 MB).
 
 from __future__ import annotations
 
-import json
 from typing import Mapping, Union
 
 from .characters import (
@@ -31,9 +33,8 @@ from .characters import (
     character_violation,
     infinitesimal_violation,
 )
-from .convolution import json_entries, json_field, json_values
 from .errors import IdealError, IncompatibleError, MembershipError
-from .hopf import GradedVector, HopfStructure, ck_hopf, resolve_hopf
+from .hopf import GradedVector, HopfStructure, ck_hopf
 from .rings import RATIONAL
 from .trees import Forest, RootedTree, butcher_product, enumerate_trees
 
@@ -60,29 +61,6 @@ class HopfIdealSpec:
 
     def generators_upto(self, degree: int) -> tuple[GradedVector, ...]:
         return tuple(g for g, d in zip(self.generators, self.degrees) if d <= degree)
-
-    def to_json_dict(self) -> dict:
-        key = lambda kv: (kv[0].degree, kv[0].serial)
-        return {"hopf": self.hopf.key,
-                "generators": [{basis.serial: str(coeff) for basis, coeff in sorted(gen, key=key)}
-                               for gen in self.generators]}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
-
-    @staticmethod
-    def from_json_dict(data: dict) -> "HopfIdealSpec":
-        hopf = resolve_hopf(json_field(data, "hopf"))
-        gens = [
-            GradedVector(json_values({"generators": entry}, "generators", hopf.parse_basis,
-                                     RATIONAL.parse_element).items())
-            for entry in json_entries(data, "generators", list, dict, [])
-        ]
-        return HopfIdealSpec(hopf, gens)
-
-    @staticmethod
-    def from_json(text: str) -> "HopfIdealSpec":
-        return HopfIdealSpec.from_json_dict(json.loads(text))
 
     def __repr__(self) -> str:
         return f"HopfIdealSpec({self.hopf.key}, {len(self.generators)} generators)"

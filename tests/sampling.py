@@ -87,14 +87,16 @@ def random_tree_values(
 def random_character(
     hopf: HopfStructure, ring, truncation: int, rng: random.Random
 ) -> Character:
-    values = {g: random_ring_element(ring, rng) for g in hopf.generators(truncation)}
+    table = hopf.table(truncation)
+    values = {table.basis[i]: random_ring_element(ring, rng) for i in table.generators}
     return char_from_generator_values(values, hopf, truncation, ring)
 
 
 def random_infinitesimal(
     hopf: HopfStructure, ring, truncation: int, rng: random.Random
 ) -> InfinitesimalCharacter:
-    values = {g: random_ring_element(ring, rng) for g in hopf.generators(truncation)}
+    table = hopf.table(truncation)
+    values = {table.basis[i]: random_ring_element(ring, rng) for i in table.generators}
     return InfinitesimalCharacter(TruncatedFunctional(hopf, ring, truncation, values))
 
 

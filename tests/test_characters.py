@@ -103,6 +103,14 @@ def test_wrappers_repr_and_compare_by_class_and_functional():
     assert Character(unit) != unit
 
 
+def test_functionals_and_wrappers_are_unhashable():
+    """They compare by value, and a functional's values may change."""
+    unit, d = conv_unit(CK, RATIONAL, 3), delta(CK, RATIONAL, 3, F_LEAF)
+    for value in (unit, Character(unit), InfinitesimalCharacter(d)):
+        with pytest.raises(TypeError):
+            hash(value)
+
+
 def test_char_from_tree_values():
     unit = char_from_tree_values({}, 4)
     assert unit.functional == conv_unit(CK, RATIONAL, 4)

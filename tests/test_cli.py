@@ -446,8 +446,23 @@ def test_malformed_json_shape_is_parse_error(tmp_path, capsys, op, data):
 
 def test_unread_options_are_refused(tmp_path, capsys):
     path = write_functional(tmp_path, LEAF_CHAR)
-    for extra in (["-N", "2"], ["--ring", "series:3"], ["--hopf", "ck"]):
+    for extra in (["-N", "2"], ["--ring", "series:3"], ["--hopf", "ck"],
+                  ["--t", "5"], ["--series", "1,2"], ["--format", "json"]):
         assert run_error(capsys, ["char", "inv", path, *extra]) == 1
+    # --t only on evolve, --series only on apply, --format only on symplectic,
+    # refused before any input file is read
+    missing = str(tmp_path / "missing.json")
+    for op, option, value, name in [("mul", "--t", "1", "--t"),
+                                    ("evolve", "--series", "1", "--series"),
+                                    ("apply", "--format", "text", "--format"),
+                                    ("symplectic", "--ser", "0,1", "--series"),
+                                    ("exp", "--t=1/2", None, "--t")]:
+        inputs = [missing, missing] if op == "mul" else [missing]
+        argv = ["char", op, *inputs, option] + ([] if value is None else [value])
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {op} does not read {name}"]
 
 
 @pytest.mark.parametrize("argv", [

@@ -16,7 +16,6 @@ from hopfchar.convolution import (
 from hopfchar.errors import IncompatibleError, NotInvertibleError, ParseError, ResourceLimitError
 from hopfchar.evolution import FunctionalCurve
 from hopfchar.hopf import CKHopf, TensorHopf, Word, ck_hopf, tensor_hopf
-from hopfchar.ideals import HopfIdealSpec
 from hopfchar.rings import RATIONAL, TruncatedSeriesRing
 from sampling import (
     random_character,
@@ -243,10 +242,9 @@ def test_wide_series_payload_is_refused_before_the_ring_builds_an_element():
 @pytest.mark.parametrize("payload", ["5", "null", '"x"', "[]"])
 @pytest.mark.parametrize("decode", [
     TruncatedFunctional.from_json,
-    HopfIdealSpec.from_json,
     lambda text: FunctionalCurve.from_json_dict(json.loads(text)),
     lambda text: tree_values_from_json_dict(json.loads(text)),
-], ids=["functional", "ideal", "curve", "tree-values"])
+], ids=["functional", "curve", "tree-values"])
 def test_codecs_refuse_non_objects(decode, payload):
     with pytest.raises(ParseError, match="^expected a JSON object"):
         decode(payload)

@@ -199,7 +199,8 @@ def _curves(hopf, ring, truncation, rng):
         return random_infinitesimal(hopf, ring, truncation, rng).functional
 
     curves = [FunctionalCurve([coefficient() for _ in range(k + 1)]) for k in range(3)]
-    kept = hopf.generators(truncation)[::2]
+    table = hopf.table(truncation)
+    kept = [table.basis[i] for i in table.generators][::2]
     sparse = [TruncatedFunctional(hopf, ring, truncation, {g: c.value(g) for g in kept})
               for c in (coefficient(), coefficient())]
     return curves + [FunctionalCurve(sparse)]
@@ -219,7 +220,8 @@ def test_evolution_matches_per_basis_integration(hopf, ring, truncation):
 def _characters(hopf, ring, truncation, rng):
     """Random characters, and characters with values on every other generator,
     on the top-degree generators only, and on none (the unit)."""
-    gens = hopf.generators(truncation)
+    table = hopf.table(truncation)
+    gens = [table.basis[i] for i in table.generators]
     chars = [random_character(hopf, ring, truncation, rng) for _ in range(3)]
     for kept in (gens[::2], [g for g in gens if g.degree == truncation], []):
         values = {g: random_ring_element(ring, rng) for g in kept}
@@ -250,6 +252,6 @@ def test_factor_table_and_generators_match_split(hopf, ring, truncation):
             for b, f, r in zip(table.basis, table.first, table.rest)] == [
         (b, *split(b)) for b in basis
     ]
-    assert hopf.generators(truncation) == [
+    assert [table.basis[i] for i in table.generators] == [
         b for b in basis if b.degree and not split(b)[1].degree
     ]

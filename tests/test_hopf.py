@@ -50,6 +50,8 @@ def test_word_basics():
     assert EMPTY_WORD.serial == "1"
     assert parse_word("v0v1v0") == w
     assert parse_word("1") == EMPTY_WORD
+    assert parse_word(" 1 ") == EMPTY_WORD
+    assert parse_word("\tv0v1\n") == Word([0, 1])
     assert parse_word("v12") == Word([12])
     with pytest.raises(ParseError):
         parse_word("w0")
@@ -72,6 +74,25 @@ def test_parse_word_takes_only_ascii_digits(text, offset):
     assert info.value.offset == offset
     with pytest.raises(ParseError):
         T2.parse_basis(text)
+
+
+@pytest.mark.parametrize("head, bad, tail, message", [
+    ("  v", "x", "", "expected generator index"),
+    (" v0", " ", "v1", "expected 'v'"),
+    ("\tv0", "w", "", "expected 'v'"),
+    (" \n v1", "*", "v0 ", "expected 'v'"),
+    ("  v", " ", " ", "expected generator index"),
+    ("   ", "w", "0", "expected 'v'"),
+], ids=["bad-index", "inner-blank", "tab-then-bad-letter", "newline-then-bad-letter",
+        "index-missing-before-blank", "bad-first-letter"])
+def test_parse_word_offsets_index_the_key_as_given(head, bad, tail, message):
+    """Blanks around a word are allowed but counted: each offset is the
+    position of the offending character in the text as given."""
+    text = head + bad + tail
+    for parse in (parse_word, T2.parse_basis):
+        with pytest.raises(ParseError, match=message) as info:
+            parse(text)
+        assert info.value.offset == len(head)
 
 
 def test_graded_vector_format():
@@ -410,7 +431,8 @@ def test_multiset_helper_consistency():
 def _first_product(hopf):
     """A character product at truncation 6, which builds the index table of
     degree 6 on first use."""
-    values = {g: Fraction(k + 1, 7) for k, g in enumerate(hopf.generators(6))}
+    table = hopf.table(6)
+    values = {table.basis[i]: Fraction(k + 1, 7) for k, i in enumerate(table.generators)}
     phi = char_from_generator_values(values, hopf, 6)
     return char_mul(phi, phi).functional
 

@@ -20,8 +20,7 @@ from hopfchar.characters import (
     tree_values,
 )
 from hopfchar.convolution import TruncatedFunctional, conv_unit, delta
-from hopfchar.errors import (IdealError, IncompatibleError, MembershipError, ParseError,
-                             ResourceLimitError)
+from hopfchar.errors import IdealError, IncompatibleError, MembershipError, ResourceLimitError
 from hopfchar.hopf import GradedVector, Word, ck_hopf, tensor_hopf
 from hopfchar.ideals import (
     HopfIdealSpec,
@@ -273,33 +272,6 @@ def test_symplectic_ideal_is_coideal_and_antipode_stable():
     for gen, degree in zip(ideal.generators, ideal.degrees):
         assert vector_in_ideal_degree(ideal, antipode_vector(CK, gen), degree)
         assert coproduct_in_coideal(ideal, gen)
-
-
-def test_json_roundtrip():
-    ideal = symplectic_generators(3)
-    data = ideal.to_json_dict()
-    assert data["hopf"] == "ck"
-    restored = HopfIdealSpec.from_json(ideal.to_json())
-    assert [g.format() for g in restored.generators] == [
-        g.format() for g in ideal.generators
-    ]
-
-
-@pytest.mark.parametrize(
-    "payload",
-    [
-        {"generators": []},
-        {"hopf": "ck", "generators": [{"[[]]": "x"}]},
-        {"hopf": "ck", "generators": {"a": 1}},
-        {"hopf": "ck", "generators": [{"[[]]": 2, "[] []": "-1"}]},
-        {"hopf": "ck", "generators": [{"[[]]": "1"}, {"[] []": "1", "[][]": "1"}]},
-    ],
-    ids=["missing-hopf", "bad-coefficient", "generators-object", "number-coefficient",
-         "two-spellings-of-one-term"],
-)
-def test_malformed_ideal_payload_is_parse_error(payload):
-    with pytest.raises(ParseError):
-        HopfIdealSpec.from_json(json.dumps(payload))
 
 
 # -- the memoized pair table and spec ------------------------------------------

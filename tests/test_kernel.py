@@ -80,7 +80,8 @@ def _prime_functional(hopf, ring, truncation):
 
 def _prime_character(hopf, ring, truncation, offset: int = 0):
     """The character with distinct prime denominators on the generators."""
-    values = _prime_values(ring, hopf.generators(truncation), offset)
+    table = hopf.table(truncation)
+    values = _prime_values(ring, [table.basis[i] for i in table.generators], offset)
     return char_from_generator_values(values, hopf, truncation, ring)
 
 
