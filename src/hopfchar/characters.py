@@ -285,6 +285,7 @@ def tree_values_from_json_dict(data: dict):
     truncation = parse_truncation(json_field(data, "truncation"))
     ring = resolve_ring(data.get("ring", "rational"))
     require_value_budget(ck_hopf(), ring, truncation)
+    json_field(data, "trees")  # required: a functional's payload has none
     values = json_values(data, "trees", parse_tree, ring.parse_element)
     return values, truncation, ring
 

@@ -8,12 +8,12 @@ ring's kernel form (a reduced integer pair for a rational, a tuple of pairs
 for a ``series:M`` element, see :mod:`hopfchar.rings`).  ``value_list``
 converts each stored value once, and ``from_value_list`` builds one ring
 element per nonzero entry of a result, so that no ``Fraction`` is built in
-the kernel's loops.  The value at index i is the ring's ``sum_products``
-over the coproduct triples (c, l, r) of basis[i] whose f[l] and g[r] are
-both present.  Because the coproduct respects the grading,
-every degree-n output value only involves inputs of degree <= n, so
-degree-wise truncation is exact: the degree-n part of any result agrees with
-the one computed at any larger truncation.
+the kernel's loops.  The value at index i is the ring's ``sum_row``: the
+sum of c * f[l] * g[r] over the coproduct row of basis[i], its triples
+(c, l, r) with f[l] and g[r] present, with no term list.  Because the
+coproduct respects the grading, every degree-n output value only involves
+inputs of degree <= n, so degree-wise truncation is exact: the degree-n
+part of any result agrees with the one computed at any larger truncation.
 
 A functional is invertible iff its degree-0 value is a ring unit.  The
 inverse is then solved for one basis element at a time in degree order (see
@@ -286,16 +286,9 @@ def delta(hopf: HopfStructure, ring, truncation: int, basis) -> TruncatedFunctio
 
 def convolve_at(table: IndexTable, ring, f: list, g: list, i: int):
     """(f * g)(table.basis[i]) in kernel form, for value lists f and g in
-    basis order (None for zero): ``ring.sum_products`` of (c, f[l], g[r])
-    over the coproduct triples of basis[i] with both values present."""
-    terms = []
-    for c, left, right in table.coproduct[i]:
-        a = f[left]
-        if a is not None:
-            b = g[right]
-            if b is not None:
-                terms.append((c, a, b))
-    return ring.sum_products(terms)
+    basis order (None for zero): ``ring.sum_row`` of the coproduct row of
+    basis[i], summing c * f[l] * g[r] where both values are present."""
+    return ring.sum_row(table.coproduct[i], f, g)
 
 
 def convolve(phi: TruncatedFunctional, psi: TruncatedFunctional) -> TruncatedFunctional:

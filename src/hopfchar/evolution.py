@@ -14,8 +14,8 @@ builder's index bound and extends its generator values at t_end
 multiplicatively, while ``evolve_polynomials`` multiplies them out in t.
 
 A ``Poly`` over Q[X]/X^w is one tuple of integer numerators over one common
-denominator, so the kernel's sum of polynomial products
-(``PolyRing.sum_products``) is one integer convolution and one gcd, and
+denominator, so the kernel's sum of polynomial products over a row
+(``PolyRing.sum_row``) is one integer convolution and one gcd, and
 integration and evaluation make no ``Fraction`` per coefficient; the ring is
 read only through its width and coordinates.  ``Poly.__mul__`` is the
 one-term sum.  Everything stays in exact rational arithmetic; ``evol`` checks
@@ -136,16 +136,14 @@ def _sum_products(ring, terms) -> Poly:
     """The sum of c * p * q over ``(c, p, q)`` in terms, for polynomials over
     Q[X]/X^w: one integer convolution of the numerators over the lcm of the
     products' denominators, keeping a pair of entries t^i X^m1, t^j X^m2
-    only when m1 + m2 < w.  The shorter factor is the outer loop; the longer
-    one gives its entries from ``Poly._masked``."""
-    w, live, dens = ring.width, [], []
+    only when m1 + m2 < w; a zero factor adds nothing.  The shorter factor is
+    the outer loop; the longer one gives its entries from ``Poly._masked``."""
+    w, out = ring.width, []
+    den = lcm(*[p.den * q.den for _c, p, q in terms])
     for c, p, q in terms:
-        if p.nums and q.nums:
-            live.append((c, p, q) if len(p.nums) <= len(q.nums) else (c, q, p))
-            dens.append(p.den * q.den)
-    den, out = lcm(*dens), []
-    for (c, p, q), d in zip(live, dens):
-        c *= den // d
+        c *= den // (p.den * q.den)
+        if len(p.nums) > len(q.nums):
+            p, q = q, p
         out.extend([0] * (len(p.nums) + len(q.nums) - 1 - len(out)))
         masked = q._masked()
         for i, x in enumerate(p.nums):
@@ -158,7 +156,8 @@ def _sum_products(ring, terms) -> Poly:
 
 class PolyRing:
     """R[t] as a kernel ring: a ``Poly`` is its own kernel form, the sum of
-    products is ``_sum_products``, and ``operator.mul`` finds ``Poly.__mul__``."""
+    products over terms or a row is ``_sum_products``, and ``operator.mul``
+    finds ``Poly.__mul__``."""
 
     to_kernel = staticmethod(lambda p: p)
     kernel_mul = staticmethod(operator.mul)
@@ -169,6 +168,11 @@ class PolyRing:
         self.one = Poly(ring, [ring.one])
 
     def sum_products(self, terms) -> Poly:
+        return _sum_products(self.base, terms)
+
+    def sum_row(self, row, f, g) -> Poly:
+        terms = [(c, p, q) for c, left, right in row
+                 if (p := f[left]) is not None and (q := g[right]) is not None]
         return _sum_products(self.base, terms)
 
 

@@ -19,9 +19,13 @@ equality, and a ``series:M`` element is a tuple of M + 1 such pairs.
 ``sum_products(terms)`` is the sum of ``c * a * b`` over a list of
 ``(c, a, b)`` with c a nonzero integer and a, b in kernel form, equal to
 ``to_kernel`` of the fold of ``mul``, ``scale`` and ``add`` from ``zero``
-(``zero`` for no terms).  Over the rationals it is one integer sum over the
-lcm of the term denominators, reduced by one gcd.  A rational product in
-kernel form cancels the two cross gcds, so that no ``Fraction`` is built.
+(``to_kernel(zero)`` for no terms or terms that cancel).  The convolution
+kernel is ``sum_row(row, f, g)``: that sum over the (c, f[l], g[r]) of an
+``IndexTable`` coproduct row's triples (c, l, r) with f[l] and g[r] not
+None, read with no term list.  Over the rationals both are one integer sum
+over the lcm of the term denominators, reduced by one gcd.  A rational
+product in kernel form cancels the two cross gcds, so that no ``Fraction``
+is built.
 
 Both rings are Q[X]/X^w, with w = 1 for the rationals and M + 1 for
 ``series:M``: ``width`` is w, the number of rational coordinates of an
@@ -128,6 +132,19 @@ class RationalRing:
         return num // g, den // g
 
     @staticmethod
+    def sum_row(row, f, g) -> tuple[int, int]:
+        num, den = 0, 1
+        for c, left, right in row:
+            if (a := f[left]) is not None and (b := g[right]) is not None:
+                (na, da), (nb, db) = a, b
+                if den % (d := da * db):
+                    common = lcm(den, d)
+                    num, den = num * (common // den), common
+                num += c * na * nb * (den // d)
+        k = gcd(num, den)
+        return num // k, den // k
+
+    @staticmethod
     def to_kernel(a: Fraction) -> tuple[int, int]:
         return a.as_integer_ratio()
 
@@ -207,6 +224,19 @@ class TruncatedSeriesRing:
     def sum_products(self, terms) -> tuple:
         return tuple(poly_products(terms, self.width))
 
+    def sum_row(self, row, f, g) -> tuple:
+        size, buckets = self.width, defaultdict(list)
+        for c, left, right in row:
+            if (p := f[left]) is not None and (q := g[right]) is not None:
+                nonzero = [(j, b) for j, b in enumerate(q) if b[0]]
+                for i, a in enumerate(p):
+                    if a[0]:
+                        for j, b in nonzero:
+                            if i + j >= size:
+                                break
+                            buckets[i + j].append((c, a, b))
+        return tuple(_bucket_sums(buckets, size))
+
     @staticmethod
     def to_kernel(a) -> tuple:
         return tuple([x.as_integer_ratio() for x in a])
@@ -267,6 +297,10 @@ def poly_products(terms, size: int) -> list:
                     if i + j >= size:
                         break
                     buckets[i + j].append((c, a, b))
+    return _bucket_sums(buckets, size)
+
+
+def _bucket_sums(buckets, size: int) -> list:
     out = [_ZERO_PAIR] * size
     for k, bucket in buckets.items():
         out[k] = RATIONAL.sum_products(bucket)

@@ -570,6 +570,15 @@ def test_missing_field_is_named(tmp_path, capsys):
     assert capsys.readouterr().err.splitlines() == ["error: missing field 'hopf'"]
 
 
+def test_symplectic_refuses_a_functional_file(tmp_path, capsys):
+    """A functional's payload has no ``trees`` field: it is no tree-value map,
+    not the zero map."""
+    assert cli.main(["char", "symplectic", write_payload(tmp_path, LEAF_CHAR)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: missing field 'trees'"]
+
+
 @pytest.mark.parametrize("op, count", [("mul", 1), ("mul", 3), ("inv", 3), ("exp", 2),
                                        ("log", 3), ("evolve", 2), ("apply", 3),
                                        ("symplectic", 3)])

@@ -1,10 +1,11 @@
 """The index-table convolution kernel against the dict-keyed kernel in
 ``helpers``: every operation routed through it returns the oracle's exact
 values, the Lie bracket on generators equals two full convolutions, and every
-ring's ``sum_products`` equals the plain fold."""
+ring's ``sum_products`` and ``sum_row`` equal the plain fold."""
 
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -24,7 +25,7 @@ from helpers import (
 )
 from hopfchar.characters import (butcher_compose, char_from_generator_values, char_inv, char_log,
                                  char_mul, lie_bracket)
-from hopfchar.convolution import TruncatedFunctional, conv_inverse, convolve
+from hopfchar.convolution import TruncatedFunctional, conv_inverse, convolve, convolve_at
 from hopfchar.evolution import FunctionalCurve, Poly, PolyRing, evolve, evolve_polynomials
 from hopfchar.hopf import ck_hopf, tensor_hopf
 from hopfchar.rings import RATIONAL, TruncatedSeriesRing
@@ -232,6 +233,12 @@ def _coefficients(value):
     return value.coefficients if isinstance(value, (Poly, FractionPoly)) else value
 
 
+def _negated(ring, value):
+    if isinstance(value, Poly):
+        return Poly(value.ring, map(value.ring.neg, value.coefficients))
+    return ring.neg(value)
+
+
 def _kernel(ring, value):
     """A ring element in the kernel form that ``sum_products`` takes and
     returns; a ``Poly`` is its own."""
@@ -250,8 +257,7 @@ def test_sum_products_equals_the_fold(ring):
                               for c in (1, 3, 7)],
     }
     a, b = _element(ring, rng), _element(ring, rng)
-    minus_a = (Poly(a.ring, map(a.ring.neg, a.coefficients)) if isinstance(a, Poly)
-               else ring.neg(a))
+    minus_a = _negated(ring, a)
     shapes["negative values"] = [(1, a, b), (3, minus_a, a), (2, minus_a, minus_a), (1, minus_a, b)]
     if isinstance(ring, PolyRing):  # zero coefficients, inside and at the ends
         base, huge = ring.base, _element(ring.base, rng, True)
@@ -265,3 +271,59 @@ def test_sum_products_equals_the_fold(ring):
     a, b, minus_a = (_kernel(ring, x) for x in (a, b, minus_a))
     assert ring.sum_products([]) == _kernel(ring, ring.zero)
     assert ring.sum_products([(1, a, b), (1, minus_a, b)]) == _kernel(ring, ring.zero)
+
+
+# -- sum_row -------------------------------------------------------------------
+
+
+def _gappy(ring, rng, huge=False):
+    """Eight ring elements, None at 1 and 4 and the ring zero at 6."""
+    values = [_element(ring, rng, huge) for _ in range(8)]
+    values[1] = values[4] = None
+    values[6] = ring.zero
+    return values
+
+
+ROWS = {
+    "only f, only g, neither": [(1, 0, 1), (3, 5, 4), (2, 1, 0), (1, 4, 4), (2, 1, 5)],
+    "mixed": [(1, 0, 0), (1, 0, 1), (2, 3, 7), (1, 4, 2), (1, 6, 5), (3, 5, 6)],
+    "empty": [],
+    "repeated indices": [(1, 0, 0), (2, 0, 0), (1, 3, 3), (5, 0, 3), (1, 3, 0), (1, 3, 3)],
+    "negative c": [(-1, 0, 3), (-4, 3, 0), (2, 5, 5), (-7, 7, 2)],
+}
+
+
+@pytest.mark.parametrize("ring", SUM_RINGS, ids=SUM_IDS)
+@pytest.mark.parametrize("huge", [False, True], ids=["small", "huge denominators"])
+def test_sum_row_equals_sum_products_and_the_fold(ring, huge):
+    """``sum_row(row, f, g)`` sums c * f[l] * g[r] over the row's present
+    terms: it equals ``sum_products`` of those terms and the fold, and an
+    empty row gives the kernel zero."""
+    rng = random.Random(88)
+    fold_ring = _fold_ring(ring)
+    f, g = _gappy(ring, rng, huge), _gappy(ring, rng, huge)
+    fk, gk = ([None if x is None else _kernel(ring, x) for x in v] for v in (f, g))
+    for name, row in ROWS.items():
+        present = [(c, l, r) for c, l, r in row if f[l] is not None and g[r] is not None]
+        got = ring.sum_row(row, fk, gk)
+        assert got == ring.sum_products([(c, fk[l], gk[r]) for c, l, r in present]), name
+        want = _fold(fold_ring, _fold_terms(fold_ring, [(c, f[l], g[r]) for c, l, r in present]))
+        assert _coefficients(got) == _coefficients(_kernel(ring, want)), name
+    assert ring.sum_row([], fk, gk) == _kernel(ring, ring.zero)
+
+
+@pytest.mark.parametrize("ring, zero", [(RATIONAL, (0, 1)), (SERIES, ((0, 1),) * 3),
+                                        (PolyRing(RATIONAL), Poly(RATIONAL))],
+                         ids=["rational", "series:2", "poly/rational"])
+def test_a_cancelling_row_is_exactly_the_kernel_zero(ring, zero):
+    """``conv_inverse`` and ``apply_series`` drop a ``convolve_at`` value that
+    equals ``to_kernel(zero)``: a row whose terms cancel must return exactly
+    that value, not an equal element in another form."""
+    rng = random.Random(89)
+    a, b = _element(ring, rng), _element(ring, rng)
+    minus_a = _negated(ring, a)
+    f, g = [_kernel(ring, a), _kernel(ring, minus_a)], [_kernel(ring, b)]
+    assert ring.to_kernel(ring.zero) == zero
+    for row in ([(1, 0, 0), (1, 1, 0)], [(2, 0, 0), (-2, 0, 0)], [(3, 1, 0), (1, 0, 0), (2, 0, 0)]):
+        got = convolve_at(SimpleNamespace(coproduct=[row]), ring, f, g, 0)
+        assert type(got) is type(zero) and got == zero, row
