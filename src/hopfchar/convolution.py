@@ -4,8 +4,9 @@ A ``TruncatedFunctional`` stores one coefficient-ring value per basis element
 of degree <= N (sparse storage, absent means zero).  ``convolve_at`` is the
 one convolution kernel.  It works on the ``IndexTable`` of the Hopf algebra
 at N: values are lists in basis order with None for zero, each value in the
-ring's kernel form (a reduced integer pair for a rational, a tuple of pairs
-for a ``series:M`` element, see :mod:`hopfchar.rings`).  ``value_list``
+ring's kernel form (a reduced integer pair for a rational, integer
+numerators over one denominator for a ``series:M`` element, see
+:mod:`hopfchar.rings`).  ``value_list``
 converts each stored value once, and ``from_value_list`` builds one ring
 element per nonzero entry of a result, so that no ``Fraction`` is built in
 the kernel's loops.  The value at index i is the ring's ``sum_row``: the

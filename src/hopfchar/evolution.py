@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from typing import Iterable
 
 from .characters import (Character, InfinitesimalCharacter, _multiplicative,
@@ -34,6 +34,7 @@ from .characters import (Character, InfinitesimalCharacter, _multiplicative,
 from .convolution import TruncatedFunctional, convolve_at, json_entries
 from .errors import InternalError, ParseError
 from .hopf import HopfStructure
+from .rings import lowest_terms
 
 
 class Poly:
@@ -41,8 +42,8 @@ class Poly:
     Q[X]/X^w, w = ``ring.width`` (1 for the rationals, M + 1 for
     ``series:M``), stored as integer numerators ``nums`` over one positive
     denominator ``den``: entry k*w + m is the numerator of the coefficient of
-    t^k X^m.  The form is canonical (no trailing zero entry and
-    gcd(den, *nums) = 1), so equal polynomials have equal fields.
+    t^k X^m.  The form is canonical (``rings.lowest_terms``: no trailing zero
+    entry and gcd(den, *nums) = 1), so equal polynomials have equal fields.
     ``coefficients`` gives the ring elements, built on read."""
 
     __slots__ = ("ring", "nums", "den", "_below")
@@ -51,14 +52,14 @@ class Poly:
         ratios = [x.as_integer_ratio() for c in coefficients for x in ring.coordinates(c)]
         den = lcm(*(d for _n, d in ratios))
         self.ring = ring
-        self.nums, self.den = _canonical([n * (den // d) for n, d in ratios], den)
+        self.nums, self.den = lowest_terms([n * (den // d) for n, d in ratios], den)
 
     @classmethod
     def _of(cls, ring, nums: list, den: int) -> "Poly":
         """The polynomial with these numerators over den > 0."""
         p = cls.__new__(cls)
         p.ring = ring
-        p.nums, p.den = _canonical(nums, den)
+        p.nums, p.den = lowest_terms(nums, den)
         return p
 
     @property
@@ -122,16 +123,6 @@ class Poly:
         return f"Poly({list(self.coefficients)})"
 
 
-def _canonical(nums: list, den: int) -> tuple[tuple, int]:
-    """nums/den with trailing zeros dropped and gcd(den, *nums) = 1."""
-    while nums and not nums[-1]:
-        nums.pop()
-    g = gcd(den, *nums)
-    if g != 1:
-        return tuple(x // g for x in nums), den // g
-    return tuple(nums), den
-
-
 def _sum_products(ring, terms) -> Poly:
     """The sum of c * p * q over ``(c, p, q)`` in terms, for polynomials over
     Q[X]/X^w: one integer convolution of the numerators over the lcm of the
@@ -156,7 +147,7 @@ def _sum_products(ring, terms) -> Poly:
 
 class PolyRing:
     """R[t] as a kernel ring: a ``Poly`` is its own kernel form, the sum of
-    products over terms or a row is ``_sum_products``, and ``operator.mul``
+    products over a row is ``_sum_products``, and ``operator.mul``
     finds ``Poly.__mul__``."""
 
     to_kernel = staticmethod(lambda p: p)
@@ -166,9 +157,6 @@ class PolyRing:
         self.base = ring
         self.zero = Poly(ring)
         self.one = Poly(ring, [ring.one])
-
-    def sum_products(self, terms) -> Poly:
-        return _sum_products(self.base, terms)
 
     def sum_row(self, row, f, g) -> Poly:
         terms = [(c, p, q) for c, left, right in row

@@ -11,31 +11,31 @@ Both rings are Q-algebras (``scale`` divides exactly by any nonzero integer),
 which is what the exponential/logarithm series require.
 
 The convolution kernel does not work on ring elements but on their kernel
-form, where a rational is a reduced pair ``(numerator, denominator)`` of
-ints with a positive denominator, so that tuple equality is value
-equality, and a ``series:M`` element is a tuple of M + 1 such pairs.
-``to_kernel`` and ``from_kernel`` convert one element; ``kernel_mul`` and
-``kernel_neg`` are the product and the negation in kernel form, and
-``sum_products(terms)`` is the sum of ``c * a * b`` over a list of
+form, where tuple equality is value equality.  A rational is a reduced pair
+``(numerator, denominator)`` of ints with a positive denominator.  A
+``series:M`` element is a pair ``(nums, den)``: the integer numerators of its
+coefficients of X^0, X^1, ... with trailing zeros dropped, over one positive
+denominator, with gcd(den, *nums) = 1 (``lowest_terms``), so that its zero is
+``((), 1)``.  ``to_kernel`` and ``from_kernel`` convert one element;
+``kernel_mul`` and ``kernel_neg`` are the product and the negation in kernel
+form, and ``sum_products(terms)`` is the sum of ``c * a * b`` over a list of
 ``(c, a, b)`` with c a nonzero integer and a, b in kernel form, equal to
 ``to_kernel`` of the fold of ``mul``, ``scale`` and ``add`` from ``zero``
 (``to_kernel(zero)`` for no terms or terms that cancel).  The convolution
 kernel is ``sum_row(row, f, g)``: that sum over the (c, f[l], g[r]) of an
 ``IndexTable`` coproduct row's triples (c, l, r) with f[l] and g[r] not
-None, read with no term list.  Over the rationals both are one integer sum
-over the lcm of the term denominators, reduced by one gcd.  A rational
-product in kernel form cancels the two cross gcds, so that no ``Fraction``
-is built.
+None.  Over the rationals both are one integer sum over the lcm of the term
+denominators, reduced by one gcd, read from the row with no term list; a
+rational product in kernel form cancels the two cross gcds, so that no
+``Fraction`` is built.  Over ``series:M`` they are one integer convolution
+over the lcm of the term denominators, cut at X^M, then one gcd; the inner
+loop walks the nonzero entries of the right factor only.
 
 Both rings are Q[X]/X^w, with w = 1 for the rationals and M + 1 for
 ``series:M``: ``width`` is w, the number of rational coordinates of an
 element, and ``coordinates``/``from_coordinates`` convert an element to and
 from them.  The evolution solver's ``Poly`` reads a ring only through these
-and does its arithmetic on integer numerators.
-
-``poly_products(terms, size)`` is the product of sequences of rational
-pairs truncated to ``size`` coefficients, for series modulo X^(M+1): each
-degree's products of nonzero coefficients are one ``sum_products``.
+and keeps its integer numerators in the same ``lowest_terms`` form.
 
 Every rational literal read into a ring or into the CLI's ``--series`` goes
 through ``parse_rational``, and every ring element written out through
@@ -50,7 +50,6 @@ from __future__ import annotations
 import operator
 import re
 import sys
-from collections import defaultdict
 from fractions import Fraction
 from functools import cached_property, partial
 from math import gcd, lcm
@@ -59,7 +58,6 @@ from .errors import SIZE_BUDGET, NotInvertibleError, ParseError, ResourceLimitEr
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-_ZERO_PAIR = (0, 1)
 try:  # a reduced pair as a Fraction, without the gcd that ``Fraction(n, d)`` takes
     _coprime_fraction = Fraction._from_coprime_ints  # CPython 3.12 and later
 except AttributeError:
@@ -222,35 +220,45 @@ class TruncatedSeriesRing:
         return tuple(x * q for x in a)
 
     def sum_products(self, terms) -> tuple:
-        return tuple(poly_products(terms, self.width))
+        size, den = self.width, lcm(*[a[1] * b[1] for _c, a, b in terms])
+        out = [0] * size
+        for c, (p, p_den), (q, q_den) in terms:
+            c *= den // (p_den * q_den)
+            right = [(j, y) for j, y in enumerate(q) if y]
+            for i, x in enumerate(p):
+                if x:
+                    x *= c
+                    for j, y in right:
+                        if i + j >= size:
+                            break
+                        out[i + j] += x * y
+        return lowest_terms(out, den)
 
     def sum_row(self, row, f, g) -> tuple:
-        size, buckets = self.width, defaultdict(list)
-        for c, left, right in row:
-            if (p := f[left]) is not None and (q := g[right]) is not None:
-                nonzero = [(j, b) for j, b in enumerate(q) if b[0]]
-                for i, a in enumerate(p):
-                    if a[0]:
-                        for j, b in nonzero:
-                            if i + j >= size:
-                                break
-                            buckets[i + j].append((c, a, b))
-        return tuple(_bucket_sums(buckets, size))
+        return self.sum_products([(c, a, b) for c, left, right in row
+                                  if (a := f[left]) is not None and (b := g[right]) is not None])
 
     @staticmethod
     def to_kernel(a) -> tuple:
-        return tuple([x.as_integer_ratio() for x in a])
+        # Over the lcm of reduced denominators gcd(den, *nums) is already 1.
+        ratios = [x.as_integer_ratio() for x in a]
+        den = lcm(*{d for _n, d in ratios})
+        nums = [n and n * (den // d) for n, d in ratios]
+        while nums and not nums[-1]:
+            nums.pop()
+        return tuple(nums), den
 
-    @staticmethod
-    def from_kernel(k) -> tuple[Fraction, ...]:
-        return tuple([_coprime_fraction(n, d) if n else _ZERO for n, d in k])
+    def from_kernel(self, k) -> tuple[Fraction, ...]:
+        nums, den = k
+        return (tuple([Fraction(n, den) if n else _ZERO for n in nums])
+                + (_ZERO,) * (self.width - len(nums)))
 
     def kernel_mul(self, a, b) -> tuple:
-        return tuple(poly_products([(1, a, b)], self.width))
+        return self.sum_products([(1, a, b)])
 
     @staticmethod
     def kernel_neg(a) -> tuple:
-        return tuple([(-n, d) for n, d in a])
+        return tuple([-n for n in a[0]]), a[1]
 
     def is_zero(self, a) -> bool:
         return all(x == 0 for x in a)
@@ -283,28 +291,15 @@ class TruncatedSeriesRing:
         return f"TruncatedSeriesRing({self.modulus_degree})"
 
 
-def poly_products(terms, size: int) -> list:
-    """The first ``size`` coefficients of the sum of c * p * q over
-    ``(c, p, q)``, for sequences p, q of rational pairs: products of nonzero
-    coefficients are bucketed by degree, one ``RATIONAL.sum_products`` per
-    nonempty bucket, and degrees >= size are dropped."""
-    buckets = defaultdict(list)
-    for c, p, q in terms:
-        right = [(j, b) for j, b in enumerate(q) if b[0]]
-        for i, a in enumerate(p):
-            if a[0]:
-                for j, b in right:
-                    if i + j >= size:
-                        break
-                    buckets[i + j].append((c, a, b))
-    return _bucket_sums(buckets, size)
-
-
-def _bucket_sums(buckets, size: int) -> list:
-    out = [_ZERO_PAIR] * size
-    for k, bucket in buckets.items():
-        out[k] = RATIONAL.sum_products(bucket)
-    return out
+def lowest_terms(nums: list, den: int) -> tuple[tuple, int]:
+    """nums/den, den > 0, with trailing zeros dropped and gcd(den, *nums) = 1:
+    the one spelling of its value, ``((), 1)`` for zero."""
+    while nums and not nums[-1]:
+        nums.pop()
+    g = gcd(den, *nums)
+    if g != 1:
+        return tuple(x // g for x in nums), den // g
+    return tuple(nums), den
 
 
 def resolve_ring(key: str):

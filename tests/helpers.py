@@ -19,8 +19,8 @@ coproduct sum on every basis element instead of on generators only for the
 evolution equation, and a convolution kernel on value dicts keyed by basis
 objects, folding ``mul``/``scale``/``add`` term by term, instead of the
 index-table kernel with one ``sum_products`` per value, the schoolbook
-truncated product of coefficient lists instead of the degree-bucketed
-``poly_products``, two full-basis convolutions instead of the generator values
+truncated product of coefficient lists instead of the series ring's integer
+convolution, two full-basis convolutions instead of the generator values
 for the Lie bracket, the coproduct recursion on basis objects, with
 root-containing subtrees as tree values, instead of the index table's cocycle
 on ids, polynomials in t as tuples of ring elements (``FractionPoly``) instead
@@ -38,6 +38,7 @@ from fractions import Fraction
 
 from hopfchar.convolution import TruncatedFunctional, conv_unit, convolve, require_augmentation
 from hopfchar.errors import AugmentationError, IdealError, ParseError
+from hopfchar.evolution import Poly, PolyRing, _sum_products
 from hopfchar.hopf import GradedVector, Word, ck_hopf
 from hopfchar.ideals import HopfIdealSpec
 from linalg import in_span
@@ -594,6 +595,15 @@ class FoldPolyRing:
     @staticmethod
     def is_zero(p):
         return not p.coefficients
+
+
+class SumPolyRing(PolyRing):
+    """``PolyRing`` with ``sum_products`` over a term list: the library's
+    ``_sum_products``, which ``PolyRing.sum_row`` runs on a row's terms, so
+    that the kernel tests can check ``sum_row`` against it."""
+
+    def sum_products(self, terms) -> Poly:
+        return _sum_products(self.base, terms)
 
 
 def assert_solves_evolution_ode(curve, polys: dict) -> None:

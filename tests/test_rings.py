@@ -1,16 +1,23 @@
+import math
 import random
 import sys
+import time
 from fractions import Fraction
 
 import pytest
 
 from hopfchar.errors import SIZE_BUDGET, NotInvertibleError, ParseError, ResourceLimitError
-from hopfchar.rings import RATIONAL, TruncatedSeriesRing, poly_products, resolve_ring
+from hopfchar.characters import char_from_tree_values, char_inv, char_mul, char_unit
+from hopfchar.convolution import TruncatedFunctional, conv_inverse, conv_unit, convolve
+from hopfchar.hopf import ck_hopf
+from hopfchar.rings import RATIONAL, TruncatedSeriesRing, resolve_ring
+from hopfchar.trees import enumerate_trees
 from sampling import random_ring_element, random_unit
 
 from helpers import random_coefficients, schoolbook_product
 
 SERIES = TruncatedSeriesRing(3)
+CK = ck_hopf()
 
 
 @pytest.mark.parametrize("ring", [RATIONAL, SERIES], ids=lambda r: r.key)
@@ -165,18 +172,92 @@ def test_series_product_equals_the_schoolbook_product(m):
     assert ring.sum_products([]) == ring.to_kernel(ring.zero)
 
 
-def _pairs(values) -> list:
-    """Rationals as the reduced integer pairs ``poly_products`` works on."""
-    return [Fraction(x).as_integer_ratio() for x in values]
+@pytest.mark.parametrize("m, product", [(1, (0, 3)), (3, (0, 3, 0, 6)), (5, (0, 3, 0, 6))],
+                         ids=["series:1", "series:3", "series:5"])
+def test_series_products_truncate_at_x_to_the_m(m, product):
+    # (1 + 2X^2) * 3X = 3X + 6X^3, cut at X^m, numerators with no trailing zero.
+    ring = TruncatedSeriesRing(m)
+    a, b = (ring.to_kernel(ring.element(cs)) for cs in ([1, 0, 2], [0, 3]))
+    assert ring.kernel_mul(a, b) == (product, 1)
+    assert ring.sum_products([(2, a, b), (1, b, b)]) == ((0, 6, 9, 12)[:m + 1], 1)
+    assert ring.sum_products([]) == ring.kernel_mul(ring.to_kernel(ring.zero), a) == ((), 1)
 
 
-def test_poly_products_sizes():
-    a, b = [Fraction(1), Fraction(0), Fraction(2)], [Fraction(0), Fraction(3)]
-    full = _pairs(schoolbook_product(a, b, 4))
-    a, b = _pairs(a), _pairs(b)
-    assert poly_products([(1, a, b)], 4) == full
-    assert poly_products([(1, a, b)], 2) == full[:2]
-    assert poly_products([(1, a, b)], 6) == full + _pairs([0, 0])
-    assert poly_products([(2, a, b), (1, b, b)], 3) == _pairs([0, 6, 9])
-    assert poly_products([], 3) == _pairs([0, 0, 0])
-    assert poly_products([(1, _pairs([0]), a)], 2) == _pairs([0, 0])
+# -- the kernel form: integer numerators over one denominator -------------------
+
+
+def _assert_canonical(kernel):
+    nums, den = kernel
+    assert type(nums) is tuple and den > 0 and math.gcd(den, *nums) == 1
+    assert not nums or nums[-1], kernel
+
+
+@pytest.mark.parametrize("m", range(1, 7), ids=lambda m: f"series:{m}")
+def test_series_kernel_form_is_canonical(m):
+    ring = TruncatedSeriesRing(m)
+    rng = random.Random(200 + m)
+    assert ring.to_kernel(ring.zero) == ((), 1)
+    for _ in range(20):
+        a, b = (ring.element(random_coefficients(rng, m + 1, 0.4)) for _ in range(2))
+        ka, kb = ring.to_kernel(a), ring.to_kernel(b)
+        for kernel in (ka, kb, ring.kernel_mul(ka, kb), ring.kernel_neg(ka),
+                       ring.sum_products([(3, ka, kb), (2, kb, ka)])):
+            _assert_canonical(kernel)
+            assert ring.to_kernel(ring.from_kernel(kernel)) == kernel
+        assert ring.from_kernel(ka) == a
+        # A sum whose top coefficients cancel is spelled as its value is.
+        minus_b = ring.kernel_neg(kb)
+        assert ring.sum_products([(1, ka, kb), (1, ka, minus_b)]) == ((), 1)
+        top = ring.to_kernel(ring.element([0] * m + [1]))
+        assert (ring.sum_products([(1, ka, ring.to_kernel(ring.one)), (1, top, kb), (-1, top, kb)])
+                == ka)
+    # 1/4 * 2 is 2/4 before its gcd; 1/2 coefficients, given or padded.
+    half = ring.to_kernel(ring.element([Fraction(1, 2)]))
+    assert half == ((1,), 2)
+    assert ring.kernel_mul(ring.to_kernel(ring.element([Fraction(1, 4)])),
+                           ring.to_kernel(ring.element([2]))) == half
+    assert ring.to_kernel((Fraction(2, 4),) + (Fraction(0),) * m) == half
+    assert ring.to_kernel(ring.element([Fraction(1, 2), 0, 0])) == half
+
+
+def _odd_primes(count: int) -> list:
+    primes, n = [], 3
+    while len(primes) < count:
+        if all(n % p for p in primes if p * p <= n):
+            primes.append(n)
+        n += 2
+    return primes
+
+
+def test_series_values_with_a_distinct_prime_denominator_on_every_coefficient():
+    # Every coefficient of every value has its own odd prime denominator, so
+    # no two values share a denominator.
+    ring, n, rng = TruncatedSeriesRing(4), 5, random.Random(210)
+    basis, trees = CK.table(n).basis, [t for level in enumerate_trees(n) for t in level]
+    primes = iter(_odd_primes((len(basis) + len(trees)) * ring.width))
+    def element():
+        return ring.element(Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), next(primes))
+                            for _ in range(ring.width))
+    f = TruncatedFunctional(CK, ring, n, {b: element() for b in basis})
+    assert convolve(conv_inverse(f), f) == conv_unit(CK, ring, n)
+    phi = char_from_tree_values({t: element() for t in trees}, n, ring)
+    assert char_mul(phi, char_inv(phi)) == char_unit(CK, ring, n)
+
+
+def test_wide_sparse_series_product_walks_only_nonzero_entries():
+    # 300 scattered nonzeros times 1 + X^M over series:200000.  The schoolbook
+    # answer is a + a_0 X^M; walking the zeros of a factor in the inner loop
+    # takes seconds.
+    m, rng = 200_000, random.Random(220)
+    ring = TruncatedSeriesRing(m)
+    coeffs = [Fraction(0)] * (m + 1)
+    for k in rng.sample(range(m + 1), 300):
+        coeffs[k] = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+    a, b = tuple(coeffs), ring.element([1] + [0] * (m - 1) + [1])
+    want = list(coeffs)
+    want[m] += coeffs[0]
+    start = time.perf_counter()
+    got = ring.mul(a, b)
+    elapsed = time.perf_counter() - start
+    assert got == tuple(want)
+    assert elapsed < 1.0, f"series:{m} sparse product took {elapsed:.2f}s / 1s"
